@@ -379,7 +379,8 @@ class KLTable:
         res = self._kl_compute(ywin, wwin)
         if res and ywin != wwin:
             bound = kernels.win_length(wwin) - kernels.win_length(ywin) - 1
-            assert max(res) <= bound, f"degree bound violated at {ywin} <= {wwin}"
+            if max(res) > bound:
+                raise ArithmeticError(f"degree bound violated at {ywin} <= {wwin}")
         self._memo[key] = res
         return res
 

@@ -656,7 +656,8 @@ def _bernstein_assoc(h: HeckeElement) -> tuple:
     rows = []
     for (cvec, u), coeff in to_bernstein_basis(h).items():
         z, word = u.reduced_word()
-        assert z == 0, "translation form must have a finite tail"
+        if z != 0:
+            raise ValueError("translation form must have a finite tail")
         rows.append((cvec, word, coeff.raw()))
     return tuple(rows)
 
@@ -708,20 +709,32 @@ def _finite_image(n: int, r: int, lparts: tuple, dwin: tuple) -> TensorVector:
 
 
 @lru_cache(maxsize=None)
+def _finite_block(n: int, r: int, lparts: tuple) -> tuple:
+    """(distinguished windows, raw images, peel order) of the finite block
+    x_lambda T_d, d running over the finite distinguished elements."""
+    pi = young_parabolic(Weight(n, r, lparts))
+    block = tuple(
+        sorted(
+            (d.window for d in _finite_distinguished(r, pi.generators)),
+            key=lambda w: (kernels.win_length(w), w),
+        )
+    )
+    columns = tuple(_finite_image(n, r, lparts, dw)._terms for dw in block)
+    return block, columns, _peel_order(columns)
+
+
+@lru_cache(maxsize=None)
 def _finite_expansion(n: int, r: int, key: tuple) -> tuple:
-    """e_key as a combination of transported basis vectors (finite keys);
-    returns ((lparts, dwin, Laurent), ...)."""
+    """e_key as a combination of transported basis vectors x_lambda T_d,
+    lambda the weight of key and d finite; returns ((lparts, dwin, Laurent),
+    ...).  The images of the block are solved by the unit-triangular peel of
+    _peel_order / _peel: ValueError if they do not peel ("columns are not
+    unit-triangular") or if e_key leaves a residual ("target is not in the
+    span")."""
     lam = Weight.of_key(key, n)
-    pi = young_parabolic(lam)
-    block = sorted(
-        (d.window for d in _finite_distinguished(r, pi.generators)),
-        key=lambda w: (kernels.win_length(w), w),
-    )
-    columns = [_finite_image(n, r, lam.parts, dw) for dw in block]
-    coords = _solve_exact(columns, TensorVector.unit(n, key))
-    return tuple(
-        (lam.parts, dw, c) for dw, c in zip(block, coords) if c
-    )
+    block, columns, order = _finite_block(n, r, lam.parts)
+    coords = _peel(columns, order, {key: {0: 1}})
+    return tuple((lam.parts, dw, Laurent._raw(c)) for dw, c in zip(block, coords) if c)
 
 
 @lru_cache(maxsize=None)
@@ -738,47 +751,65 @@ def _finite_distinguished(r: int, gens: frozenset) -> tuple[WindowPerm, ...]:
     return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
 
 
-def _solve_exact(columns: list[TensorVector], target: TensorVector) -> list[Laurent]:
-    """Solve sum(c_k * columns[k]) = target exactly over Laurent
-    coefficients; fraction-free elimination, errors if no Laurent solution."""
-    keys = sorted({k for col in columns for k in col._terms} | set(target._terms))
-    rows = [[col.coeff(k) for col in columns] + [target.coeff(k)] for k in keys]
-    ncols = len(columns)
-    piv_rows: list[int] = []
-    prev = Laurent.one()
-    for c in range(ncols):
-        sel = None
-        for ri in range(len(rows)):
-            if ri not in piv_rows and rows[ri][c]:
-                sel = ri
-                break
-        if sel is None:
-            raise ValueError("columns are dependent; cannot invert")
-        piv_rows.append(sel)
-        pivot = rows[sel][c]
-        for ri in range(len(rows)):
-            if ri == sel or not any(rows[ri][c2] for c2 in range(c, ncols + 1)):
-                continue
-            if ri in piv_rows:
-                continue
-            factor = rows[ri][c]
-            rows[ri] = [
-                (pivot * rows[ri][c2] - factor * rows[sel][c2]).divexact(prev)
-                for c2 in range(ncols + 1)
-            ]
-        prev = pivot
-    for ri in range(len(rows)):
-        if ri not in piv_rows and rows[ri][ncols]:
-            raise ValueError("target is not in the span")
-    # back substitution on the triangularized pivot rows
-    sol: list[Laurent] = [Laurent.zero()] * ncols
-    for c in range(ncols - 1, -1, -1):
-        row = rows[piv_rows[c]]
-        acc = row[ncols]
-        for c2 in range(c + 1, ncols):
-            acc = acc - row[c2] * sol[c2]
-        sol[c] = acc.divexact(row[c])
-    return sol
+def _peel_order(columns: Sequence[dict]) -> tuple:
+    """An order that peels the columns (raw term dicts) one at a time: each
+    step takes a remaining column that owns a key no other remaining column
+    has, with coefficient +-v^e there.  Returns (column, key, inverse of that
+    coefficient) triples; raises ValueError if the columns do not peel
+    completely.  Peeling only makes more keys private, so the choice made at
+    each step cannot block a later one."""
+    holders: dict[tuple, set[int]] = {}
+    for j, col in enumerate(columns):
+        for key in col:
+            holders.setdefault(key, set()).add(j)
+    private = [key for key, held in holders.items() if len(held) == 1]
+    order = []
+    while private:
+        key = private.pop()
+        held = holders[key]
+        if len(held) != 1:
+            continue
+        (j,) = held
+        c = columns[j][key]
+        if len(c) != 1:
+            continue
+        [(e, s)] = c.items()
+        if s not in (1, -1):
+            continue
+        order.append((j, key, {-e: s}))
+        for k2 in columns[j]:
+            others = holders[k2]
+            others.discard(j)
+            if len(others) == 1:
+                private.append(k2)
+    if len(order) != len(columns):
+        raise ValueError("columns are not unit-triangular")
+    return tuple(order)
+
+
+def _peel(columns: Sequence[dict], order: tuple, target: dict) -> list[dict]:
+    """Solve sum(c_k * columns[k]) = target exactly along a peel order from
+    _peel_order: a peeled column's coefficient is the residual at its
+    private key times the inverse unit, and coefficient * column is then
+    subtracted from the residual.  Returns raw coefficients; raises
+    ValueError if a residual is left ("target is not in the span")."""
+    residual = {k: dict(c) for k, c in target.items() if c}
+    coords: list[dict] = [{} for _ in columns]
+    for j, key, inv in order:
+        c = residual.get(key)
+        if not c:
+            continue
+        coeff = kernels.lp_mul(c, inv)
+        coords[j] = coeff
+        neg = kernels.lp_neg(coeff)
+        for k, ck in columns[j].items():
+            acc = residual.setdefault(k, {})
+            kernels.lp_add_into(acc, kernels.lp_mul(ck, neg))
+            if not acc:
+                del residual[k]
+    if residual:
+        raise ValueError("target is not in the span")
+    return coords
 
 
 def _poincare_of_conjugated(d: WindowPerm, left, right) -> Laurent:
@@ -919,20 +950,32 @@ def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tupl
     return keys
 
 
+@lru_cache(maxsize=None)
+def _theta_system(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
+    """(q-tensor term keys, raw theta_iso images, peel order) of the basis
+    inside the truncation window; built on first use."""
+    keys = theta_iso_basis(n, r, len_bound, rho_bound)
+    columns = tuple(theta_iso(QTensorElement.basis(lam, d))._terms for lam, d in keys)
+    return tuple((lam.parts, d.window) for lam, d in keys), columns, _peel_order(columns)
+
+
 def theta_iso_inverse(
     y: TensorVector, len_bound: int, rho_bound: int = 1
 ) -> QTensorElement:
-    """Invert theta_iso on the span of basis keys with d inside the given
-    truncation; exact solve, errors if y is not in that span."""
+    """Invert theta_iso on the span of the basis keys x_lambda T_d with d
+    inside the truncation (length <= len_bound, rho power within rho_bound).
+
+    The images of those keys are unit-triangular: they peel one at a time,
+    each step taking an image that owns a tensor key no other remaining image
+    has, with coefficient +-v^e, so its coordinate is the residual there over
+    that unit.  The images and the peel order are built once per
+    (n, r, len_bound, rho_bound) and cached.  Raises ValueError if the images
+    do not peel ("columns are not unit-triangular") or if y leaves a residual
+    ("target is not in the span")."""
     n, r = y.n, y.r
-    keys = theta_iso_basis(n, r, len_bound, rho_bound)
-    columns = [theta_iso(QTensorElement.basis(lam, d)) for lam, d in keys]
-    coords = _solve_exact(columns, y)
-    total = QTensorElement.zero(n, r)
-    for (lam, d), c in zip(keys, coords):
-        if c:
-            total = total + QTensorElement.basis(lam, d).scale(c)
-    return total
+    keys, columns, order = _theta_system(n, r, len_bound, rho_bound)
+    coords = _peel(columns, order, y._terms)
+    return QTensorElement._raw(n, r, {k: c for k, c in zip(keys, coords) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -1184,23 +1227,7 @@ def verify_affine_duality(
     # tau injectivity by rank over a large prime
     basis = enumerate_up_to_length(r, L, extended=True, rho_bound=2)
     omega_keys = [k for k in keyset if Weight.of_key(k, n).parts == omega(n, r).parts]
-    colindex: dict[tuple, int] = {}
-    mat_rows = []
-    for w in basis:
-        op = tau(n, r, w)
-        images: dict[tuple, int] = {}
-        for key in omega_keys:
-            for k2, c2 in op.on_key(key)._terms.items():
-                col = (key, k2)
-                images[col] = (images.get(col, 0) + kernels.lp_eval_mod(c2, 3, p)) % p
-                if col not in colindex:
-                    colindex[col] = len(colindex)
-        mat_rows.append(images)
-    dense = [[0] * len(colindex) for _ in mat_rows]
-    for ri, images in enumerate(mat_rows):
-        for col, val in images.items():
-            dense[ri][colindex[col]] = val
-    rank = _modp_rank_dense(dense, p)
+    rank = _modp_rank(_tau_rows(n, r, basis, omega_keys, p), p)
     checks.append(
         (
             "tau-injective",
@@ -1297,13 +1324,7 @@ def verify_affine_duality(
     # bimodule identification: intertwining plus injectivity on the window
     tkeys = theta_iso_basis(n, r, L, rho_bound=1)
     images = [theta_iso(QTensorElement.basis(lam, d)) for lam, d in tkeys]
-    allsup = sorted({k for img in images for k in img._terms})
-    supidx = {k: i for i, k in enumerate(allsup)}
-    dense = [[0] * len(allsup) for _ in images]
-    for ri, img in enumerate(images):
-        for k2, c2 in img._terms.items():
-            dense[ri][supidx[k2]] = kernels.lp_eval_mod(c2, 3, p)
-    rank = _modp_rank_dense(dense, p)
+    rank = _modp_rank([_eval_row(img._terms, p) for img in images], p)
     checks.append(
         (
             "theta-injective",
@@ -1367,28 +1388,45 @@ def verify_affine_duality(
     return sorted(checks, key=lambda c: c[0])
 
 
-def _modp_rank_dense(rows: list[list[int]], p: int) -> int:
-    """Row-echelon rank over Z/p; small local routine to keep the module
-    free of test-side dependencies."""
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        sel = None
-        for ri in range(rank, len(mat)):
-            if mat[ri][c] % p:
-                sel = ri
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for ri in range(len(mat)):
-            if ri != rank and mat[ri][c]:
-                f = mat[ri][c]
-                mat[ri] = [(a - f * b) % p for a, b in zip(mat[ri], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _eval_row(terms: dict, p: int) -> dict:
+    """A sparse row {key: coefficient at v = 3 mod p}."""
+    return {k: kernels.lp_eval_mod(c, 3, p) for k, c in terms.items()}
+
+
+def _tau_rows(n: int, r: int, basis: Sequence[WindowPerm], keys: Sequence[tuple], p: int) -> list[dict]:
+    """One sparse row per w in basis: tau(w) on the given keys, columns
+    (key, image key), coefficients at v = 3 mod p."""
+    rows = []
+    for w in basis:
+        op = tau(n, r, w)
+        row = {}
+        for key in keys:
+            for k2, val in _eval_row(op.on_key(key)._terms, p).items():
+                row[(key, k2)] = val
+        rows.append(row)
+    return rows
+
+
+def _modp_rank(rows: Sequence[dict], p: int) -> int:
+    """Rank over Z/p of sparse rows {column: value}: each row is reduced
+    against the pivot rows kept so far, in the order they were kept, and
+    becomes a new pivot row if anything is left.  A small local routine that
+    keeps the module free of test-side dependencies."""
+    pivots: list[tuple] = []
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        for pc, prow in pivots:
+            f = row.get(pc)
+            if not f:
+                continue
+            for c, x in prow.items():
+                s = (row.get(c, 0) - f * x) % p
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+        if row:
+            pc = next(iter(row))
+            inv = pow(row[pc], p - 2, p)
+            pivots.append((pc, {c: x * inv % p for c, x in row.items()}))
+    return len(pivots)

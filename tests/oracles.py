@@ -184,6 +184,56 @@ def kl_by_bar_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
 
 
 # ---------------------------------------------------------------------------
+# Exact solves over Z[v, v^-1]
+
+
+def bareiss_solve(columns, target) -> list[Laurent]:
+    """Solve sum(c_k * columns[k]) = target exactly over Laurent
+    coefficients; fraction-free elimination, errors if no Laurent solution.
+
+    The library's former general solver, kept as the oracle for its
+    unit-triangular peel: columns and target are TensorVectors."""
+    keys = sorted({k for col in columns for k in col._terms} | set(target._terms))
+    rows = [[col.coeff(k) for col in columns] + [target.coeff(k)] for k in keys]
+    ncols = len(columns)
+    piv_rows: list[int] = []
+    prev = Laurent.one()
+    for c in range(ncols):
+        sel = None
+        for ri in range(len(rows)):
+            if ri not in piv_rows and rows[ri][c]:
+                sel = ri
+                break
+        if sel is None:
+            raise ValueError("columns are dependent; cannot invert")
+        piv_rows.append(sel)
+        pivot = rows[sel][c]
+        for ri in range(len(rows)):
+            if ri == sel or not any(rows[ri][c2] for c2 in range(c, ncols + 1)):
+                continue
+            if ri in piv_rows:
+                continue
+            factor = rows[ri][c]
+            rows[ri] = [
+                (pivot * rows[ri][c2] - factor * rows[sel][c2]).divexact(prev)
+                for c2 in range(ncols + 1)
+            ]
+        prev = pivot
+    for ri in range(len(rows)):
+        if ri not in piv_rows and rows[ri][ncols]:
+            raise ValueError("target is not in the span")
+    # back substitution on the triangularized pivot rows
+    sol: list[Laurent] = [Laurent.zero()] * ncols
+    for c in range(ncols - 1, -1, -1):
+        row = rows[piv_rows[c]]
+        acc = row[ncols]
+        for c2 in range(c + 1, ncols):
+            acc = acc - row[c2] * sol[c2]
+        sol[c] = acc.divexact(row[c])
+    return sol
+
+
+# ---------------------------------------------------------------------------
 # Mod-p linear algebra (numpy int64; p**2 * dim must stay below 2**63)
 
 
