@@ -29,6 +29,10 @@ THETA_NOTE = (
 )
 
 
+# the Hopf sweep visits (2 * window + 1)^k keys for every k <= r
+HOPF_MAX_R = 3
+
+
 class InputError(ValueError):
     """Bad JSON or a value out of domain; maps to exit code 2."""
 
@@ -151,13 +155,9 @@ def _cmd_quantum(args) -> int:
     from affineschur.quantum import TensorVector, UElement, act_tensor, kappa, kappa_exponents, tau
     from affineschur.schur import SchurElement, Weight
 
-    if args.verb == "verify-hopf":
-        return _run_reports([run_suite("hopf", n=args.n, r=args.r, window=args.window)], args)
-    if args.verb == "verify-duality":
-        rep = run_suite(
-            "duality", n=args.n, r=args.r, length=args.len, window=args.window, seed=args.seed
-        )
-        return _run_reports([rep], args)
+    if args.verb in ("verify-hopf", "verify-duality"):
+        suite = args.verb[len("verify-"):]
+        return _run_reports([run_suite(suite, **_suite_params(suite, args))], args)
     payload = _read_payload(sys.stdin)
     if args.verb == "act":
         if not isinstance(payload, dict) or "element" not in payload or "vector" not in payload:
@@ -209,7 +209,9 @@ def _suite_params(name: str, args) -> dict:
     if name == "schur-core":
         return {"n": args.n, "r": args.r, "seed": args.seed}
     if name == "hopf":
-        return {"n": args.n, "r": min(args.r, 3), "window": args.window}
+        if not 1 <= args.r <= HOPF_MAX_R:
+            raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {args.r}")
+        return {"n": args.n, "r": args.r, "window": args.window}
     return {
         "n": args.n,
         "r": args.r,
@@ -252,7 +254,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--len", "--len-bound", dest="len", type=int, default=None, help="length bound for sweeps"
     )
     p.add_argument("--window", type=int, default=None, help="index window half-width")
-    p.add_argument("--rho-bound", dest="rho_bound", type=int, default=1, help="shift-power bound")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed for sampled checks")
     p.add_argument("--json", action="store_true", help="emit canonical JSON on stdout")
 

@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from affineschur._backend import kernels
 from affineschur.hecke import (
     HeckeElement,
+    bernstein_y,
+    bernstein_y_inverse,
     commute_gen_past_translations,
     t_basis,
     to_bernstein_basis,
@@ -452,25 +454,51 @@ def _act_word(letters: tuple, terms: dict, n: int) -> dict:
     return terms
 
 
+def _suffixes(words: Iterable[tuple]) -> tuple:
+    """Every nonempty suffix of the given words, shortest first."""
+    return tuple(sorted({w[k:] for w in words for k in range(len(w))}, key=lambda w: (len(w), w)))
+
+
+def _word_images(suffixes: tuple, terms: dict, apply: Callable[[dict, object], dict]) -> dict:
+    """{word: image of the word on terms} over a list from _suffixes: a word
+    acts with its rightmost letter first, so its image is its first letter
+    applied to the image of the rest, which the list puts before it."""
+    images = {(): terms}
+    for word in suffixes:
+        rest = images[word[1:]]
+        images[word] = apply(rest, word[0]) if rest else rest
+    return images
+
+
 def act_V(n: int, letter: tuple[str, int], t: int) -> TensorVector:
     """A single generator letter applied to e_t in the natural module."""
     word = GeneratorWord(n, [letter])
     return TensorVector._raw(n, 1, _act_word(word.letters, {(int(t),): {0: 1}}, n))
 
 
+def _combine(combo: dict, image: Callable[[tuple], dict]) -> dict:
+    """sum(cw * image(index)) over a raw combination {index: cw}: the words
+    of an algebra element, or the keys of a tensor vector."""
+    out: dict[tuple, dict[int, int]] = {}
+    for index, cw in combo.items():
+        for key, c in image(index).items():
+            acc = out.setdefault(key, {})
+            kernels.lp_addmul_into(acc, c, cw)
+            if not acc:
+                del out[key]
+    return out
+
+
+def _act_terms(uterms: dict, terms: dict, n: int) -> dict:
+    """Raw terms under a raw algebra element, through the iterated coproduct."""
+    return _combine(uterms, lambda letters: _act_word(letters, terms, n))
+
+
 def act_tensor(u: UElement, x: TensorVector) -> TensorVector:
     """u applied to x through the iterated coproduct."""
     if u.n != x.n:
         raise ValueError("alphabet mismatch")
-    out: dict[tuple, dict[int, int]] = {}
-    for letters, cw in u._terms.items():
-        part = _act_word(letters, x._terms, x.n)
-        for key, c in part.items():
-            acc = out.setdefault(key, {})
-            kernels.lp_add_into(acc, kernels.lp_mul(c, cw))
-            if not acc:
-                del out[key]
-    return TensorVector._raw(x.n, x.r, out)
+    return TensorVector._raw(x.n, x.r, _act_terms(u._terms, x._terms, x.n))
 
 
 def counit(u: UElement) -> Laurent:
@@ -663,23 +691,51 @@ def _bernstein_assoc(h: HeckeElement) -> tuple:
 
 
 def _apply_assoc(x: TensorVector, assoc: tuple) -> TensorVector:
-    n, r = x.n, x.r
+    return TensorVector._raw(x.n, x.r, _assoc_terms(x._terms, assoc, x.n, x.r))
+
+
+def _assoc_terms(terms: dict, assoc: tuple, n: int, r: int) -> dict:
+    """Raw terms under the right action of a _bernstein_assoc element."""
     out: dict[tuple, dict[int, int]] = {}
     for cvec, word, raw in assoc:
-        terms = x._terms
+        part = terms
         for t, ct in enumerate(cvec):
-            if ct and terms:
-                terms = kernels.tensor_shift_slot(terms, t, -n * ct)
+            if ct and part:
+                part = kernels.tensor_shift_slot(part, t, -n * ct)
         for i in word:
-            if not terms:
+            if not part:
                 break
-            terms = _act_sigma_terms(terms, i, n, r)
-        for key, c in terms.items():
+            part = _act_sigma_terms(part, i, n, r)
+        for key, c in part.items():
             acc = out.setdefault(key, {})
             kernels.lp_add_into(acc, kernels.lp_mul(c, raw))
             if not acc:
                 del out[key]
-    return TensorVector._raw(n, r, out)
+    return out
+
+
+class _RightMemo:
+    """The right action of one _bernstein_assoc element on raw terms,
+    extended by linearity from its images of unit keys, each computed on
+    first use.  The memo lives as long as the object, so a sweep scopes it
+    to the generator it is checking."""
+
+    __slots__ = ("assoc", "n", "r", "images")
+
+    def __init__(self, assoc: tuple, n: int, r: int):
+        self.assoc = assoc
+        self.n = n
+        self.r = r
+        self.images: dict[tuple, dict] = {}
+
+    def on_key(self, key: tuple) -> dict:
+        img = self.images.get(key)
+        if img is None:
+            img = self.images[key] = _assoc_terms({key: {0: 1}}, self.assoc, self.n, self.r)
+        return img
+
+    def __call__(self, terms: dict) -> dict:
+        return _combine(terms, self.on_key)
 
 
 def hecke_right_action(x: TensorVector, h: HeckeElement) -> TensorVector:
@@ -951,11 +1007,19 @@ def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tupl
 
 
 @lru_cache(maxsize=None)
+def _theta_columns(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
+    """(basis keys, raw theta_iso images) of the q-tensor basis inside the
+    truncation window; built on first use, shared by theta_iso_inverse and
+    the duality sweep.  The images are read only, never mutated."""
+    keys = tuple(theta_iso_basis(n, r, len_bound, rho_bound))
+    return keys, tuple(theta_iso(QTensorElement.basis(lam, d))._terms for lam, d in keys)
+
+
+@lru_cache(maxsize=None)
 def _theta_system(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
     """(q-tensor term keys, raw theta_iso images, peel order) of the basis
-    inside the truncation window; built on first use."""
-    keys = theta_iso_basis(n, r, len_bound, rho_bound)
-    columns = tuple(theta_iso(QTensorElement.basis(lam, d))._terms for lam, d in keys)
+    inside the truncation window; the peel order is built on first use."""
+    keys, columns = _theta_columns(n, r, len_bound, rho_bound)
     return tuple((lam.parts, d.window) for lam, d in keys), columns, _peel_order(columns)
 
 
@@ -986,14 +1050,14 @@ def _vec_obj(terms: dict) -> list:
     return [[list(k), {str(e): c for e, c in sorted(v.items())}] for k, v in sorted(terms.items())]
 
 
+def _witness(key, lhs: dict, rhs: dict) -> dict:
+    return {"key": list(key), "lhs": _vec_obj(lhs), "rhs": _vec_obj(rhs)}
+
+
 def _op_check(name: str, lhs: TensorVector, rhs: TensorVector, key) -> tuple:
     if lhs == rhs:
         return (name, True, None)
-    return (
-        name,
-        False,
-        {"key": list(key), "lhs": _vec_obj(lhs._terms), "rhs": _vec_obj(rhs._terms)},
-    )
+    return (name, False, _witness(key, lhs._terms, rhs._terms))
 
 
 def _first_failure(name: str, fails: list) -> tuple:
@@ -1068,80 +1132,115 @@ def _defining_relation_pairs(n: int):
     return pairs
 
 
-def verify_hopf(n: int, r_max: int, window: Iterable[int]) -> list[tuple]:
-    """Operator-level check of the defining relations, coassociativity,
-    counit laws, and the antipode law; returns (name, ok, witness) rows."""
-    window = sorted(set(int(t) for t in window))
-    checks: list[tuple] = []
-    pairs = _defining_relation_pairs(n)
+def _relation_sides(n: int) -> list[tuple]:
+    """(name, lhs, rhs, divide) for every defining relation and E-F
+    commutator, both sides as raw {letters: coeff}; with divide set the rhs
+    image is divided by v - v^-1 (relation (5), the quantum Cartan term)."""
+    U = UElement
+    sides = [(name, lhs._terms, rhs._terms, False) for name, lhs, rhs in _defining_relation_pairs(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            comm = U.E(n, i) * U.F(n, j) - U.F(n, j) * U.E(n, i)
+            if i != j:
+                cartan = U._raw(n, {})
+            else:
+                ip = _next(i, n)
+                cartan = U.K(n, i) * U.K_inv(n, ip) - U.K_inv(n, i) * U.K(n, ip)
+            sides.append((f"ef-commutator-{i}-{j}", comm._terms, cartan._terms, i == j))
+    return sides
+
+
+def _relation_rows(n: int, r_max: int, window: Sequence[int]) -> list[tuple]:
+    """The def-rel-*-r<k> rows: every relation on every key of every rank up
+    to r_max, keys outside and relations inside.  Each key first acts with
+    every word suffix the relations use, once, so words sharing a suffix
+    share its image; the memo goes with the key.  A check's witness is its
+    first failing key."""
+    sides = _relation_sides(n)
+    suffixes = _suffixes(w for _, lhs, rhs, _ in sides for w in (*lhs, *rhs))
+    _vv = Laurent(_VV)
+
+    def apply(terms: dict, letter: tuple) -> dict:
+        return _apply_letter(terms, letter, n)
+
+    rows: list[tuple] = []
     for k in range(1, r_max + 1):
-        keyset = list(itertools.product(window, repeat=k))
-        for name, lhs, rhs in pairs:
-            fails = []
-            for key in keyset:
-                x = TensorVector.unit(n, key)
-                got, want = act_tensor(lhs, x), act_tensor(rhs, x)
+        witness: dict[str, dict] = {}
+        for key in itertools.product(window, repeat=k):
+            image = _word_images(suffixes, {key: {0: 1}}, apply).__getitem__
+            for name, lhs, rhs, divide in sides:
+                if name in witness:
+                    continue
+                got, want = _combine(lhs, image), _combine(rhs, image)
+                if divide:
+                    want = {kk: Laurent(cc).divexact(_vv).raw() for kk, cc in want.items()}
                 if got != want:
-                    fails.append(_op_check("", got, want, key))
-            checks.append(_first_failure(f"def-rel-{name}-r{k}", fails))
-        # relation (5): the E-F commutator against the quantum Cartan term
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                fails = []
-                for key in keyset:
-                    x = TensorVector.unit(n, key)
-                    lhs = act_tensor(UElement.E(n, i) * UElement.F(n, j), x) - act_tensor(
-                        UElement.F(n, j) * UElement.E(n, i), x
-                    )
-                    if i != j:
-                        rhs = TensorVector.zero(n, k)
-                    else:
-                        num = act_tensor(
-                            UElement.K(n, i) * UElement.K_inv(n, _next(i, n)), x
-                        ) - act_tensor(UElement.K_inv(n, i) * UElement.K(n, _next(i, n)), x)
-                        rhs = TensorVector._raw(
-                            n,
-                            k,
-                            {
-                                kk: Laurent(cc).divexact(Laurent(_VV)).raw()
-                                for kk, cc in num._terms.items()
-                            },
-                        )
-                    if lhs != rhs:
-                        fails.append(_op_check("", lhs, rhs, key))
-                checks.append(_first_failure(f"def-rel-ef-commutator-{i}-{j}-r{k}", fails))
-    # coassociativity on three slots
-    letters = (
+                    witness[name] = _witness(key, got, want)
+        rows.extend((f"def-rel-{name}-r{k}", name not in witness, witness.get(name)) for name, *_ in sides)
+    return rows
+
+
+def _split_action(comps: list, image: Callable[[tuple, tuple], dict], key: tuple, cut: int) -> dict:
+    """sum(coeff * (a on key[:cut]) (x) (b on key[cut:])) over the coproduct
+    triples (a, b, coeff), image(word, part) acting with a word on a piece."""
+    out: dict[tuple, dict[int, int]] = {}
+    for aw, bw, coeff in comps:
+        right = image(bw, key[cut:])
+        for ka, ca in image(aw, key[:cut]).items():
+            for kb, cb in right.items():
+                acc = out.setdefault(ka + kb, {})
+                kernels.lp_addmul_into(acc, kernels.lp_mul(ca, cb), {0: coeff})
+                if not acc:
+                    del out[ka + kb]
+    return out
+
+
+def _hopf_letters(n: int) -> list[tuple]:
+    """The letters whose coproduct, counit and antipode laws are checked."""
+    return (
         [("E", i) for i in range(1, n + 1)]
         + [("F", i) for i in range(1, n + 1)]
         + [("K", 1), ("Kinv", 1), ("R", 0), ("Rinv", 0)]
     )
+
+
+def _letter_name(letter: tuple) -> str:
+    return letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
+
+
+def _coassoc_rows(n: int, window: Sequence[int]) -> list[tuple]:
+    """The coassoc-* rows: (Delta x 1) Delta == (1 x Delta) Delta for each
+    letter on every three-slot key, the witness being the first key that
+    fails.  Each letter memoises its coproduct words on the one- and
+    two-slot pieces of the keys and drops the memo before the next letter."""
+    rows = []
     triple = list(itertools.product(window, repeat=3))
-    for letter in letters:
-        fails = []
+    for letter in _hopf_letters(n):
         comps = _coproduct(letter, n)
+        images: dict[tuple, dict] = {}
+
+        def image(word: tuple, part: tuple) -> dict:
+            got = images.get((word, part))
+            if got is None:
+                got = images[(word, part)] = _act_word(word, {part: {0: 1}}, n)
+            return got
+
+        witness = None
         for key in triple:
-            left = TensorVector.zero(n, 3)
-            right = TensorVector.zero(n, 3)
-            for aw, bw, coeff in comps:
-                la = _act_word(aw, {key[:2]: {0: 1}}, n)
-                lb = _act_word(bw, {key[2:]: {0: 1}}, n)
-                for ka, ca in la.items():
-                    for kb, cb in lb.items():
-                        left = left + TensorVector._raw(
-                            n, 3, {ka + kb: kernels.lp_mul(ca, cb)}
-                        ).scale(coeff)
-                ra = _act_word(aw, {key[:1]: {0: 1}}, n)
-                rb = _act_word(bw, {key[1:]: {0: 1}}, n)
-                for ka, ca in ra.items():
-                    for kb, cb in rb.items():
-                        right = right + TensorVector._raw(
-                            n, 3, {ka + kb: kernels.lp_mul(ca, cb)}
-                        ).scale(coeff)
+            left, right = _split_action(comps, image, key, 2), _split_action(comps, image, key, 1)
             if left != right:
-                fails.append(_op_check("", left, right, key))
-        name = letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
-        checks.append(_first_failure(f"coassoc-{name}", fails))
+                witness = _witness(key, left, right)
+                break
+        rows.append((f"coassoc-{_letter_name(letter)}", witness is None, witness))
+    return rows
+
+
+def verify_hopf(n: int, r_max: int, window: Iterable[int]) -> list[tuple]:
+    """Operator-level check of the defining relations, coassociativity,
+    counit laws, and the antipode law; returns (name, ok, witness) rows."""
+    window = sorted(set(int(t) for t in window))
+    checks = _relation_rows(n, r_max, window) + _coassoc_rows(n, window)
+    letters = _hopf_letters(n)
     # counit and antipode laws on the natural module
     for letter in letters:
         comps = _coproduct(letter, n)
@@ -1169,34 +1268,19 @@ def verify_hopf(n: int, r_max: int, window: Iterable[int]) -> list[tuple]:
             got = act_tensor(folded, x)
             if got != want:
                 fails_s.append(_op_check("", got, want, (t,)))
-        name = letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
+        name = _letter_name(letter)
         checks.append(_first_failure(f"counit-left-{name}", fails_l))
         checks.append(_first_failure(f"counit-right-{name}", fails_r))
         checks.append(_first_failure(f"antipode-{name}", fails_s))
     return sorted(checks, key=lambda c: c[0])
 
 
-def verify_affine_duality(
-    n: int, r: int, L: int, window: Iterable[int], seed: int = 20250825, samples: int = 30
-) -> list[tuple]:
-    """The two-sided structure at desk scale: commuting actions, tau
-    injectivity, the translation presentation as right operators, Lemma-level
-    conjugation identities, the bimodule identification, and kappa as an
-    algebra map; returns (name, ok, witness) rows."""
-    import random as _random
-
-    from affineschur.hecke import bernstein_y, bernstein_y_inverse
-    from affineschur.schur import all_weights
-    from affineschur.weyl import enumerate_up_to_length
-
-    if n < r:
-        raise ValueError(f"duality checks need n >= r, got n={n}, r={r}")
-    window = sorted(set(int(t) for t in window))
-    keyset = list(itertools.product(window, repeat=r))
-    checks: list[tuple] = []
-    rng = _random.Random(seed)
-    p = 46337
-
+def _commuting_action_rows(n: int, r: int, keyset: Sequence[tuple]) -> list[tuple]:
+    """The commuting-actions-u??-h? rows: every quantum generator g against
+    every right Hecke generator h, g(x)h == g(xh) on every key x, the
+    witness being the first key that fails.  The right generators are the
+    outer loop; each keeps a memo of its images of unit keys, extended by
+    linearity, and drops it before the next one starts."""
     ugens = (
         [UElement.E(n, i) for i in range(1, n + 1)]
         + [UElement.F(n, i) for i in range(1, n + 1)]
@@ -1207,45 +1291,35 @@ def verify_affine_duality(
         t_basis(WindowPerm.rho(r)),
         t_basis(WindowPerm.rho(r, -1)),
     ]
-    hassocs = [_bernstein_assoc(h) for h in hgens]
-    right_cache = [
-        {key: _apply_assoc(TensorVector.unit(n, key), assoc) for key in keyset}
-        for assoc in hassocs
-    ]
-    for gi, g in enumerate(ugens):
-        for hi, assoc in enumerate(hassocs):
-            fails = []
+    rows = []
+    for hi, h in enumerate(hgens):
+        right = _RightMemo(_bernstein_assoc(h), n, r)
+        for gi, g in enumerate(ugens):
+            witness = None
             for key in keyset:
-                x = TensorVector.unit(n, key)
-                lhs = _apply_assoc(act_tensor(g, x), assoc)
-                rhs = act_tensor(g, right_cache[hi][key])
+                lhs = right(_act_terms(g._terms, {key: {0: 1}}, n))
+                rhs = _act_terms(g._terms, right.on_key(key), n)
                 if lhs != rhs:
-                    fails.append(_op_check("", lhs, rhs, key))
+                    witness = _witness(key, lhs, rhs)
                     break
-            checks.append(_first_failure(f"commuting-actions-u{gi:02d}-h{hi}", fails))
+            rows.append((f"commuting-actions-u{gi:02d}-h{hi}", witness is None, witness))
+    return rows
 
-    # tau injectivity by rank over a large prime
-    basis = enumerate_up_to_length(r, L, extended=True, rho_bound=2)
-    omega_keys = [k for k in keyset if Weight.of_key(k, n).parts == omega(n, r).parts]
-    rank = _modp_rank(_tau_rows(n, r, basis, omega_keys, p), p)
-    checks.append(
-        (
-            "tau-injective",
-            rank == len(basis),
-            None if rank == len(basis) else {"rank": rank, "expected": len(basis)},
-        )
-    )
 
-    # the translation presentation as right operators
-    sample_keys = rng.sample(keyset, min(len(keyset), 40))
-    assoc_of = {}
+def _presentation_rows(n: int, r: int, keyset: Sequence[tuple], sample_keys: Sequence[tuple]) -> list[tuple]:
+    """The translation presentation as right operators: quadratic, braid,
+    Y-commutation and Y-inverse relations and the conjugation identity on
+    the sampled keys, distant translations against the generators on every
+    key.  Each right operator memoises its images of unit keys for the
+    length of the call."""
+    right_of: dict[int, _RightMemo] = {}
 
     def acth(h, vec):
-        key = id(h)
-        if key not in assoc_of:
-            assoc_of[key] = _bernstein_assoc(h)
-        return _apply_assoc(vec, assoc_of[key])
+        if id(h) not in right_of:
+            right_of[id(h)] = _RightMemo(_bernstein_assoc(h), n, r)
+        return TensorVector._raw(n, r, right_of[id(h)](vec._terms))
 
+    checks: list[tuple] = []
     sigma = [None] + [t_basis(WindowPerm.s(r, i)) for i in range(1, r)]
     ys = [None] + [bernstein_y(r, i) for i in range(1, r + 1)]
     yinvs = [None] + [bernstein_y_inverse(r, i) for i in range(1, r + 1)]
@@ -1320,11 +1394,51 @@ def verify_affine_duality(
                     fails.append(_op_check("", lhs, rhs, key))
                     break
         checks.append(_first_failure(f"translation-distant-all-keys-{i}", fails))
+    return checks
+
+
+def verify_affine_duality(
+    n: int, r: int, L: int, window: Iterable[int], seed: int = 20250825, samples: int = 30
+) -> list[tuple]:
+    """The two-sided structure at desk scale: commuting actions, tau
+    injectivity, the translation presentation as right operators, Lemma-level
+    conjugation identities, the bimodule identification, and kappa as an
+    algebra map; returns (name, ok, witness) rows."""
+    import random as _random
+
+    from affineschur.schur import all_weights
+    from affineschur.weyl import enumerate_up_to_length
+
+    if n < r:
+        raise ValueError(f"duality checks need n >= r, got n={n}, r={r}")
+    window = sorted(set(int(t) for t in window))
+    keyset = list(itertools.product(window, repeat=r))
+    checks: list[tuple] = []
+    rng = _random.Random(seed)
+    p = 46337
+
+    checks.extend(_commuting_action_rows(n, r, keyset))
+
+    # tau injectivity by rank over a large prime
+    basis = enumerate_up_to_length(r, L, extended=True, rho_bound=2)
+    omega_keys = [k for k in keyset if Weight.of_key(k, n).parts == omega(n, r).parts]
+    rank = _modp_rank(_tau_rows(n, r, basis, omega_keys, p), p)
+    checks.append(
+        (
+            "tau-injective",
+            rank == len(basis),
+            None if rank == len(basis) else {"rank": rank, "expected": len(basis)},
+        )
+    )
+
+    # the translation presentation as right operators
+    sample_keys = rng.sample(keyset, min(len(keyset), 40))
+    checks.extend(_presentation_rows(n, r, keyset, sample_keys))
 
     # bimodule identification: intertwining plus injectivity on the window
-    tkeys = theta_iso_basis(n, r, L, rho_bound=1)
-    images = [theta_iso(QTensorElement.basis(lam, d)) for lam, d in tkeys]
-    rank = _modp_rank([_eval_row(img._terms, p) for img in images], p)
+    tkeys, columns = _theta_columns(n, r, L, 1)
+    images = [TensorVector._raw(n, r, col) for col in columns]
+    rank = _modp_rank([_eval_row(col, p) for col in columns], p)
     checks.append(
         (
             "theta-injective",
@@ -1395,15 +1509,24 @@ def _eval_row(terms: dict, p: int) -> dict:
 
 def _tau_rows(n: int, r: int, basis: Sequence[WindowPerm], keys: Sequence[tuple], p: int) -> list[dict]:
     """One sparse row per w in basis: tau(w) on the given keys, columns
-    (key, image key), coefficients at v = 3 mod p."""
-    rows = []
-    for w in basis:
-        op = tau(n, r, w)
-        row = {}
-        for key in keys:
-            for k2, val in _eval_row(op.on_key(key)._terms, p).items():
+    (key, image key), coefficients at v = 3 mod p.  For each key the finite
+    part of every reduced word is built from the image of the word minus its
+    last applied letter, so words sharing a suffix share its images."""
+    words = [w.reduced_word() for w in basis]
+    suffixes = _suffixes(word for _, word in words)
+    rows: list[dict] = [{} for _ in basis]
+
+    def apply(terms: dict, i: int) -> dict:
+        return _tau_sigma_terms(terms, n, i)
+
+    for key in keys:
+        images = _word_images(suffixes, {key: {0: 1}}, apply)
+        for row, (z, word) in zip(rows, words):
+            terms = images[word]
+            for _ in range(abs(z)):
+                terms = _tau_rho_terms(terms, n, r, inverse=z < 0)
+            for k2, val in _eval_row(terms, p).items():
                 row[(key, k2)] = val
-        rows.append(row)
     return rows
 
 

@@ -88,6 +88,10 @@ class SuiteReport:
         return ", ".join(f"{k}={self.parameters[k]}" for k in sorted(self.parameters))
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 class _Recorder:
     """Collects (name, ok, witness) rows; exceptions become failures."""
 
@@ -101,8 +105,18 @@ class _Recorder:
         try:
             ok, witness = fn()
         except Exception as exc:  # a crash is a failed check, not a crash
-            ok, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
+            ok, witness = False, _error(exc)
         self.add(name, ok, witness)
+
+    def sweep(self, name: str, fn: Callable[[], list]):
+        """Adds the rows a sweep returns; a sweep that raises becomes one
+        failed row under name."""
+        try:
+            rows = fn()
+        except Exception as exc:
+            self.add(name, False, _error(exc))
+        else:
+            self.rows.extend(rows)
 
     def done(self) -> list:
         return sorted(self.rows, key=lambda c: c[0])
@@ -557,9 +571,10 @@ def run_hopf(n: int = 3, r: int = 3, window: int | None = None, **_) -> SuiteRep
     from affineschur.quantum import verify_hopf
 
     t0 = time.time()
+    rec = _Recorder()
     bound = 2 * n if window is None else window
-    checks = verify_hopf(n, r, range(-bound, bound + 1))
-    return SuiteReport("hopf", {"n": n, "r": r, "window": bound}, checks, time.time() - t0)
+    rec.sweep("hopf-sweep", lambda: verify_hopf(n, r, range(-bound, bound + 1)))
+    return _finish("hopf", {"n": n, "r": r, "window": bound}, rec, t0)
 
 
 def run_duality(
@@ -568,11 +583,12 @@ def run_duality(
     from affineschur.quantum import verify_affine_duality
 
     t0 = time.time()
+    rec = _Recorder()
     bound = 2 * n if window is None else window
-    checks = verify_affine_duality(n, r, length, range(-bound, bound + 1), seed=seed)
-    return SuiteReport(
-        "duality", {"n": n, "r": r, "len": length, "window": bound, "seed": seed}, checks, time.time() - t0
+    rec.sweep(
+        "duality-sweep", lambda: verify_affine_duality(n, r, length, range(-bound, bound + 1), seed=seed)
     )
+    return _finish("duality", {"n": n, "r": r, "len": length, "window": bound, "seed": seed}, rec, t0)
 
 
 # ---------------------------------------------------------------------------

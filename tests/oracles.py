@@ -287,3 +287,170 @@ def modp_in_span(cols, vec, p: int) -> bool:
     """Is vec a mod-p combination of the given columns?"""
     aug = np.concatenate([cols, np.asarray(vec, dtype=np.int64).reshape(-1, 1)], axis=1)
     return modp_rank(cols, p) == modp_rank(aug, p)
+
+
+# ---------------------------------------------------------------------------
+# Operator sweeps in their first, pair-outer form: every relation side goes
+# through act_tensor on a fresh unit vector for every key, and the right
+# Hecke action through _apply_assoc on every vector.  The library sweeps act
+# on each basis key once and memoise; these are their oracles.
+
+
+def hopf_relation_rows(n: int, r_max: int, window) -> list[tuple]:
+    """The defining-relation and E-F commutator rows of verify_hopf,
+    pair-outer over every key of every rank up to r_max."""
+    from affineschur.quantum import (
+        _VV,
+        TensorVector,
+        UElement,
+        _defining_relation_pairs,
+        _first_failure,
+        _next,
+        _op_check,
+        act_tensor,
+    )
+
+    window = sorted(set(int(t) for t in window))
+    checks: list[tuple] = []
+    pairs = _defining_relation_pairs(n)
+    for k in range(1, r_max + 1):
+        keyset = list(itertools.product(window, repeat=k))
+        for name, lhs, rhs in pairs:
+            fails = []
+            for key in keyset:
+                x = TensorVector.unit(n, key)
+                got, want = act_tensor(lhs, x), act_tensor(rhs, x)
+                if got != want:
+                    fails.append(_op_check("", got, want, key))
+            checks.append(_first_failure(f"def-rel-{name}-r{k}", fails))
+        # relation (5): the E-F commutator against the quantum Cartan term
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                fails = []
+                for key in keyset:
+                    x = TensorVector.unit(n, key)
+                    lhs = act_tensor(UElement.E(n, i) * UElement.F(n, j), x) - act_tensor(
+                        UElement.F(n, j) * UElement.E(n, i), x
+                    )
+                    if i != j:
+                        rhs = TensorVector.zero(n, k)
+                    else:
+                        num = act_tensor(
+                            UElement.K(n, i) * UElement.K_inv(n, _next(i, n)), x
+                        ) - act_tensor(UElement.K_inv(n, i) * UElement.K(n, _next(i, n)), x)
+                        rhs = TensorVector._raw(
+                            n,
+                            k,
+                            {
+                                kk: Laurent(cc).divexact(Laurent(_VV)).raw()
+                                for kk, cc in num._terms.items()
+                            },
+                        )
+                    if lhs != rhs:
+                        fails.append(_op_check("", lhs, rhs, key))
+                checks.append(_first_failure(f"def-rel-ef-commutator-{i}-{j}-r{k}", fails))
+    return sorted(checks, key=lambda c: c[0])
+
+
+def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
+    """The commuting-actions-u??-h? rows of verify_affine_duality: every
+    quantum generator against every right Hecke generator on every key."""
+    from affineschur.hecke import t_basis
+    from affineschur.quantum import (
+        TensorVector,
+        UElement,
+        _apply_assoc,
+        _bernstein_assoc,
+        _first_failure,
+        _op_check,
+        act_tensor,
+    )
+
+    window = sorted(set(int(t) for t in window))
+    keyset = list(itertools.product(window, repeat=r))
+    checks: list[tuple] = []
+    ugens = (
+        [UElement.E(n, i) for i in range(1, n + 1)]
+        + [UElement.F(n, i) for i in range(1, n + 1)]
+        + [UElement.K(n, i) for i in range(1, n + 1)]
+        + [UElement.R(n), UElement.R_inv(n)]
+    )
+    hgens = [t_basis(WindowPerm.s(r, i)) for i in range(1, r)] + [
+        t_basis(WindowPerm.rho(r)),
+        t_basis(WindowPerm.rho(r, -1)),
+    ]
+    hassocs = [_bernstein_assoc(h) for h in hgens]
+    right_cache = [
+        {key: _apply_assoc(TensorVector.unit(n, key), assoc) for key in keyset}
+        for assoc in hassocs
+    ]
+    for gi, g in enumerate(ugens):
+        for hi, assoc in enumerate(hassocs):
+            fails = []
+            for key in keyset:
+                x = TensorVector.unit(n, key)
+                lhs = _apply_assoc(act_tensor(g, x), assoc)
+                rhs = act_tensor(g, right_cache[hi][key])
+                if lhs != rhs:
+                    fails.append(_op_check("", lhs, rhs, key))
+                    break
+            checks.append(_first_failure(f"commuting-actions-u{gi:02d}-h{hi}", fails))
+    return sorted(checks, key=lambda c: c[0])
+
+
+def tau_rows(n: int, r: int, basis, keys, p: int) -> list[dict]:
+    """One sparse row per w in basis, tau(w) replayed letter by letter on
+    every key: columns (key, image key), coefficients at v = 3 mod p."""
+    from affineschur.quantum import _eval_row, tau
+
+    rows = []
+    for w in basis:
+        op = tau(n, r, w)
+        row = {}
+        for key in keys:
+            for k2, val in _eval_row(op.on_key(key)._terms, p).items():
+                row[(key, k2)] = val
+        rows.append(row)
+    return rows
+
+
+def coassoc_rows(n: int, window) -> list[tuple]:
+    """The coassoc-* rows of verify_hopf: both iterated coproducts of each
+    letter rebuilt on every three-slot key through TensorVector sums."""
+    from affineschur._backend import kernels
+    from affineschur.quantum import TensorVector, _act_word, _coproduct, _first_failure, _op_check
+
+    window = sorted(set(int(t) for t in window))
+    checks: list[tuple] = []
+    letters = (
+        [("E", i) for i in range(1, n + 1)]
+        + [("F", i) for i in range(1, n + 1)]
+        + [("K", 1), ("Kinv", 1), ("R", 0), ("Rinv", 0)]
+    )
+    triple = list(itertools.product(window, repeat=3))
+    for letter in letters:
+        fails = []
+        comps = _coproduct(letter, n)
+        for key in triple:
+            left = TensorVector.zero(n, 3)
+            right = TensorVector.zero(n, 3)
+            for aw, bw, coeff in comps:
+                la = _act_word(aw, {key[:2]: {0: 1}}, n)
+                lb = _act_word(bw, {key[2:]: {0: 1}}, n)
+                for ka, ca in la.items():
+                    for kb, cb in lb.items():
+                        left = left + TensorVector._raw(
+                            n, 3, {ka + kb: kernels.lp_mul(ca, cb)}
+                        ).scale(coeff)
+                ra = _act_word(aw, {key[:1]: {0: 1}}, n)
+                rb = _act_word(bw, {key[1:]: {0: 1}}, n)
+                for ka, ca in ra.items():
+                    for kb, cb in rb.items():
+                        right = right + TensorVector._raw(
+                            n, 3, {ka + kb: kernels.lp_mul(ca, cb)}
+                        ).scale(coeff)
+            if left != right:
+                fails.append(_op_check("", left, right, key))
+        name = letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
+        checks.append(_first_failure(f"coassoc-{name}", fails))
+    return sorted(checks, key=lambda c: c[0])

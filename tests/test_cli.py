@@ -166,3 +166,71 @@ def test_not_json_exits_two(argv, monkeypatch, capsys):
     code, _, err = invoke(argv, stdin="not json {", monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2
     assert "JSON" in err
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "hopf", "--r", "4"], ["quantum", "verify-hopf", "--r", "4"], ["verify", "hopf", "--r", "0"]],
+)
+def test_hopf_rank_outside_budget_exits_two_before_any_work(argv, monkeypatch, capsys):
+    import affineschur.cli as cli
+
+    def refuse(name, **kw):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    code, out, err = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "r <= 3" in err
+
+
+def test_rho_bound_flag_is_refused(monkeypatch, capsys):
+    code, out, err = invoke(
+        ["verify", "hopf", "--rho-bound", "2", "--json"], monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--rho-bound" in err
+
+
+@pytest.mark.parametrize("suite", ["hopf", "duality"])
+def test_quantum_verbs_use_the_suite_parameters(suite, monkeypatch, capsys):
+    import affineschur.cli as cli
+    from affineschur.verify import SuiteReport
+
+    seen = []
+
+    def record(name, **kw):
+        seen.append((name, kw))
+        return SuiteReport(name, kw, [], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    for argv in (["verify", suite], ["quantum", f"verify-{suite}"]):
+        code, _, _ = invoke(argv + ["--window", "1", "--json"], monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+    assert seen[0] == seen[1]
+    if suite == "duality":
+        assert seen[0][1]["length"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["verify", "hopf", "--n", "3", "--r", "1", "--window", "1"], "hopf-sweep"),
+        (["verify", "duality", "--window", "1", "--len", "1"], "duality-sweep"),
+    ],
+)
+def test_crashing_sweep_is_a_failed_check(argv, row, monkeypatch, capsys):
+    from affineschur import quantum
+
+    def broken(terms, i, n):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(quantum.kernels, "tensor_act_E", broken)
+    code, out, _ = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    body = json.loads(out)
+    assert body["failed"] == 1
+    assert body["checks"] == [
+        {"name": row, "status": "fail", "witness": {"error": "ValueError: kernel fault"}}
+    ]

@@ -1,0 +1,124 @@
+"""The memoised operator sweeps against their first, pair-outer form.
+
+The Hopf relation and coassociativity rows, the duality commuting-actions
+rows and the tau rank rows are rebuilt by the oracles in tests/oracles.py, which act on a fresh
+unit vector for every (operator, key) pair, and must come out identical:
+names, verdicts and witnesses.  A kernel corrupted on one key must make both
+versions fail the same checks with the same first witness.
+"""
+
+import itertools
+
+import pytest
+
+from affineschur import quantum
+from affineschur.hecke import t_basis
+from affineschur.laurent import Laurent
+from affineschur.quantum import TensorVector, hecke_right_action
+from affineschur.schur import Weight, omega
+from affineschur.weyl import WindowPerm, enumerate_up_to_length
+
+from oracles import coassoc_rows, commuting_action_rows, hopf_relation_rows, tau_rows
+
+N = R = 3
+WINDOW = range(-2, 3)
+P = 46337
+
+
+def _relation_rows(n, r_max, window):
+    return sorted(quantum._relation_rows(n, r_max, sorted(window)), key=lambda c: c[0])
+
+
+def _commuting_rows(n, r, window):
+    keyset = list(itertools.product(sorted(window), repeat=r))
+    return sorted(quantum._commuting_action_rows(n, r, keyset), key=lambda c: c[0])
+
+
+def test_relation_rows_match_the_oracle():
+    got = _relation_rows(N, R, WINDOW)
+    assert got == hopf_relation_rows(N, R, WINDOW)
+    assert len(got) == 3 * 68 and all(ok for _, ok, _ in got)
+
+
+def test_coassoc_rows_match_the_oracle():
+    got = sorted(quantum._coassoc_rows(N, sorted(WINDOW)), key=lambda c: c[0])
+    assert got == coassoc_rows(N, WINDOW)
+    assert len(got) == 2 * N + 4 and all(ok for _, ok, _ in got)
+
+
+def test_commuting_rows_match_the_oracle():
+    got = _commuting_rows(N, R, WINDOW)
+    assert got == commuting_action_rows(N, R, WINDOW)
+    assert len(got) == (3 * N + 2) * (R + 1) and all(ok for _, ok, _ in got)
+
+
+def test_tau_rows_match_the_oracle():
+    keyset = itertools.product(WINDOW, repeat=R)
+    keys = [k for k in keyset if Weight.of_key(k, N).parts == omega(N, R).parts]
+    basis = enumerate_up_to_length(R, 3, extended=True, rho_bound=2)
+    got = quantum._tau_rows(N, R, basis, keys, P)
+    want = tau_rows(N, R, basis, keys, P)
+    assert got == want
+    # same column order too, so the rank elimination picks the same pivots
+    assert [list(row) for row in got] == [list(row) for row in want]
+
+
+def _corrupt_E(monkeypatch, bad_key):
+    """E_1 also sends e_bad_key to itself: still linear, but wrong."""
+    clean = quantum.kernels.tensor_act_E
+
+    def tensor_act_E(terms, i, n):
+        out = clean(terms, i, n)
+        c = terms.get(bad_key)
+        if i == 1 and c:
+            acc = out.setdefault(bad_key, {})
+            quantum.kernels.lp_add_into(acc, c)
+            if not acc:
+                del out[bad_key]
+        return out
+
+    monkeypatch.setattr(quantum.kernels, "tensor_act_E", tensor_act_E)
+
+
+def _failures(rows):
+    return [(name, witness) for name, ok, witness in rows if not ok]
+
+
+def test_corrupted_kernel_fails_the_same_relations(monkeypatch):
+    _corrupt_E(monkeypatch, (1, 0))
+    got = _relation_rows(N, 2, WINDOW)
+    assert got == hopf_relation_rows(N, 2, WINDOW)
+    fails = _failures(got)
+    assert fails and all(name.endswith("-r2") for name, _ in fails)
+    assert "def-rel-ke-twist-1-1-r2" in dict(fails)
+
+
+def test_corrupted_kernel_fails_the_same_coassociativity(monkeypatch):
+    _corrupt_E(monkeypatch, (1, 0))
+    got = sorted(quantum._coassoc_rows(N, sorted(WINDOW)), key=lambda c: c[0])
+    assert got == coassoc_rows(N, WINDOW)
+    assert [name for name, _ in _failures(got)] == ["coassoc-E1"]
+
+
+def test_corrupted_kernel_fails_the_same_commuting_actions(monkeypatch):
+    _corrupt_E(monkeypatch, (1, 0, 2))
+    got = _commuting_rows(N, R, WINDOW)
+    assert got == commuting_action_rows(N, R, WINDOW)
+    fails = _failures(got)
+    assert fails and all(name.startswith("commuting-actions-u00-") for name, _ in fails)
+
+
+def test_duality_shares_the_cached_theta_images():
+    keys, columns = quantum._theta_columns(N, R, 1, 0)
+    assert quantum._theta_system(N, R, 1, 0)[1] is columns
+    assert [(lam.parts, d.window) for lam, d in keys] == list(quantum._theta_system(N, R, 1, 0)[0])
+
+
+@pytest.mark.parametrize("key", [(2, 0, -1), (4, -3, 4), (7, 1, 1)])
+def test_right_memo_extends_by_linearity(key):
+    h = t_basis(WindowPerm.s(R, 1)) + t_basis(WindowPerm.rho(R))
+    x = TensorVector.unit(N, key).scale(Laurent({1: 2})) + TensorVector.unit(N, (0, 1, 2))
+    memo = quantum._RightMemo(quantum._bernstein_assoc(h), N, R)
+    assert TensorVector._raw(N, R, memo(x._terms)) == hecke_right_action(x, h)
+    assert set(memo.images) == set(x._terms)
+    assert memo(x._terms) == memo(x._terms)
