@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
-from affineschur.laurent import Laurent
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into
 from affineschur.weyl import ParabolicIndex, WindowPerm, bruhat_leq
 
 __all__ = [
@@ -50,18 +50,27 @@ _QM1 = {2: 1, 0: -1}       # v^2 - 1
 _INV_LO = {-2: 1, 0: -1}   # v^-2 - 1, the correction term of T_s^-1
 
 
-class HeckeElement:
+def _gen_inv(gen: dict, terms: dict) -> dict:
+    """v^-2 * gen + (v^-2 - 1) * terms: terms times T_{s_i}^-1, given gen,
+    terms times T_{s_i} (on the same side)."""
+    out = {key: kernels.lp_shift(c, -2) for key, c in gen.items()}
+    addmul_into(out, terms, _INV_LO)
+    return out
+
+
+class HeckeElement(LaurentCombination):
     """A finite Z[v, v^-1]-combination of basis terms T_w.
 
     Internally a dict from window tuples to raw Laurent dicts; no zero
     coefficients are stored, and all keys share the period r.
     """
 
-    __slots__ = ("r", "_terms")
+    __slots__ = ("r",)
+    _SHAPE = ("r",)
+    _MISMATCH = "period mismatch"
 
     def __init__(self, r: int, terms: Mapping[WindowPerm, Laurent] | None = None):
-        if r < 3:
-            raise ValueError(f"rank r={r} not supported; need r >= 3")
+        self._check_shape(r)
         self.r = int(r)
         raw: dict[tuple[int, ...], dict[int, int]] = {}
         if terms:
@@ -73,54 +82,20 @@ class HeckeElement:
         self._terms = raw
 
     @classmethod
-    def _raw(cls, r: int, terms: dict) -> "HeckeElement":
-        out = object.__new__(cls)
-        out.r = r
-        out._terms = terms
-        return out
+    def _check_shape(cls, r: int) -> None:
+        if r < 3:
+            raise ValueError(f"rank r={r} not supported; need r >= 3")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, r: int) -> "HeckeElement":
-        if r < 3:
-            raise ValueError(f"rank r={r} not supported; need r >= 3")
-        return cls._raw(r, {})
-
-    @classmethod
     def unit(cls, r: int) -> "HeckeElement":
-        if r < 3:
-            raise ValueError(f"rank r={r} not supported; need r >= 3")
+        cls._check_shape(r)
         return cls._raw(r, {tuple(range(1, r + 1)): {0: 1}})
 
     @classmethod
     def t_basis(cls, w: WindowPerm) -> "HeckeElement":
         return cls._raw(w.r, {w.window: {0: 1}})
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.r != other.r:
-            raise ValueError("period mismatch")
-        out = {w: dict(c) for w, c in self._terms.items()}
-        for w, c in other._terms.items():
-            acc = out.setdefault(w, {})
-            kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[w]
-        return HeckeElement._raw(self.r, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement._raw(self.r, {w: kernels.lp_neg(c) for w, c in self._terms.items()})
-
-    def scale(self, c: "Laurent | int") -> "HeckeElement":
-        raw = {0: c} if isinstance(c, int) else c.raw()
-        if not raw or (isinstance(c, int) and not c):
-            return HeckeElement.zero(self.r)
-        return HeckeElement._raw(self.r, {w: kernels.lp_mul(t, raw) for w, t in self._terms.items()})
 
     # -- products ----------------------------------------------------------
 
@@ -142,29 +117,11 @@ class HeckeElement:
     def mul_gen_inv_right(self, i: int) -> "HeckeElement":
         """Right multiplication by T_{s_i}^-1 = v^-2 T_{s_i} - (1 - v^-2)."""
         i = (i - 1) % self.r + 1
-        out = {
-            w: kernels.lp_shift(c, -2)
-            for w, c in kernels.hecke_mul_gen_right(self._terms, i).items()
-        }
-        for w, c in self._terms.items():
-            acc = out.setdefault(w, {})
-            kernels.lp_addmul_into(acc, c, _INV_LO)
-            if not acc:
-                del out[w]
-        return HeckeElement._raw(self.r, out)
+        return HeckeElement._raw(self.r, _gen_inv(kernels.hecke_mul_gen_right(self._terms, i), self._terms))
 
     def mul_gen_inv_left(self, i: int) -> "HeckeElement":
         i = (i - 1) % self.r + 1
-        out = {
-            w: kernels.lp_shift(c, -2)
-            for w, c in kernels.hecke_mul_gen_left(self._terms, i).items()
-        }
-        for w, c in self._terms.items():
-            acc = out.setdefault(w, {})
-            kernels.lp_addmul_into(acc, c, _INV_LO)
-            if not acc:
-                del out[w]
-        return HeckeElement._raw(self.r, out)
+        return HeckeElement._raw(self.r, _gen_inv(kernels.hecke_mul_gen_left(self._terms, i), self._terms))
 
     def mul_t_right(self, w: WindowPerm) -> "HeckeElement":
         """Right multiplication by the basis term T_w."""
@@ -185,17 +142,8 @@ class HeckeElement:
             part = kernels.hecke_mul_rho_right(self._terms, z)
             for i in word:
                 part = kernels.hecke_mul_gen_right(part, i)
-            for w2, c2 in part.items():
-                acc = total.setdefault(w2, {})
-                kernels.lp_addmul_into(acc, c2, c)
-                if not acc:
-                    del total[w2]
+            addmul_into(total, part, c)
         return HeckeElement._raw(self.r, total)
-
-    def __rmul__(self, other: "Laurent | int") -> "HeckeElement":
-        if isinstance(other, (Laurent, int)):
-            return self.scale(other)
-        return NotImplemented
 
     # -- involutions and specializations -----------------------------------
 
@@ -204,12 +152,7 @@ class HeckeElement:
         total: dict[tuple[int, ...], dict[int, int]] = {}
         for wwin, c in self._terms.items():
             inv = t_basis_inverse(WindowPerm._unsafe(kernels.win_inverse(wwin)))
-            cb = kernels.lp_bar(c)
-            for w2, c2 in inv._terms.items():
-                acc = total.setdefault(w2, {})
-                kernels.lp_addmul_into(acc, c2, cb)
-                if not acc:
-                    del total[w2]
+            addmul_into(total, inv._terms, kernels.lp_bar(c))
         return HeckeElement._raw(self.r, total)
 
     def specialize_group_algebra(self) -> dict[WindowPerm, int]:
@@ -232,20 +175,6 @@ class HeckeElement:
 
     def items(self) -> list[tuple[WindowPerm, Laurent]]:
         return [(w, self.coeff(w)) for w in self.support()]
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.r == other.r and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.r, frozenset((w, frozenset(c.items())) for w, c in self._terms.items())))
@@ -279,11 +208,7 @@ class HeckeElement:
             if not isinstance(entry, Mapping) or "window" not in entry or "coeff" not in entry:
                 raise ValueError(f"malformed Hecke term: {entry!r}")
             w = WindowPerm.from_obj({"r": r, "window": entry["window"]})
-            c = Laurent.from_obj(entry["coeff"])
-            acc = total.setdefault(w.window, {})
-            kernels.lp_add_into(acc, c.raw())
-            if not acc:
-                del total[w.window]
+            addmul_into(total, {w.window: Laurent.from_obj(entry["coeff"]).raw()})
         return cls._raw(r, total)
 
 
@@ -334,8 +259,7 @@ class KLTable:
     """
 
     def __init__(self, r: int):
-        if r < 3:
-            raise ValueError(f"rank r={r} not supported; need r >= 3")
+        HeckeElement._check_shape(r)
         self.r = r
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
         self._lower: dict[tuple[int, ...], frozenset] = {}
@@ -534,17 +458,6 @@ def _b_scale(bel: dict, raw: dict) -> dict:
     return {key: kernels.lp_mul(c, raw) for key, c in bel.items()}
 
 
-def _b_merge(total: dict, bel: dict, raw: dict | None = None) -> None:
-    for key, c in bel.items():
-        acc = total.setdefault(key, {})
-        if raw is None:
-            kernels.lp_add_into(acc, c)
-        else:
-            kernels.lp_addmul_into(acc, c, raw)
-        if not acc:
-            del total[key]
-
-
 def _b_mul_gen(bel: dict, i: int) -> dict:
     """Right multiplication by T_{s_i}, i < r, on (c, u) keys: the finite
     quadratic relation on the u part."""
@@ -569,9 +482,7 @@ def _b_mul_gen(bel: dict, i: int) -> dict:
 
 
 def _b_mul_gen_inv(bel: dict, i: int) -> dict:
-    out = {key: kernels.lp_shift(c, -2) for key, c in _b_mul_gen(bel, i).items()}
-    _b_merge(out, bel, _INV_LO)
-    return out
+    return _gen_inv(_b_mul_gen(bel, i), bel)
 
 
 @lru_cache(maxsize=None)
@@ -594,20 +505,20 @@ def _finite_term_mul_y(u: tuple[int, ...], j: int, e: int) -> tuple:
         # T_{s_i} y_i = y_{i+1} T_{s_i} - (v^2-1) y_{i+1}
         base = as_dict(_finite_term_mul_y(u2, i + 1, 1))
         res = _b_mul_gen(base, i)
-        _b_merge(res, base, kernels.lp_neg(_QM1))
+        addmul_into(res, base, kernels.lp_neg(_QM1))
     elif e == 1:
         # T_{s_i} y_{i+1} = y_i T_{s_i} + (v^2-1) y_{i+1}
         res = _b_mul_gen(as_dict(_finite_term_mul_y(u2, i, 1)), i)
-        _b_merge(res, as_dict(_finite_term_mul_y(u2, i + 1, 1)), _QM1)
+        addmul_into(res, as_dict(_finite_term_mul_y(u2, i + 1, 1)), _QM1)
     elif j == i:
         # T_{s_i} y_i^-1 = y_{i+1}^-1 T_{s_i} + (v^2-1) y_i^-1
         res = _b_mul_gen(as_dict(_finite_term_mul_y(u2, i + 1, -1)), i)
-        _b_merge(res, as_dict(_finite_term_mul_y(u2, i, -1)), _QM1)
+        addmul_into(res, as_dict(_finite_term_mul_y(u2, i, -1)), _QM1)
     else:
         # T_{s_i} y_{i+1}^-1 = y_i^-1 T_{s_i} - (v^2-1) y_i^-1
         base = as_dict(_finite_term_mul_y(u2, i, -1))
         res = _b_mul_gen(base, i)
-        _b_merge(res, base, kernels.lp_neg(_QM1))
+        addmul_into(res, base, kernels.lp_neg(_QM1))
     return tuple((key, c) for key, c in res.items())
 
 
@@ -664,7 +575,7 @@ def to_bernstein_basis(h: HeckeElement) -> dict[tuple[tuple[int, ...], WindowPer
             else:
                 # s_r = rho s_1 rho^-1 at the level of basis terms
                 bel = _b_mul_rho_inv(_b_mul_gen(_b_mul_rho(bel, r), 1), r)
-        _b_merge(total, bel, coeff)
+        addmul_into(total, bel, coeff)
     return {
         (cvec, WindowPerm._unsafe(u)): Laurent(c) for (cvec, u), c in total.items()
     }
@@ -674,7 +585,7 @@ def from_bernstein(
     assoc: Mapping[tuple[Iterable[int], WindowPerm], Laurent], r: int
 ) -> HeckeElement:
     """Multiply a (c, u) association back out into the standard basis."""
-    total = HeckeElement.zero(r)
+    total: dict = {}
     for (cvec, u), coeff in assoc.items():
         h = HeckeElement.unit(r)
         for j, cj in enumerate(cvec, start=1):
@@ -683,6 +594,5 @@ def from_bernstein(
             factor = bernstein_y(r, j) if cj > 0 else bernstein_y_inverse(r, j)
             for _ in range(abs(cj)):
                 h = h * factor
-        h = h.mul_t_right(u)
-        total = total + h.scale(coeff)
-    return total
+        addmul_into(total, h.mul_t_right(u)._terms, coeff.raw())
+    return HeckeElement._raw(r, total)

@@ -5,6 +5,11 @@ q = v**2, so everything the Hecke, Schur and quantum layers need (quadratic
 relations in q, Kazhdan-Lusztig polynomials in q, quantum integers in v)
 lives in a single Laurent ring with the bar involution v -> v^-1.
 
+Every element class of the package is a free Z[v, v^-1]-module element on
+some basis, stored the same way: a dict {key: raw Laurent dict} with no zero
+coefficients.  LaurentCombination gives those classes their shared linear
+structure, and addmul_into is the one merge of such a dict into another.
+
 >>> v = Laurent.v()
 >>> (v + ~v) * v
 v^2 + 1
@@ -20,7 +25,7 @@ from typing import Iterator, Mapping
 
 from affineschur._backend import kernels
 
-__all__ = ["Laurent", "quantum_integer"]
+__all__ = ["Laurent", "LaurentCombination", "addmul_into", "quantum_integer"]
 
 
 class Laurent:
@@ -258,3 +263,117 @@ def quantum_integer(a: int) -> Laurent:
         return Laurent.zero()
     s = 1 if a > 0 else -1
     return Laurent._raw({e: s for e in range(1 - abs(a), abs(a), 2)})
+
+
+def addmul_into(out: dict, terms: dict, coeff: dict | None = None) -> None:
+    """out += coeff * terms, in place, for raw {key: Laurent dict}
+    combinations; coeff is a raw Laurent dict (None for 1).  Keys whose
+    coefficient cancels are dropped, so out never holds an empty dict."""
+    if coeff is None:
+        for key, c in terms.items():
+            acc = out.get(key)
+            if acc is None:
+                if c:
+                    out[key] = dict(c)
+            else:
+                kernels.lp_add_into(acc, c)
+                if not acc:
+                    del out[key]
+    elif coeff:
+        for key, c in terms.items():
+            acc = out.get(key)
+            if acc is None:
+                if c:
+                    out[key] = kernels.lp_mul(c, coeff)
+            else:
+                kernels.lp_addmul_into(acc, c, coeff)
+                if not acc:
+                    del out[key]
+
+
+_MINUS_ONE = {0: -1}
+
+
+class LaurentCombination:
+    """A finite Z[v, v^-1]-combination of basis keys: the linear structure
+    shared by the Hecke, Schur, q-tensor, algebra and tensor-space elements.
+
+    The terms are a dict {key: raw Laurent dict} with no zero coefficients.
+    A subclass names in _SHAPE the attributes that fix its module (elements
+    combine only when those agree, else ValueError(_MISMATCH)), and adds its
+    own product, term order, repr and serialization.  Elements compare equal
+    by class, shape and terms, and are unhashable unless the subclass
+    defines __hash__.
+    """
+
+    __slots__ = ("_terms",)
+    _SHAPE: tuple[str, ...] = ()
+    _MISMATCH = "shape mismatch"
+
+    @classmethod
+    def _raw(cls, *args):
+        """_raw(*shape, terms): wrap an already-normalized dict without
+        copying.  Internal."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._SHAPE, args):
+            setattr(out, name, value)
+        out._terms = args[-1]
+        return out
+
+    @classmethod
+    def _check_shape(cls, *shape) -> None:
+        """Raise ValueError for a shape the subclass does not support."""
+
+    @classmethod
+    def zero(cls, *shape):
+        cls._check_shape(*shape)
+        return cls._raw(*shape, {})
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _like(self, terms: dict):
+        return self._raw(*self._shape(), terms)
+
+    def _combined(self, other, coeff: dict | None):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._shape() != other._shape():
+            raise ValueError(self._MISMATCH)
+        out = {k: dict(c) for k, c in self._terms.items()}
+        addmul_into(out, other._terms, coeff)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combined(other, None)
+
+    def __sub__(self, other):
+        return self._combined(other, _MINUS_ONE)
+
+    def __neg__(self):
+        return self._like({k: kernels.lp_neg(c) for k, c in self._terms.items()})
+
+    def scale(self, c: "Laurent | int"):
+        raw = _coerce(c).raw()
+        if not raw:
+            return self._like({})
+        return self._like({k: kernels.lp_mul(t, raw) for k, t in self._terms.items()})
+
+    def __rmul__(self, other: "Laurent | int"):
+        if isinstance(other, (Laurent, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self._terms == other._terms

@@ -29,7 +29,7 @@ from affineschur.hecke import (
     t_basis,
     to_bernstein_basis,
 )
-from affineschur.laurent import Laurent
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into
 from affineschur.schur import (
     QTensorElement,
     SchurElement,
@@ -70,6 +70,7 @@ _KINDS = ("E", "F", "K", "Kinv", "R", "Rinv")
 _INDEXED = {"E", "F", "K", "Kinv"}
 # v - v^-1, the denominator of the E-F commutator
 _VV = {1: 1, -1: -1}
+_MINUS_ONE = {0: -1}
 
 
 def _next(i: int, n: int) -> int:
@@ -117,10 +118,12 @@ class GeneratorWord:
         return "*".join(k if k in ("R", "Rinv") else f"{k}{i}" for k, i in self.letters)
 
 
-class UElement:
+class UElement(LaurentCombination):
     """A finite Laurent combination of generator words."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n",)
+    _SHAPE = ("n",)
+    _MISMATCH = "alphabet mismatch"
 
     def __init__(self, n: int, terms: Mapping[GeneratorWord, Laurent] | None = None):
         self.n = int(n)
@@ -132,13 +135,6 @@ class UElement:
                 if c:
                     raw[w.letters] = dict(c.raw())
         self._terms = raw
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "UElement":
-        out = object.__new__(cls)
-        out.n = n
-        out._terms = terms
-        return out
 
     @classmethod
     def one(cls, n: int) -> "UElement":
@@ -172,29 +168,6 @@ class UElement:
     def R_inv(cls, n: int) -> "UElement":
         return cls.from_word(GeneratorWord(n, [("Rinv", 0)]))
 
-    def __add__(self, other: "UElement") -> "UElement":
-        if self.n != other.n:
-            raise ValueError("alphabet mismatch")
-        out = {w: dict(c) for w, c in self._terms.items()}
-        for w, c in other._terms.items():
-            acc = out.setdefault(w, {})
-            kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[w]
-        return UElement._raw(self.n, out)
-
-    def __sub__(self, other: "UElement") -> "UElement":
-        return self + (-other)
-
-    def __neg__(self) -> "UElement":
-        return UElement._raw(self.n, {w: kernels.lp_neg(c) for w, c in self._terms.items()})
-
-    def scale(self, c: "Laurent | int") -> "UElement":
-        raw = {0: c} if isinstance(c, int) else c.raw()
-        if not raw or raw == {0: 0}:
-            return UElement._raw(self.n, {})
-        return UElement._raw(self.n, {w: kernels.lp_mul(t, raw) for w, t in self._terms.items()})
-
     def __mul__(self, other: "UElement | Laurent | int") -> "UElement":
         if isinstance(other, (Laurent, int)):
             return self.scale(other)
@@ -202,34 +175,14 @@ class UElement:
             raise ValueError("alphabet mismatch")
         out: dict[tuple, dict[int, int]] = {}
         for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                acc = out.setdefault(w1 + w2, {})
-                kernels.lp_add_into(acc, kernels.lp_mul(c1, c2))
-                if not acc:
-                    del out[w1 + w2]
+            addmul_into(out, {w1 + w2: c2 for w2, c2 in other._terms.items()}, c1)
         return UElement._raw(self.n, out)
-
-    def __rmul__(self, other: "Laurent | int") -> "UElement":
-        if isinstance(other, (Laurent, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def items(self) -> list[tuple[GeneratorWord, Laurent]]:
         out = []
         for letters in sorted(self._terms, key=lambda w: (len(w), w)):
             out.append((GeneratorWord(self.n, letters), Laurent(self._terms[letters])))
         return out
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UElement):
-            return NotImplemented
-        return (self.n, self._terms) == (other.n, other._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -250,20 +203,21 @@ class UElement:
         if not isinstance(obj, Mapping) or "n" not in obj or "terms" not in obj:
             raise ValueError(f"malformed algebra element: {obj!r}")
         n = int(obj["n"])
-        total = cls._raw(n, {})
+        total: dict[tuple, dict[int, int]] = {}
         for entry in obj["terms"]:
             if not isinstance(entry, Mapping) or not {"word", "coeff"} <= set(entry):
                 raise ValueError(f"malformed term: {entry!r}")
             word = GeneratorWord(n, [(k, int(i)) for k, i in entry["word"]])
-            total = total + cls.from_word(word).scale(Laurent.from_obj(entry["coeff"]))
-        return total
+            addmul_into(total, {word.letters: Laurent.from_obj(entry["coeff"]).raw()})
+        return cls._raw(n, total)
 
 
-class TensorVector:
+class TensorVector(LaurentCombination):
     """A finite combination of pure tensors e_{j1} x ... x e_{jr}, keys
     being r-tuples of arbitrary integers."""
 
-    __slots__ = ("n", "r", "_terms")
+    __slots__ = ("n", "r")
+    _SHAPE = ("n", "r")
 
     def __init__(self, n: int, r: int, terms: Mapping[Sequence[int], Laurent] | None = None):
         if n < 1 or r < 1:
@@ -281,46 +235,9 @@ class TensorVector:
         self._terms = raw
 
     @classmethod
-    def _raw(cls, n: int, r: int, terms: dict) -> "TensorVector":
-        out = object.__new__(cls)
-        out.n = n
-        out.r = r
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, n: int, r: int) -> "TensorVector":
-        return cls._raw(n, r, {})
-
-    @classmethod
     def unit(cls, n: int, key: Sequence[int]) -> "TensorVector":
         key = tuple(int(t) for t in key)
         return cls._raw(n, len(key), {key: {0: 1}})
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("shape mismatch")
-        out = {k: dict(c) for k, c in self._terms.items()}
-        for k, c in other._terms.items():
-            acc = out.setdefault(k, {})
-            kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[k]
-        return TensorVector._raw(self.n, self.r, out)
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorVector":
-        return TensorVector._raw(self.n, self.r, {k: kernels.lp_neg(c) for k, c in self._terms.items()})
-
-    def scale(self, c: "Laurent | int") -> "TensorVector":
-        raw = {0: c} if isinstance(c, int) else c.raw()
-        if not raw or raw == {0: 0}:
-            return TensorVector.zero(self.n, self.r)
-        return TensorVector._raw(
-            self.n, self.r, {k: kernels.lp_mul(t, raw) for k, t in self._terms.items()}
-        )
 
     def coeff(self, key: Sequence[int]) -> Laurent:
         return Laurent(self._terms.get(tuple(key), {}))
@@ -330,20 +247,6 @@ class TensorVector:
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return (self.n, self.r, self._terms) == (other.n, other.r, other._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -367,15 +270,15 @@ class TensorVector:
         ):
             raise ValueError(f"malformed tensor vector: {obj!r}")
         n, r = int(obj["n"]), int(obj["r"])
-        total = cls.zero(n, r)
+        total: dict[tuple, dict[int, int]] = {}
         for entry in obj["terms"]:
             if not isinstance(entry, Mapping) or not {"key", "coeff"} <= set(entry):
                 raise ValueError(f"malformed tensor term: {entry!r}")
             key = tuple(int(t) for t in entry["key"])
             if len(key) != r:
                 raise ValueError(f"key {key} does not have length r={r}")
-            total = total + cls.unit(n, key).scale(Laurent.from_obj(entry["coeff"]))
-        return total
+            addmul_into(total, {key: Laurent.from_obj(entry["coeff"]).raw()})
+        return cls._raw(n, r, total)
 
 
 def e_omega(n: int, r: int) -> TensorVector:
@@ -406,10 +309,10 @@ class TensorOperator:
     def __call__(self, x: TensorVector) -> TensorVector:
         if (x.n, x.r) != (self.n, self.r):
             raise ValueError("shape mismatch")
-        total = TensorVector.zero(self.n, self.r)
+        total: dict[tuple, dict[int, int]] = {}
         for key, c in x._terms.items():
-            total = total + self._fn(key).scale(Laurent(c))
-        return total
+            addmul_into(total, self._fn(key)._terms, c)
+        return TensorVector._raw(self.n, self.r, total)
 
     def compose(self, other: "TensorOperator") -> "TensorOperator":
         """self after other."""
@@ -481,11 +384,7 @@ def _combine(combo: dict, image: Callable[[tuple], dict]) -> dict:
     of an algebra element, or the keys of a tensor vector."""
     out: dict[tuple, dict[int, int]] = {}
     for index, cw in combo.items():
-        for key, c in image(index).items():
-            acc = out.setdefault(key, {})
-            kernels.lp_addmul_into(acc, c, cw)
-            if not acc:
-                del out[key]
+        addmul_into(out, image(index), cw)
     return out
 
 
@@ -523,13 +422,13 @@ _ANTIPODE_TABLE = {
 def antipode(u: UElement) -> UElement:
     """The antihomomorphism S; reverses words and maps letters by the
     standard table."""
-    total = UElement._raw(u.n, {})
+    total: dict[tuple, dict[int, int]] = {}
     for letters, c in u._terms.items():
         part = UElement.one(u.n)
         for kind, i in reversed(letters):
             part = part * _ANTIPODE_TABLE[kind](u.n, i)
-        total = total + part.scale(Laurent(c))
-    return total
+        addmul_into(total, part._terms, c)
+    return UElement._raw(u.n, total)
 
 
 def _coproduct(letter: tuple[str, int], n: int) -> list[tuple[tuple, tuple, int]]:
@@ -579,11 +478,7 @@ def _tau_sigma_terms(terms: dict, n: int, i: int) -> dict:
     # v F_i E_i - 1
     part = kernels.tensor_act_F(kernels.tensor_act_E(terms, i, n), i, n)
     out = {k: kernels.lp_shift(c, 1) for k, c in part.items()}
-    for k, c in terms.items():
-        acc = out.setdefault(k, {})
-        kernels.lp_add_into(acc, kernels.lp_neg(c))
-        if not acc:
-            del out[k]
+    addmul_into(out, terms, _MINUS_ONE)
     return out
 
 
@@ -706,11 +601,7 @@ def _assoc_terms(terms: dict, assoc: tuple, n: int, r: int) -> dict:
             if not part:
                 break
             part = _act_sigma_terms(part, i, n, r)
-        for key, c in part.items():
-            acc = out.setdefault(key, {})
-            kernels.lp_add_into(acc, kernels.lp_mul(c, raw))
-            if not acc:
-                del out[key]
+        addmul_into(out, part, raw)
     return out
 
 
@@ -855,14 +746,8 @@ def _peel(columns: Sequence[dict], order: tuple, target: dict) -> list[dict]:
         c = residual.get(key)
         if not c:
             continue
-        coeff = kernels.lp_mul(c, inv)
-        coords[j] = coeff
-        neg = kernels.lp_neg(coeff)
-        for k, ck in columns[j].items():
-            acc = residual.setdefault(k, {})
-            kernels.lp_add_into(acc, kernels.lp_mul(ck, neg))
-            if not acc:
-                del residual[k]
+        coords[j] = kernels.lp_mul(c, inv)
+        addmul_into(residual, columns[j], kernels.lp_neg(coords[j]))
     if residual:
         raise ValueError("target is not in the span")
     return coords
@@ -892,7 +777,7 @@ def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple) ->
         def fn(key: tuple[int, ...]) -> TensorVector:
             cvec = tuple((t - 1) // n for t in key)
             base = tuple(t - n * q for t, q in zip(key, cvec))
-            total = TensorVector.zero(n, r)
+            terms: dict[tuple, dict[int, int]] = {}
             for lp2, dw2, c in _finite_expansion(n, r, base):
                 if lp2 != mparts:
                     continue
@@ -900,12 +785,9 @@ def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple) ->
                     g, QTensorElement.basis(Weight(n, r, lp2), WindowPerm._unsafe(dw2))
                 )
                 for lam3, d3, c3 in moved.items():
-                    total = total + _finite_image(n, r, lam3.parts, d3.window).scale(c * c3)
-            if total.is_zero():
-                return total
-            terms = total._terms
+                    addmul_into(terms, _finite_image(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
             for t, ct in enumerate(cvec):
-                if ct:
+                if ct and terms:
                     terms = kernels.tensor_shift_slot(terms, t, n * ct)
             return TensorVector._raw(n, r, terms)
 
@@ -939,13 +821,12 @@ def kappa(s: SchurElement) -> TensorOperator:
     n, r = s.n, s.r
     if n < r:
         raise ValueError(f"kappa needs n >= r, got n={n}, r={r}")
-    parts = [(key, Laurent(c)) for key, c in s._terms.items()]
 
     def fn(key: tuple[int, ...]) -> TensorVector:
-        total = TensorVector.zero(n, r)
-        for (lp, mp, dw), c in parts:
-            total = total + _term_operator(n, r, lp, mp, dw).on_key(key).scale(c)
-        return total
+        total: dict[tuple, dict[int, int]] = {}
+        for (lp, mp, dw), c in s._terms.items():
+            addmul_into(total, _term_operator(n, r, lp, mp, dw).on_key(key)._terms, c)
+        return TensorVector._raw(n, r, total)
 
     return TensorOperator(n, r, fn)
 
@@ -979,15 +860,15 @@ def theta_iso(x: QTensorElement) -> TensorVector:
     cyclic vector, other rows through kappa."""
     n, r = x.n, x.r
     om = omega(n, r)
-    total = TensorVector.zero(n, r)
+    total: dict[tuple, dict[int, int]] = {}
     base = e_omega(n, r)
     for (lp, dw), c in x._terms.items():
-        cl = Laurent(c)
         if lp == om.parts:
-            total = total + hecke_right_action(base, t_basis(WindowPerm._unsafe(dw))).scale(cl)
+            image = hecke_right_action(base, t_basis(WindowPerm._unsafe(dw)))
         else:
-            total = total + _term_operator(n, r, lp, om.parts, dw).on_key(base.support()[0]).scale(cl)
-    return total
+            image = _term_operator(n, r, lp, om.parts, dw).on_key(base.support()[0])
+        addmul_into(total, image._terms, c)
+    return TensorVector._raw(n, r, total)
 
 
 def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tuple[Weight, WindowPerm]]:
@@ -1142,7 +1023,7 @@ def _relation_sides(n: int) -> list[tuple]:
         for j in range(1, n + 1):
             comm = U.E(n, i) * U.F(n, j) - U.F(n, j) * U.E(n, i)
             if i != j:
-                cartan = U._raw(n, {})
+                cartan = U.zero(n)
             else:
                 ip = _next(i, n)
                 cartan = U.K(n, i) * U.K_inv(n, ip) - U.K_inv(n, i) * U.K(n, ip)
@@ -1260,7 +1141,7 @@ def verify_hopf(n: int, r_max: int, window: Iterable[int]) -> list[tuple]:
                 fails_l.append(_op_check("", lhs_l, direct, (t,)))
             if lhs_r != direct:
                 fails_r.append(_op_check("", lhs_r, direct, (t,)))
-            folded = UElement._raw(n, {})
+            folded = UElement.zero(n)
             for aw, bw, coeff in comps:
                 sa = antipode(UElement.from_word(GeneratorWord(n, aw)))
                 folded = folded + (sa * UElement.from_word(GeneratorWord(n, bw))).scale(coeff)

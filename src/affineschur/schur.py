@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from affineschur._backend import kernels
 from affineschur.hecke import HeckeElement, KLTable, x_lambda
-from affineschur.laurent import Laurent
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
@@ -163,73 +163,65 @@ def phi(lam: Weight, mu: Weight, d: WindowPerm, strict: bool = False) -> "SchurE
     )
 
 
-def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, Laurent]:
-    """Coordinates of h in the basis {x_pi T_d : d distinguished}.
+def _peel_strata(
+    h: HeckeElement, is_lead: Callable[[tuple], bool], image: Callable[[tuple], dict], span: str
+) -> dict[tuple, Laurent]:
+    """Coordinates of h over the columns image(w), one per lead window w.
 
-    Peels the minimal-length, lexicographically smallest window; for an
-    element of the span that window is always distinguished with the right
-    coefficient.  Raises if h leaves the span.
+    Peels the minimal-length, lexicographically smallest window of the
+    residual; for an element of the span that window is a lead window with
+    the right coefficient.  Raises ValueError if h leaves the span.
     """
     coords: dict[tuple, Laurent] = {}
-    cur = h
-    xl = x_lambda(pi)
+    residual = {w: dict(c) for w, c in h._terms.items()}
     for _ in range(_PEEL_CAP):
-        if not cur:
+        if not residual:
             return coords
-        wwin = min(cur._terms, key=lambda w: (kernels.win_length(w), w))
-        w = WindowPerm._unsafe(wwin)
-        if not is_distinguished(w, pi):
-            raise ValueError(f"element is not a combination of x*T_d terms: stuck at {wwin}")
-        c = Laurent(cur._terms[wwin])
-        coords[wwin] = c
-        cur = cur - xl.mul_t_right(w).scale(c)
-    raise RuntimeError("right-factor peel did not terminate; span assumption violated")
+        wwin = min(residual, key=lambda w: (kernels.win_length(w), w))
+        if not is_lead(wwin):
+            raise ValueError(f"element is not {span}: stuck at {wwin}")
+        c = coords[wwin] = Laurent(residual[wwin])
+        addmul_into(residual, image(wwin), kernels.lp_neg(c.raw()))
+    raise RuntimeError(f"peel did not terminate; element is not {span}")
+
+
+def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, Laurent]:
+    """Coordinates of h in the basis {x_pi T_d : d distinguished}."""
+    xl = x_lambda(pi)
+    return _peel_strata(
+        h,
+        lambda w: is_distinguished(WindowPerm._unsafe(w), pi),
+        lambda w: xl.mul_t_right(WindowPerm._unsafe(w))._terms,
+        "a combination of x*T_d terms",
+    )
 
 
 def _expand_phi(h: HeckeElement, lam: Weight, mu: Weight) -> dict[tuple, Laurent]:
-    """Coordinates of h in the phi-basis column (lam, mu); peels minimal
-    double-coset strata, which always carry unit leading terms."""
+    """Coordinates of h in the phi-basis column (lam, mu); the lead windows
+    are the minimal double-coset representatives."""
     left, right = young_parabolic(lam), young_parabolic(mu)
-    coords: dict[tuple, Laurent] = {}
-    cur = h
-    for _ in range(_PEEL_CAP):
-        if not cur:
-            return coords
-        wwin = min(cur._terms, key=lambda w: (kernels.win_length(w), w))
-        w = WindowPerm._unsafe(wwin)
-        if double_coset_rep(w, left, right) != w:
-            raise ValueError(f"element is not in the double-coset span: stuck at {wwin}")
-        c = Laurent(cur._terms[wwin])
-        coords[wwin] = c
-        cur = cur - _phi_value_cached(lam.r, lam.parts, mu.parts, wwin).scale(c)
-    raise RuntimeError("phi-basis peel did not terminate; span assumption violated")
+    return _peel_strata(
+        h,
+        lambda w: double_coset_rep(WindowPerm._unsafe(w), left, right).window == w,
+        lambda w: _phi_value_cached(lam.r, lam.parts, mu.parts, w)._terms,
+        "in the double-coset span",
+    )
 
 
-class SchurElement:
+class SchurElement(LaurentCombination):
     """A finite combination of basis elements phi^d_{lam,mu}.
 
     Keys are (lam parts, mu parts, d window) with d always distinguished on
     both sides; values are raw Laurent dicts without zeros.
     """
 
-    __slots__ = ("n", "r", "_terms")
+    __slots__ = ("n", "r")
+    _SHAPE = ("n", "r")
 
     def __init__(self, n: int, r: int):
         self.n = int(n)
         self.r = int(r)
         self._terms: dict[tuple, dict[int, int]] = {}
-
-    @classmethod
-    def _raw(cls, n: int, r: int, terms: dict) -> "SchurElement":
-        out = object.__new__(cls)
-        out.n = n
-        out.r = r
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, n: int, r: int) -> "SchurElement":
-        return cls._raw(n, r, {})
 
     @classmethod
     def identity(cls, n: int, r: int) -> "SchurElement":
@@ -239,42 +231,10 @@ class SchurElement:
             terms[key] = {0: 1}
         return cls._raw(n, r, terms)
 
-    def __add__(self, other: "SchurElement") -> "SchurElement":
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("shape mismatch")
-        out = {k: dict(c) for k, c in self._terms.items()}
-        for k, c in other._terms.items():
-            acc = out.setdefault(k, {})
-            kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[k]
-        return SchurElement._raw(self.n, self.r, out)
-
-    def __sub__(self, other: "SchurElement") -> "SchurElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SchurElement":
-        return SchurElement._raw(
-            self.n, self.r, {k: kernels.lp_neg(c) for k, c in self._terms.items()}
-        )
-
-    def scale(self, c: "Laurent | int") -> "SchurElement":
-        raw = {0: c} if isinstance(c, int) else c.raw()
-        if not raw or raw == {0: 0}:
-            return SchurElement.zero(self.n, self.r)
-        return SchurElement._raw(
-            self.n, self.r, {k: kernels.lp_mul(t, raw) for k, t in self._terms.items()}
-        )
-
     def __mul__(self, other: "SchurElement | Laurent | int") -> "SchurElement":
         if isinstance(other, (Laurent, int)):
             return self.scale(other)
         return schur_mul(self, other)
-
-    def __rmul__(self, other: "Laurent | int") -> "SchurElement":
-        if isinstance(other, (Laurent, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def coeff(self, lam: Weight, mu: Weight, d: WindowPerm) -> Laurent:
         return Laurent(self._terms.get((lam.parts, mu.parts, d.window), {}))
@@ -294,20 +254,6 @@ class SchurElement:
                 )
             )
         return out
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchurElement):
-            return NotImplemented
-        return (self.n, self.r, self._terms) == (other.n, other.r, other._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -342,16 +288,15 @@ class SchurElement:
         ):
             raise ValueError(f"malformed Schur element: {obj!r}")
         n, r = int(obj["n"]), int(obj["r"])
-        total = cls.zero(n, r)
+        total: dict[tuple, dict[int, int]] = {}
         for entry in obj["terms"]:
             if not isinstance(entry, Mapping) or not {"lambda", "mu", "d", "coeff"} <= set(entry):
                 raise ValueError(f"malformed Schur term: {entry!r}")
             lam = Weight(n, r, entry["lambda"])
             mu = Weight(n, r, entry["mu"])
             d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
-            c = Laurent.from_obj(entry["coeff"])
-            total = total + phi(lam, mu, d).scale(c)
-        return total
+            addmul_into(total, phi(lam, mu, d)._terms, Laurent.from_obj(entry["coeff"]).raw())
+        return cls._raw(n, r, total)
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
@@ -367,14 +312,8 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     n, r = a.n, a.r
     blocks: dict[tuple, dict] = {}
     for (l2, m2, d2), c2 in b._terms.items():
-        acc = blocks.setdefault((l2, m2), {})
-        base = _phi_value_cached(r, l2, m2, d2)
-        for w, c in base._terms.items():
-            slot = acc.setdefault(w, {})
-            kernels.lp_addmul_into(slot, c, c2)
-            if not slot:
-                del acc[w]
-    values: dict[tuple, HeckeElement] = {}
+        addmul_into(blocks.setdefault((l2, m2), {}), _phi_value_cached(r, l2, m2, d2)._terms, c2)
+    values: dict[tuple, dict] = {}
     for (l2, m2), raw in blocks.items():
         if not raw:
             continue
@@ -386,18 +325,14 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
             if m1 != l2:
                 continue
             base = _phi_value_cached(r, l1, m1, d1)
+            acc = values.setdefault((l1, m2), {})
             for dwin, c in factor.items():
-                part = base.mul_t_right(WindowPerm._unsafe(dwin)).scale(c * Laurent(c1))
-                key = (l1, m2)
-                values[key] = values.get(key, HeckeElement.zero(r)) + part
+                addmul_into(acc, base.mul_t_right(WindowPerm._unsafe(dwin))._terms, kernels.lp_mul(c.raw(), c1))
     out: dict[tuple, dict] = {}
     for (l1, m2), h in values.items():
-        if not h:
-            continue
-        coords = _expand_phi(h, Weight(n, r, l1), Weight(n, r, m2))
+        coords = _expand_phi(HeckeElement._raw(r, h), Weight(n, r, l1), Weight(n, r, m2))
         for dwin, c in coords.items():
-            if c:
-                out[(l1, m2, dwin)] = dict(c.raw())
+            out[(l1, m2, dwin)] = c.raw()
     return SchurElement._raw(n, r, out)
 
 
@@ -453,11 +388,12 @@ def theta(lam: Weight, mu: Weight, d: WindowPerm, table: KLTable) -> SchurElemen
 # q-tensor space
 
 
-class QTensorElement:
+class QTensorElement(LaurentCombination):
     """An element of the omega column: a combination of basis terms
     x_lambda T_d with d distinguished for the Young parabolic of lambda."""
 
-    __slots__ = ("n", "r", "_terms")
+    __slots__ = ("n", "r")
+    _SHAPE = ("n", "r")
 
     def __init__(self, n: int, r: int):
         self.n = int(n)
@@ -465,45 +401,11 @@ class QTensorElement:
         self._terms: dict[tuple, dict[int, int]] = {}
 
     @classmethod
-    def _raw(cls, n: int, r: int, terms: dict) -> "QTensorElement":
-        out = object.__new__(cls)
-        out.n = n
-        out.r = r
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, n: int, r: int) -> "QTensorElement":
-        return cls._raw(n, r, {})
-
-    @classmethod
     def basis(cls, lam: Weight, d: WindowPerm) -> "QTensorElement":
         """x_lambda T_d; a parabolic part of d is absorbed as a power of q."""
         u, dd = coset_decompose(d, young_parabolic(lam))
         return cls._raw(
             lam.n, lam.r, {(lam.parts, dd.window): {2 * u.length(): 1}}
-        )
-
-    def __add__(self, other: "QTensorElement") -> "QTensorElement":
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("shape mismatch")
-        out = {k: dict(c) for k, c in self._terms.items()}
-        for k, c in other._terms.items():
-            acc = out.setdefault(k, {})
-            kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[k]
-        return QTensorElement._raw(self.n, self.r, out)
-
-    def __sub__(self, other: "QTensorElement") -> "QTensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: "Laurent | int") -> "QTensorElement":
-        raw = {0: c} if isinstance(c, int) else c.raw()
-        if not raw or raw == {0: 0}:
-            return QTensorElement.zero(self.n, self.r)
-        return QTensorElement._raw(
-            self.n, self.r, {k: kernels.lp_mul(t, raw) for k, t in self._terms.items()}
         )
 
     def coeff(self, lam: Weight, d: WindowPerm) -> Laurent:
@@ -517,17 +419,6 @@ class QTensorElement:
                 (Weight(self.n, self.r, lp), WindowPerm._unsafe(dw), Laurent(self._terms[key]))
             )
         return out
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QTensorElement):
-            return NotImplemented
-        return (self.n, self.r, self._terms) == (other.n, other.r, other._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -556,15 +447,24 @@ class QTensorElement:
         ):
             raise ValueError(f"malformed q-tensor element: {obj!r}")
         n, r = int(obj["n"]), int(obj["r"])
-        total = cls.zero(n, r)
+        total: dict[tuple, dict[int, int]] = {}
         for entry in obj["terms"]:
             if not isinstance(entry, Mapping) or not {"lambda", "d", "coeff"} <= set(entry):
                 raise ValueError(f"malformed q-tensor term: {entry!r}")
             lam = Weight(n, r, entry["lambda"])
             d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
-            c = Laurent.from_obj(entry["coeff"])
-            total = total + cls.basis(lam, d).scale(c)
-        return total
+            addmul_into(total, cls.basis(lam, d)._terms, Laurent.from_obj(entry["coeff"]).raw())
+        return cls._raw(n, r, total)
+
+
+def _right_factor_terms(values: dict[tuple, dict], r: int) -> dict[tuple, dict]:
+    """{(lambda parts, d window): coefficient} of Hecke values {lambda parts:
+    raw terms}, each value re-expanded over x_lambda T_d."""
+    out: dict[tuple, dict] = {}
+    for lp, terms in values.items():
+        for dwin, c in _extract_right_factor(HeckeElement._raw(r, terms), young_subgroup_of_key(lp, r)).items():
+            out[(lp, dwin)] = c.raw()
+    return out
 
 
 def act_schur_left(s: SchurElement, x: QTensorElement) -> QTensorElement:
@@ -572,27 +472,15 @@ def act_schur_left(s: SchurElement, x: QTensorElement) -> QTensorElement:
     if (s.n, s.r) != (x.n, x.r):
         raise ValueError("shape mismatch")
     n, r = x.n, x.r
-    values: dict[tuple, HeckeElement] = {}
+    values: dict[tuple, dict] = {}
     for (l2, dwin), c2 in x._terms.items():
         d2 = WindowPerm._unsafe(dwin)
         for (l1, m1, d1), c1 in s._terms.items():
             if m1 != l2:
                 continue
-            part = (
-                _phi_value_cached(r, l1, m1, d1)
-                .mul_t_right(d2)
-                .scale(Laurent(c1) * Laurent(c2))
-            )
-            values[l1] = values.get(l1, HeckeElement.zero(r)) + part
-    out: dict[tuple, dict] = {}
-    for l1, h in values.items():
-        if not h:
-            continue
-        coords = _extract_right_factor(h, young_subgroup_of_key(l1, r))
-        for dwin, c in coords.items():
-            if c:
-                out[(l1, dwin)] = dict(c.raw())
-    return QTensorElement._raw(n, r, out)
+            part = _phi_value_cached(r, l1, m1, d1).mul_t_right(d2)
+            addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
+    return QTensorElement._raw(n, r, _right_factor_terms(values, r))
 
 
 def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
@@ -600,21 +488,8 @@ def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
     if x.r != h.r:
         raise ValueError("rank mismatch")
     n, r = x.n, x.r
-    values: dict[tuple, HeckeElement] = {}
+    values: dict[tuple, dict] = {}
     for (lp, dwin), c in x._terms.items():
-        part = (
-            x_lambda(young_subgroup_of_key(lp, r))
-            .mul_t_right(WindowPerm._unsafe(dwin))
-            .scale(Laurent(c))
-            * h
-        )
-        values[lp] = values.get(lp, HeckeElement.zero(r)) + part
-    out: dict[tuple, dict] = {}
-    for lp, val in values.items():
-        if not val:
-            continue
-        coords = _extract_right_factor(val, young_subgroup_of_key(lp, r))
-        for dwin, c in coords.items():
-            if c:
-                out[(lp, dwin)] = dict(c.raw())
-    return QTensorElement._raw(n, r, out)
+        part = x_lambda(young_subgroup_of_key(lp, r)).mul_t_right(WindowPerm._unsafe(dwin)) * h
+        addmul_into(values.setdefault(lp, {}), part._terms, c)
+    return QTensorElement._raw(n, r, _right_factor_terms(values, r))

@@ -26,7 +26,7 @@ from affineschur.hecke import (
     t_basis_inverse,
     x_lambda,
 )
-from affineschur.laurent import Laurent
+from affineschur.laurent import Laurent, addmul_into
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
@@ -229,12 +229,12 @@ def run_weyl_core(r: int = 3, length: int = 8, coset_len: int = 6, **_) -> Suite
 
 
 def _random_hecke(rng: random.Random, r: int, pool) -> HeckeElement:
-    total = HeckeElement.zero(r)
+    total: dict = {}
     for _ in range(2):
         w = rng.choice(pool)
         c = Laurent({rng.randrange(-2, 3): rng.randrange(-3, 4) or 1})
-        total = total + t_basis(w).scale(c)
-    return total
+        addmul_into(total, t_basis(w)._terms, c.raw())
+    return HeckeElement._raw(r, total)
 
 
 def _convolve(a: dict, b: dict) -> dict:

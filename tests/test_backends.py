@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -62,7 +63,7 @@ def test_env_var_forces_pure_backend():
 
 @pytest.mark.parametrize("name", ["lp_add", "lp_sub", "lp_mul"])
 def test_lp_binary_ops_agree(name):
-    rng = random.Random(SEED + hash(name) % 1000)
+    rng = random.Random(SEED + zlib.crc32(name.encode()) % 1000)
     for _ in range(80):
         a, b = rand_lp(rng), rand_lp(rng)
         assert getattr(compiled, name)(a, b) == getattr(pure, name)(a, b)
