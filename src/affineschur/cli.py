@@ -32,6 +32,9 @@ THETA_NOTE = (
 # the Hopf sweep visits (2 * window + 1)^k keys for every k <= r
 HOPF_MAX_R = 3
 
+# the suites that read each flag without a default; the others refuse it
+_FLAG_READERS = {"len": ("weyl-core", "duality"), "window": ("hopf", "duality")}
+
 
 class InputError(ValueError):
     """Bad JSON or a value out of domain; maps to exit code 2."""
@@ -126,7 +129,7 @@ def _cmd_schur(args) -> int:
     from affineschur.schur import SchurElement, Weight, phi, theta
 
     if args.verb == "verify":
-        return _run_reports([run_suite("schur-core", seed=args.seed)], args)
+        return _run_reports([run_suite("schur-core", **_suite_params("schur-core", args))], args)
     payload = _read_payload(sys.stdin)
     if args.verb == "mul":
         parts = [SchurElement.from_obj(o) for o in _as_list(payload, "schur mul")]
@@ -200,6 +203,11 @@ def _cmd_quantum(args) -> int:
 
 
 def _suite_params(name: str, args) -> dict:
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag) is not None and name not in readers:
+            raise InputError(f"--{flag} is not read by the {name} suite")
+    if name == "all":
+        return {"seed": args.seed}
     if name == "weyl-core":
         return {"r": args.r, "length": args.len if args.len is not None else 8}
     if name == "hecke-core":
@@ -238,9 +246,10 @@ def _run_reports(reports: list[SuiteReport], args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    params = _suite_params(args.suite, args)
     if args.suite == "all":
-        return _run_reports(run_all(seed=args.seed), args)
-    return _run_reports([run_suite(args.suite, **_suite_params(args.suite, args))], args)
+        return _run_reports(run_all(**params), args)
+    return _run_reports([run_suite(args.suite, **params)], args)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
 from affineschur.weyl import ParabolicIndex, WindowPerm, bruhat_leq
 
 __all__ = [
@@ -465,19 +465,10 @@ def _b_mul_gen(bel: dict, i: int) -> dict:
     for (cvec, u), c in bel.items():
         us = kernels.win_mul_s_right(u, i)
         if kernels.win_pos(u, i) > kernels.win_pos(u, i + 1):
-            acc = out.setdefault((cvec, us), {})
-            kernels.lp_add_into(acc, kernels.lp_shift(c, 2))
-            if not acc:
-                del out[(cvec, us)]
-            acc = out.setdefault((cvec, u), {})
-            kernels.lp_addmul_into(acc, c, _QM1)
-            if not acc:
-                del out[(cvec, u)]
+            addmul_term(out, (cvec, us), kernels.lp_shift(c, 2))
+            addmul_term(out, (cvec, u), c, _QM1)
         else:
-            acc = out.setdefault((cvec, us), {})
-            kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[(cvec, us)]
+            addmul_term(out, (cvec, us), c)
     return out
 
 
@@ -526,11 +517,7 @@ def _b_mul_y(bel: dict, j: int, e: int) -> dict:
     out: dict = {}
     for (cvec, u), c in bel.items():
         for (dvec, u2), c2 in _finite_term_mul_y(u, j, e):
-            key = (tuple(x + y for x, y in zip(cvec, dvec)), u2)
-            acc = out.setdefault(key, {})
-            kernels.lp_addmul_into(acc, c, c2)
-            if not acc:
-                del out[key]
+            addmul_term(out, (tuple(x + y for x, y in zip(cvec, dvec)), u2), c, c2)
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 
 from affineschur._backend import kernels
 
-__all__ = ["Laurent", "LaurentCombination", "addmul_into", "quantum_integer"]
+__all__ = ["Laurent", "LaurentCombination", "addmul_into", "addmul_term", "quantum_integer"]
 
 
 class Laurent:
@@ -86,9 +86,11 @@ class Laurent:
         return Laurent._raw(kernels.lp_neg(self._terms))
 
     def __mul__(self, other: "Laurent | int") -> "Laurent":
+        if isinstance(other, Laurent):
+            return Laurent._raw(kernels.lp_mul(self._terms, other._terms))
         if isinstance(other, int):
             return Laurent._raw(kernels.lp_scale(self._terms, other))
-        return Laurent._raw(kernels.lp_mul(self._terms, other._terms))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -289,6 +291,22 @@ def addmul_into(out: dict, terms: dict, coeff: dict | None = None) -> None:
                 kernels.lp_addmul_into(acc, c, coeff)
                 if not acc:
                     del out[key]
+
+
+def addmul_term(out: dict, key, c: dict, coeff: dict | None = None) -> None:
+    """out[key] += coeff * c for one raw Laurent dict c: addmul_into for a
+    single key, with the same rule that a cancelled key is dropped."""
+    acc = out.get(key)
+    if acc is None:
+        if c and (coeff is None or coeff):
+            out[key] = dict(c) if coeff is None else kernels.lp_mul(c, coeff)
+        return
+    if coeff is None:
+        kernels.lp_add_into(acc, c)
+    else:
+        kernels.lp_addmul_into(acc, c, coeff)
+    if not acc:
+        del out[key]
 
 
 _MINUS_ONE = {0: -1}

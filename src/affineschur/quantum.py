@@ -29,7 +29,7 @@ from affineschur.hecke import (
     t_basis,
     to_bernstein_basis,
 )
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
 from affineschur.schur import (
     QTensorElement,
     SchurElement,
@@ -71,6 +71,9 @@ _INDEXED = {"E", "F", "K", "Kinv"}
 # v - v^-1, the denominator of the E-F commutator
 _VV = {1: 1, -1: -1}
 _MINUS_ONE = {0: -1}
+_V = {1: 1}
+_Q = {2: 1}
+_QM1 = {2: 1, 0: -1}
 
 
 def _next(i: int, n: int) -> int:
@@ -299,10 +302,6 @@ class TensorOperator:
         self.r = int(r)
         self._fn = fn
 
-    @classmethod
-    def identity(cls, n: int, r: int) -> "TensorOperator":
-        return cls(n, r, lambda key: TensorVector.unit(n, key))
-
     def on_key(self, key: Sequence[int]) -> TensorVector:
         return self._fn(tuple(int(t) for t in key))
 
@@ -313,20 +312,6 @@ class TensorOperator:
         for key, c in x._terms.items():
             addmul_into(total, self._fn(key)._terms, c)
         return TensorVector._raw(self.n, self.r, total)
-
-    def compose(self, other: "TensorOperator") -> "TensorOperator":
-        """self after other."""
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("shape mismatch")
-        return TensorOperator(self.n, self.r, lambda key: self(other._fn(key)))
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        if (self.n, self.r) != (other.n, other.r):
-            raise ValueError("shape mismatch")
-        return TensorOperator(self.n, self.r, lambda key: self._fn(key) + other._fn(key))
-
-    def scale(self, c: "Laurent | int") -> "TensorOperator":
-        return TensorOperator(self.n, self.r, lambda key: self._fn(key).scale(c))
 
 
 # ---------------------------------------------------------------------------
@@ -525,52 +510,34 @@ def finite_hecke_right_action(x: TensorVector, i: int) -> TensorVector:
     n, r = x.n, x.r
     if not 1 <= i <= r - 1:
         raise ValueError(f"generator index {i} out of range 1..{r - 1}")
-    out: dict[tuple, dict[int, int]] = {}
-
-    def addmul(key, c, extra):
-        acc = out.setdefault(key, {})
-        kernels.lp_add_into(acc, kernels.lp_mul(c, extra))
-        if not acc:
-            del out[key]
-
-    for key, c in x._terms.items():
+    for key in x._terms:
         if any(not 1 <= t <= n for t in key):
             raise ValueError(f"key {key} leaves the range 1..{n}")
-        a, b = key[i - 1], key[i]
-        swapped = key[: i - 1] + (b, a) + key[i + 1 :]
-        if a == b:
-            addmul(key, c, {2: 1})
-        elif a < b:
-            addmul(swapped, c, {1: 1})
-        else:
-            addmul(swapped, c, {1: 1})
-            addmul(key, c, {2: 1, 0: -1})
-    return TensorVector._raw(n, r, out)
+    return TensorVector._raw(n, r, _act_sigma_terms(x._terms, i, n, r))
 
 
 def _act_sigma_terms(terms: dict, i: int, n: int, r: int) -> dict:
-    """Right T_{s_i} on arbitrary keys: peel the translation part off the
-    two active slots, commute it past the generator, act finitely, restore."""
+    """Right T_{s_i} on raw terms over arbitrary keys.  Slots i, i+1 of a
+    key are a base pair (a, b) in 1..n under a translation part, which
+    commutes past the generator; each term that keeps the generator acts on
+    the base pair by the finite rule (q if a == b, v * swap if a < b,
+    v * swap + (q - 1) if a > b), and the translations go back on."""
     out: dict[tuple, dict[int, int]] = {}
     for key, c in terms.items():
-        cvec = tuple((t - 1) // n for t in key)
-        base = tuple(t - n * q for t, q in zip(key, cvec))
-        a, b = -cvec[i - 1], -cvec[i]
-        for carries, da, db, coeff in commute_gen_past_translations(a, b):
-            frozen = {base: kernels.lp_mul(c, coeff.raw())}
-            acted = finite_hecke_right_action(TensorVector._raw(n, r, frozen), i)._terms if carries else frozen
-            for k2, c2 in acted.items():
-                nk = list(k2)
-                for t in range(r):
-                    if t not in (i - 1, i):
-                        nk[t] += n * cvec[t]
-                nk[i - 1] -= n * da
-                nk[i] -= n * db
-                nk = tuple(nk)
-                acc = out.setdefault(nk, {})
-                kernels.lp_add_into(acc, c2)
-                if not acc:
-                    del out[nk]
+        head, tail = key[: i - 1], key[i + 1 :]
+        ca, cb = (key[i - 1] - 1) // n, (key[i] - 1) // n
+        a, b = key[i - 1] - n * ca, key[i] - n * cb
+        for carries, da, db, coeff in commute_gen_past_translations(-ca, -cb):
+            raw = kernels.lp_mul(c, coeff.raw())
+            same = head + (a - n * da, b - n * db) + tail
+            if not carries:
+                addmul_term(out, same, raw)
+            elif a == b:
+                addmul_term(out, same, raw, _Q)
+            else:
+                addmul_term(out, head + (b - n * da, a - n * db) + tail, raw, _V)
+                if a > b:
+                    addmul_term(out, same, raw, _QM1)
     return out
 
 
@@ -583,10 +550,6 @@ def _bernstein_assoc(h: HeckeElement) -> tuple:
             raise ValueError("translation form must have a finite tail")
         rows.append((cvec, word, coeff.raw()))
     return tuple(rows)
-
-
-def _apply_assoc(x: TensorVector, assoc: tuple) -> TensorVector:
-    return TensorVector._raw(x.n, x.r, _assoc_terms(x._terms, assoc, x.n, x.r))
 
 
 def _assoc_terms(terms: dict, assoc: tuple, n: int, r: int) -> dict:
@@ -636,7 +599,7 @@ def hecke_right_action(x: TensorVector, h: HeckeElement) -> TensorVector:
         raise ValueError(f"right action needs n >= r, got n={x.n}, r={x.r}")
     if h.r != x.r:
         raise ValueError("rank mismatch")
-    return _apply_assoc(x, _bernstein_assoc(h))
+    return TensorVector._raw(x.n, x.r, _assoc_terms(x._terms, _bernstein_assoc(h), x.n, x.r))
 
 
 # ---------------------------------------------------------------------------
@@ -1069,10 +1032,7 @@ def _split_action(comps: list, image: Callable[[tuple, tuple], dict], key: tuple
         right = image(bw, key[cut:])
         for ka, ca in image(aw, key[:cut]).items():
             for kb, cb in right.items():
-                acc = out.setdefault(ka + kb, {})
-                kernels.lp_addmul_into(acc, kernels.lp_mul(ca, cb), {0: coeff})
-                if not acc:
-                    del out[ka + kb]
+                addmul_term(out, ka + kb, kernels.lp_mul(ca, cb), {0: coeff})
     return out
 
 
@@ -1191,91 +1151,74 @@ def _presentation_rows(n: int, r: int, keyset: Sequence[tuple], sample_keys: Seq
     """The translation presentation as right operators: quadratic, braid,
     Y-commutation and Y-inverse relations and the conjugation identity on
     the sampled keys, distant translations against the generators on every
-    key.  Each right operator memoises its images of unit keys for the
-    length of the call."""
-    right_of: dict[int, _RightMemo] = {}
-
-    def acth(h, vec):
-        if id(h) not in right_of:
-            right_of[id(h)] = _RightMemo(_bernstein_assoc(h), n, r)
-        return TensorVector._raw(n, r, right_of[id(h)](vec._terms))
-
-    checks: list[tuple] = []
-    sigma = [None] + [t_basis(WindowPerm.s(r, i)) for i in range(1, r)]
-    ys = [None] + [bernstein_y(r, i) for i in range(1, r + 1)]
-    yinvs = [None] + [bernstein_y_inverse(r, i) for i in range(1, r + 1)]
+    key.  A relation lists (lhs, rhs) sides, raw {word: coeff} over the
+    right generators ("s", i), ("y", i), ("yinv", i) and the slot shifts
+    ("Y", j); a word acts with its rightmost letter first.  Each right
+    generator memoises its images of unit keys for the length of the call.
+    A relation's witness is its first failing key, at the first side that
+    fails there."""
+    ops: dict[tuple, Callable[[dict], dict]] = {}
     for i in range(1, r):
-        fails = []
-        for key in sample_keys:
-            x = TensorVector.unit(n, key)
-            lhs = acth(sigma[i], acth(sigma[i], x))
-            rhs = acth(sigma[i], x).scale(Laurent({2: 1, 0: -1})) + x.scale(Laurent.q())
-            if lhs != rhs:
-                fails.append(_op_check("", lhs, rhs, key))
-        checks.append(_first_failure(f"presentation-quadratic-{i}", fails))
+        ops["s", i] = _RightMemo(_bernstein_assoc(t_basis(WindowPerm.s(r, i))), n, r)
+    for i in range(1, r + 1):
+        ops["y", i] = _RightMemo(_bernstein_assoc(bernstein_y(r, i)), n, r)
+        ops["yinv", i] = _RightMemo(_bernstein_assoc(bernstein_y_inverse(r, i)), n, r)
+        ops["Y", i] = lambda terms, t=i - 1: kernels.tensor_shift_slot(terms, t, -n)
+
+    def word(*letters) -> dict:
+        return {letters: {0: 1}}
+
+    few = sample_keys[:10]
+    rels: list[tuple] = []
+    for i in range(1, r):
+        s_i = ("s", i)
+        rels.append((f"presentation-quadratic-{i}", sample_keys, [(word(s_i, s_i), {(s_i,): _QM1, (): _Q})]))
     for i in range(1, r - 1):
-        fails = []
-        for key in sample_keys:
-            x = TensorVector.unit(n, key)
-            lhs = acth(sigma[i], acth(sigma[i + 1], acth(sigma[i], x)))
-            rhs = acth(sigma[i + 1], acth(sigma[i], acth(sigma[i + 1], x)))
-            if lhs != rhs:
-                fails.append(_op_check("", lhs, rhs, key))
-        checks.append(_first_failure(f"presentation-braid-{i}", fails))
+        s_i, s_j = ("s", i), ("s", i + 1)
+        rels.append((f"presentation-braid-{i}", sample_keys, [(word(s_i, s_j, s_i), word(s_j, s_i, s_j))]))
     for i in range(1, r + 1):
         for j in range(1, r + 1):
-            fails = []
-            for key in sample_keys[:10]:
-                x = TensorVector.unit(n, key)
-                lhs = acth(ys[j], acth(ys[i], x))
-                rhs = acth(ys[i], acth(ys[j], x))
-                if lhs != rhs:
-                    fails.append(_op_check("", lhs, rhs, key))
-            checks.append(_first_failure(f"presentation-y-commute-{i}-{j}", fails))
+            y_i, y_j = ("y", i), ("y", j)
+            rels.append((f"presentation-y-commute-{i}-{j}", few, [(word(y_j, y_i), word(y_i, y_j))]))
     for i in range(1, r + 1):
-        fails = []
-        for key in sample_keys[:10]:
-            x = TensorVector.unit(n, key)
-            lhs = acth(yinvs[i], acth(ys[i], x))
-            if lhs != x:
-                fails.append(_op_check("", lhs, x, key))
-        checks.append(_first_failure(f"presentation-y-inverse-{i}", fails))
+        rels.append((f"presentation-y-inverse-{i}", few, [(word(("yinv", i), ("y", i)), word())]))
     for i in range(1, r):
         for j in range(1, r + 1):
-            if j in (i, i + 1):
-                continue
-            fails = []
-            for key in sample_keys[:10]:
-                x = TensorVector.unit(n, key)
-                lhs = acth(sigma[i], acth(ys[j], x))
-                rhs = acth(ys[j], acth(sigma[i], x))
-                if lhs != rhs:
-                    fails.append(_op_check("", lhs, rhs, key))
-            checks.append(_first_failure(f"presentation-y-distant-{i}-{j}", fails))
+            if j not in (i, i + 1):
+                s_i, y_j = ("s", i), ("y", j)
+                rels.append((f"presentation-y-distant-{i}-{j}", few, [(word(s_i, y_j), word(y_j, s_i))]))
     for i in range(1, r):
-        fails = []
-        for key in sample_keys:
-            x = TensorVector.unit(n, key)
-            lhs = acth(sigma[i], acth(ys[i], acth(sigma[i], x)))
-            rhs = acth(ys[i + 1], x).scale(Laurent.q())
-            if lhs != rhs:
-                fails.append(_op_check("", lhs, rhs, key))
-        checks.append(_first_failure(f"conjugation-identity-{i}", fails))
+        s_i = ("s", i)
+        rels.append((f"conjugation-identity-{i}", sample_keys, [(word(s_i, ("y", i), s_i), {(("y", i + 1),): _Q})]))
     # distant translation operators commute with the generators on all keys
     for i in range(1, r):
-        fails = []
-        for key in keyset:
-            x = TensorVector.unit(n, key)
-            for j in range(1, r + 1):
-                if j in (i, i + 1):
-                    continue
-                lhs = acth(sigma[i], y_op(n, r, j)(x))
-                rhs = y_op(n, r, j)(acth(sigma[i], x))
-                if lhs != rhs:
-                    fails.append(_op_check("", lhs, rhs, key))
+        s_i = ("s", i)
+        sides = [(word(s_i, ("Y", j)), word(("Y", j), s_i)) for j in range(1, r + 1) if j not in (i, i + 1)]
+        rels.append((f"translation-distant-all-keys-{i}", keyset, sides))
+
+    def act(combo: dict, terms: dict) -> dict:
+        def image(letters: tuple) -> dict:
+            part = terms
+            for letter in reversed(letters):
+                part = ops[letter](part)
+            return part
+
+        return _combine(combo, image)
+
+    rows: list[tuple] = []
+    for name, keys, sides in rels:
+        witness = None
+        for key in keys:
+            x = {key: {0: 1}}
+            for lhs, rhs in sides:
+                got, want = act(lhs, x), act(rhs, x)
+                if got != want:
+                    witness = _witness(key, got, want)
                     break
-        checks.append(_first_failure(f"translation-distant-all-keys-{i}", fails))
-    return checks
+            if witness is not None:
+                break
+        rows.append((name, witness is None, witness))
+    return rows
 
 
 def verify_affine_duality(

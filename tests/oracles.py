@@ -292,7 +292,7 @@ def modp_in_span(cols, vec, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Operator sweeps in their first, pair-outer form: every relation side goes
 # through act_tensor on a fresh unit vector for every key, and the right
-# Hecke action through _apply_assoc on every vector.  The library sweeps act
+# Hecke action through _assoc_terms on every vector.  The library sweeps act
 # on each basis key once and memoise; these are their oracles.
 
 
@@ -359,7 +359,7 @@ def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
     from affineschur.quantum import (
         TensorVector,
         UElement,
-        _apply_assoc,
+        _assoc_terms,
         _bernstein_assoc,
         _first_failure,
         _op_check,
@@ -381,7 +381,7 @@ def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
     ]
     hassocs = [_bernstein_assoc(h) for h in hgens]
     right_cache = [
-        {key: _apply_assoc(TensorVector.unit(n, key), assoc) for key in keyset}
+        {key: TensorVector._raw(n, r, _assoc_terms({key: {0: 1}}, assoc, n, r)) for key in keyset}
         for assoc in hassocs
     ]
     for gi, g in enumerate(ugens):
@@ -389,7 +389,7 @@ def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
             fails = []
             for key in keyset:
                 x = TensorVector.unit(n, key)
-                lhs = _apply_assoc(act_tensor(g, x), assoc)
+                lhs = TensorVector._raw(n, r, _assoc_terms(act_tensor(g, x)._terms, assoc, n, r))
                 rhs = act_tensor(g, right_cache[hi][key])
                 if lhs != rhs:
                     fails.append(_op_check("", lhs, rhs, key))
@@ -454,3 +454,171 @@ def coassoc_rows(n: int, window) -> list[tuple]:
         name = letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
         checks.append(_first_failure(f"coassoc-{name}", fails))
     return sorted(checks, key=lambda c: c[0])
+
+
+# ---------------------------------------------------------------------------
+# The right T_{s_i} step in its first form, which wraps every carry term in
+# a TensorVector and runs the finite action on it, and the presentation rows
+# in their first form, one act-compare loop per relation family.
+
+
+def finite_hecke_right_action(x, i: int):
+    """Right T_{s_i} on keys within 1..n (the finite tensor module)."""
+    from affineschur._backend import kernels
+    from affineschur.quantum import TensorVector
+
+    n, r = x.n, x.r
+    if not 1 <= i <= r - 1:
+        raise ValueError(f"generator index {i} out of range 1..{r - 1}")
+    out: dict[tuple, dict[int, int]] = {}
+
+    def addmul(key, c, extra):
+        acc = out.setdefault(key, {})
+        kernels.lp_add_into(acc, kernels.lp_mul(c, extra))
+        if not acc:
+            del out[key]
+
+    for key, c in x._terms.items():
+        if any(not 1 <= t <= n for t in key):
+            raise ValueError(f"key {key} leaves the range 1..{n}")
+        a, b = key[i - 1], key[i]
+        swapped = key[: i - 1] + (b, a) + key[i + 1 :]
+        if a == b:
+            addmul(key, c, {2: 1})
+        elif a < b:
+            addmul(swapped, c, {1: 1})
+        else:
+            addmul(swapped, c, {1: 1})
+            addmul(key, c, {2: 1, 0: -1})
+    return TensorVector._raw(n, r, out)
+
+
+def act_sigma_terms(terms: dict, i: int, n: int, r: int) -> dict:
+    """Right T_{s_i} on arbitrary keys: peel the translation part off the
+    two active slots, commute it past the generator, act finitely, restore."""
+    from affineschur._backend import kernels
+    from affineschur.hecke import commute_gen_past_translations
+    from affineschur.quantum import TensorVector
+
+    out: dict[tuple, dict[int, int]] = {}
+    for key, c in terms.items():
+        cvec = tuple((t - 1) // n for t in key)
+        base = tuple(t - n * q for t, q in zip(key, cvec))
+        a, b = -cvec[i - 1], -cvec[i]
+        for carries, da, db, coeff in commute_gen_past_translations(a, b):
+            frozen = {base: kernels.lp_mul(c, coeff.raw())}
+            acted = finite_hecke_right_action(TensorVector._raw(n, r, frozen), i)._terms if carries else frozen
+            for k2, c2 in acted.items():
+                nk = list(k2)
+                for t in range(r):
+                    if t not in (i - 1, i):
+                        nk[t] += n * cvec[t]
+                nk[i - 1] -= n * da
+                nk[i] -= n * db
+                nk = tuple(nk)
+                acc = out.setdefault(nk, {})
+                kernels.lp_add_into(acc, c2)
+                if not acc:
+                    del out[nk]
+    return out
+
+
+def presentation_rows(n: int, r: int, keyset, sample_keys) -> list[tuple]:
+    """The translation presentation as right operators: quadratic, braid,
+    Y-commutation and Y-inverse relations and the conjugation identity on
+    the sampled keys, distant translations against the generators on every
+    key.  Each right operator memoises its images of unit keys for the
+    length of the call."""
+    from affineschur.hecke import bernstein_y, bernstein_y_inverse, t_basis
+    from affineschur.quantum import (
+        TensorVector,
+        _bernstein_assoc,
+        _first_failure,
+        _op_check,
+        _RightMemo,
+        y_op,
+    )
+
+    right_of: dict[int, _RightMemo] = {}
+
+    def acth(h, vec):
+        if id(h) not in right_of:
+            right_of[id(h)] = _RightMemo(_bernstein_assoc(h), n, r)
+        return TensorVector._raw(n, r, right_of[id(h)](vec._terms))
+
+    checks: list[tuple] = []
+    sigma = [None] + [t_basis(WindowPerm.s(r, i)) for i in range(1, r)]
+    ys = [None] + [bernstein_y(r, i) for i in range(1, r + 1)]
+    yinvs = [None] + [bernstein_y_inverse(r, i) for i in range(1, r + 1)]
+    for i in range(1, r):
+        fails = []
+        for key in sample_keys:
+            x = TensorVector.unit(n, key)
+            lhs = acth(sigma[i], acth(sigma[i], x))
+            rhs = acth(sigma[i], x).scale(Laurent({2: 1, 0: -1})) + x.scale(Laurent.q())
+            if lhs != rhs:
+                fails.append(_op_check("", lhs, rhs, key))
+        checks.append(_first_failure(f"presentation-quadratic-{i}", fails))
+    for i in range(1, r - 1):
+        fails = []
+        for key in sample_keys:
+            x = TensorVector.unit(n, key)
+            lhs = acth(sigma[i], acth(sigma[i + 1], acth(sigma[i], x)))
+            rhs = acth(sigma[i + 1], acth(sigma[i], acth(sigma[i + 1], x)))
+            if lhs != rhs:
+                fails.append(_op_check("", lhs, rhs, key))
+        checks.append(_first_failure(f"presentation-braid-{i}", fails))
+    for i in range(1, r + 1):
+        for j in range(1, r + 1):
+            fails = []
+            for key in sample_keys[:10]:
+                x = TensorVector.unit(n, key)
+                lhs = acth(ys[j], acth(ys[i], x))
+                rhs = acth(ys[i], acth(ys[j], x))
+                if lhs != rhs:
+                    fails.append(_op_check("", lhs, rhs, key))
+            checks.append(_first_failure(f"presentation-y-commute-{i}-{j}", fails))
+    for i in range(1, r + 1):
+        fails = []
+        for key in sample_keys[:10]:
+            x = TensorVector.unit(n, key)
+            lhs = acth(yinvs[i], acth(ys[i], x))
+            if lhs != x:
+                fails.append(_op_check("", lhs, x, key))
+        checks.append(_first_failure(f"presentation-y-inverse-{i}", fails))
+    for i in range(1, r):
+        for j in range(1, r + 1):
+            if j in (i, i + 1):
+                continue
+            fails = []
+            for key in sample_keys[:10]:
+                x = TensorVector.unit(n, key)
+                lhs = acth(sigma[i], acth(ys[j], x))
+                rhs = acth(ys[j], acth(sigma[i], x))
+                if lhs != rhs:
+                    fails.append(_op_check("", lhs, rhs, key))
+            checks.append(_first_failure(f"presentation-y-distant-{i}-{j}", fails))
+    for i in range(1, r):
+        fails = []
+        for key in sample_keys:
+            x = TensorVector.unit(n, key)
+            lhs = acth(sigma[i], acth(ys[i], acth(sigma[i], x)))
+            rhs = acth(ys[i + 1], x).scale(Laurent.q())
+            if lhs != rhs:
+                fails.append(_op_check("", lhs, rhs, key))
+        checks.append(_first_failure(f"conjugation-identity-{i}", fails))
+    # distant translation operators commute with the generators on all keys
+    for i in range(1, r):
+        fails = []
+        for key in keyset:
+            x = TensorVector.unit(n, key)
+            for j in range(1, r + 1):
+                if j in (i, i + 1):
+                    continue
+                lhs = acth(sigma[i], y_op(n, r, j)(x))
+                rhs = y_op(n, r, j)(acth(sigma[i], x))
+                if lhs != rhs:
+                    fails.append(_op_check("", lhs, rhs, key))
+                    break
+        checks.append(_first_failure(f"translation-distant-all-keys-{i}", fails))
+    return checks

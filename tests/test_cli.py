@@ -234,3 +234,40 @@ def test_crashing_sweep_is_a_failed_check(argv, row, monkeypatch, capsys):
     assert body["checks"] == [
         {"name": row, "status": "fail", "witness": {"error": "ValueError: kernel fault"}}
     ]
+
+
+def test_schur_verify_uses_the_suite_parameters(monkeypatch, capsys):
+    import affineschur.cli as cli
+    from affineschur.verify import SuiteReport
+
+    seen = []
+
+    def record(name, **kw):
+        seen.append((name, kw))
+        return SuiteReport(name, kw, [], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    for argv in (["verify", "schur-core"], ["schur", "verify"]):
+        code, _, _ = invoke(argv + ["--n", "4", "--r", "3", "--json"], monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+    assert seen[0] == seen[1] == ("schur-core", {"n": 4, "r": 3, "seed": cli.DEFAULT_SEED})
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["verify", suite], "--len") for suite in ("hecke-core", "kl", "schur-core", "hopf", "all")]
+    + [(["verify", suite], "--window") for suite in ("weyl-core", "hecke-core", "kl", "schur-core", "all")]
+    + [(["schur", "verify"], "--len"), (["schur", "verify"], "--window"), (["quantum", "verify-hopf"], "--len")],
+)
+def test_unread_flag_exits_two_before_any_work(argv, flag, monkeypatch, capsys):
+    import affineschur.cli as cli
+
+    def refuse(*args, **kw):
+        raise AssertionError("the suite must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "run_all", refuse)
+    code, out, err = invoke(argv + [flag, "2", "--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from affineschur.hecke import HeckeElement, t_basis
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
 from affineschur.quantum import TensorVector, UElement
 from affineschur.schur import QTensorElement, SchurElement, Weight, phi
 from affineschur.weyl import WindowPerm
@@ -68,6 +68,7 @@ def test_scale(pair):
     assert x.scale(-1) == -x
     assert x.scale(Laurent.one()) == x
     assert 2 * x == x.scale(2) == x + x
+    assert V(2) * x == x.scale(V(2))
     assert x.scale(V(1)).scale(V(-1)) == x
 
 
@@ -134,9 +135,15 @@ def test_addmul_into_never_leaves_an_empty_coefficient():
             terms = {k: dict(c) for k, c in out.items()}
         want = _reference(out, terms, coeff)
         before, had = {k: dict(c) for k, c in terms.items()}, set(out)
+        by_key = {k: dict(c) for k, c in out.items()}
         addmul_into(out, terms, coeff)
         assert all(out.values()), out
         assert out == want
+        assert terms == before
+        for k, c in terms.items():
+            addmul_term(by_key, k, c, coeff)
+        assert all(by_key.values()), by_key
+        assert by_key == want
         assert terms == before
         cancelled += bool(had - set(out))
     assert cancelled

@@ -1,13 +1,16 @@
 """The memoised operator sweeps against their first, pair-outer form.
 
-The Hopf relation and coassociativity rows, the duality commuting-actions
-rows and the tau rank rows are rebuilt by the oracles in tests/oracles.py, which act on a fresh
-unit vector for every (operator, key) pair, and must come out identical:
-names, verdicts and witnesses.  A kernel corrupted on one key must make both
-versions fail the same checks with the same first witness.
+The Hopf relation and coassociativity rows, the duality commuting-actions,
+presentation and tau rank rows are rebuilt by the oracles in
+tests/oracles.py, which act on a fresh unit vector for every (operator, key)
+pair, and must come out identical: names, verdicts and witnesses.  A kernel
+corrupted on one key must make both versions fail the same checks with the
+same first witness.  The right T_{s_i} step is checked key by key against
+its first form.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -16,9 +19,17 @@ from affineschur.hecke import t_basis
 from affineschur.laurent import Laurent
 from affineschur.quantum import TensorVector, hecke_right_action
 from affineschur.schur import Weight, omega
+from affineschur.verify import DEFAULT_SEED
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
-from oracles import coassoc_rows, commuting_action_rows, hopf_relation_rows, tau_rows
+from oracles import (
+    act_sigma_terms,
+    coassoc_rows,
+    commuting_action_rows,
+    hopf_relation_rows,
+    presentation_rows,
+    tau_rows,
+)
 
 N = R = 3
 WINDOW = range(-2, 3)
@@ -106,6 +117,51 @@ def test_corrupted_kernel_fails_the_same_commuting_actions(monkeypatch):
     assert got == commuting_action_rows(N, R, WINDOW)
     fails = _failures(got)
     assert fails and all(name.startswith("commuting-actions-u00-") for name, _ in fails)
+
+
+def _presentation_inputs():
+    # the keys verify_affine_duality samples at the default seed
+    keyset = list(itertools.product(sorted(WINDOW), repeat=R))
+    return keyset, random.Random(DEFAULT_SEED).sample(keyset, 40)
+
+
+def test_presentation_rows_match_the_oracle():
+    keyset, sample = _presentation_inputs()
+    got = quantum._presentation_rows(N, R, keyset, sample)
+    assert got == presentation_rows(N, R, keyset, sample)
+    assert len(got) == 2 + 1 + R * R + R + 2 + 2 + 2 and all(ok for _, ok, _ in got)
+
+
+def test_corrupted_shift_fails_the_same_presentation_checks(monkeypatch):
+    """tensor_shift_slot also sends e_(1, 0, 2) to itself: linear, but no
+    longer a translation."""
+    bad_key = (1, 0, 2)
+    clean = quantum.kernels.tensor_shift_slot
+
+    def tensor_shift_slot(terms, t, amount):
+        out = clean(terms, t, amount)
+        c = terms.get(bad_key)
+        if c:
+            acc = out.setdefault(bad_key, {})
+            quantum.kernels.lp_add_into(acc, c)
+            if not acc:
+                del out[bad_key]
+        return out
+
+    monkeypatch.setattr(quantum.kernels, "tensor_shift_slot", tensor_shift_slot)
+    keyset, sample = _presentation_inputs()
+    got = quantum._presentation_rows(N, R, keyset, sample)
+    assert got == presentation_rows(N, R, keyset, sample)
+    assert _failures(got)
+
+
+@pytest.mark.parametrize("n, r, half", [(3, 3, 7), (4, 3, 7), (5, 3, 7), (4, 4, 5)])
+def test_right_generator_step_matches_its_first_form(n, r, half):
+    c = {1: 2, 0: -1}
+    for key in itertools.product(range(-half, half + 1), repeat=r):
+        for i in range(1, r):
+            got = quantum._act_sigma_terms({key: c}, i, n, r)
+            assert got == act_sigma_terms({key: c}, i, n, r), (key, i)
 
 
 def test_duality_shares_the_cached_theta_images():
