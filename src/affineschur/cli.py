@@ -32,8 +32,13 @@ THETA_NOTE = (
 # the Hopf sweep visits (2 * window + 1)^k keys for every k <= r
 HOPF_MAX_R = 3
 
-# the suites that read each flag without a default; the others refuse it
-_FLAG_READERS = {"len": ("weyl-core", "duality"), "window": ("hopf", "duality")}
+# the suites that read each flag; the others refuse it when it is given
+_FLAG_READERS = {
+    "n": ("schur-core", "hopf", "duality"),
+    "r": ("weyl-core", "hecke-core", "schur-core", "hopf", "duality"),
+    "len": ("weyl-core", "duality"),
+    "window": ("hopf", "duality"),
+}
 
 
 class InputError(ValueError):
@@ -206,23 +211,25 @@ def _suite_params(name: str, args) -> dict:
     for flag, readers in _FLAG_READERS.items():
         if getattr(args, flag) is not None and name not in readers:
             raise InputError(f"--{flag} is not read by the {name} suite")
+    n = args.n if args.n is not None else 3
+    r = args.r if args.r is not None else 3
     if name == "all":
         return {"seed": args.seed}
     if name == "weyl-core":
-        return {"r": args.r, "length": args.len if args.len is not None else 8}
+        return {"r": r, "length": args.len if args.len is not None else 8}
     if name == "hecke-core":
-        return {"r": args.r, "seed": args.seed}
+        return {"r": r, "seed": args.seed}
     if name == "kl":
         return {}
     if name == "schur-core":
-        return {"n": args.n, "r": args.r, "seed": args.seed}
+        return {"n": n, "r": r, "seed": args.seed}
     if name == "hopf":
-        if not 1 <= args.r <= HOPF_MAX_R:
-            raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {args.r}")
-        return {"n": args.n, "r": args.r, "window": args.window}
+        if not 1 <= r <= HOPF_MAX_R:
+            raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
+        return {"n": n, "r": r, "window": args.window}
     return {
-        "n": args.n,
-        "r": args.r,
+        "n": n,
+        "r": r,
         "length": args.len if args.len is not None else 3,
         "window": args.window,
         "seed": args.seed,
@@ -257,8 +264,8 @@ def _cmd_verify(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=3, help="number of index residues (rows)")
-    p.add_argument("--r", type=int, default=3, help="period / number of tensor slots")
+    p.add_argument("--n", type=int, default=None, help="number of index residues (rows); default 3")
+    p.add_argument("--r", type=int, default=None, help="period / number of tensor slots; default 3")
     p.add_argument(
         "--len", "--len-bound", dest="len", type=int, default=None, help="length bound for sweeps"
     )

@@ -2,8 +2,11 @@
 
 Elements are finite sums of basis terms T_w indexed by WindowPerm, with
 q = v**2 and the quadratic relation T_s^2 = q*T_e + (q-1)*T_s.  Products
-expand the right factor through its rho power and reduced word, so the cost
-of a*b is driven by the length of b.  On top of the T-basis sit
+expand the right factor through its rho power and reduced words.  The
+canonical reduced words of b's support form a prefix tree, and a*b walks
+that tree once: one generator sweep per node of the tree, not one per letter
+of every term.  The bar involution and the Bernstein rewrite walk the same
+tree.  On top of the T-basis sit
 
 * the parabolic sums x_lambda,
 * Kazhdan-Lusztig polynomials (zero across distinct rho powers),
@@ -22,7 +25,7 @@ v^2 - 1
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
@@ -56,6 +59,58 @@ def _gen_inv(gen: dict, terms: dict) -> dict:
     out = {key: kernels.lp_shift(c, -2) for key, c in gen.items()}
     addmul_into(out, terms, _INV_LO)
     return out
+
+
+def _word_walk(wins: Iterable[tuple[int, ...]], start: Callable, step: Callable):
+    """Yield (win, image) for each window in wins, where start(z) is the
+    image of rho^z and step(image, i) turns the image of w s_i into that of w.
+
+    The canonical word of w (WindowPerm.reduced_word) strips w's smallest
+    right descent i, so word(w) = word(w s_i) + (i): with w s_i as the
+    parent of w, the canonical words form a prefix tree whose roots are the
+    length-0 elements rho^z.  The walk covers the prefix closure of wins
+    with one step per node, depth first, and drops each image once its
+    subtree is done: only the current root-to-node path stays alive.
+    """
+    wanted = dict.fromkeys(wins)
+    kids: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    roots: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for win in wanted:
+        node = win
+        while node not in seen:
+            seen.add(node)
+            i = next((i for i in range(1, len(node) + 1) if kernels.win_is_right_descent(node, i)), None)
+            if i is None:
+                roots.append(node)
+                break
+            parent = kernels.win_mul_s_right(node, i)
+            kids.setdefault(parent, []).append((i, node))
+            node = parent
+    for root in roots:
+        img = start(root[0] - 1)
+        if root in wanted:
+            yield root, img
+        path = [(img, iter(kids.get(root, ())))]
+        while path:
+            img, todo = path[-1]
+            nxt = next(todo, None)
+            if nxt is None:
+                path.pop()
+                continue
+            i, node = nxt
+            child = step(img, i)
+            if node in wanted:
+                yield node, child
+            if node in kids:
+                path.append((child, iter(kids[node])))
+
+
+def _right_walk(terms: dict, wins: Iterable[tuple[int, ...]]):
+    """(win, terms * T_win) for each window in wins."""
+    return _word_walk(
+        wins, lambda z: kernels.hecke_mul_rho_right(terms, z), kernels.hecke_mul_gen_right
+    )
 
 
 class HeckeElement(LaurentCombination):
@@ -125,10 +180,7 @@ class HeckeElement(LaurentCombination):
 
     def mul_t_right(self, w: WindowPerm) -> "HeckeElement":
         """Right multiplication by the basis term T_w."""
-        z, word = w.reduced_word()
-        cur = kernels.hecke_mul_rho_right(self._terms, z)
-        for i in word:
-            cur = kernels.hecke_mul_gen_right(cur, i)
+        ((_, cur),) = _right_walk(self._terms, (w.window,))
         return HeckeElement._raw(self.r, cur)
 
     def __mul__(self, other: "HeckeElement | Laurent | int") -> "HeckeElement":
@@ -137,12 +189,8 @@ class HeckeElement(LaurentCombination):
         if self.r != other.r:
             raise ValueError("period mismatch")
         total: dict[tuple[int, ...], dict[int, int]] = {}
-        for wwin, c in other._terms.items():
-            z, word = WindowPerm._unsafe(wwin).reduced_word()
-            part = kernels.hecke_mul_rho_right(self._terms, z)
-            for i in word:
-                part = kernels.hecke_mul_gen_right(part, i)
-            addmul_into(total, part, c)
+        for wwin, part in _right_walk(self._terms, other._terms):
+            addmul_into(total, part, other._terms[wwin])
         return HeckeElement._raw(self.r, total)
 
     # -- involutions and specializations -----------------------------------
@@ -150,9 +198,8 @@ class HeckeElement(LaurentCombination):
     def bar(self) -> "HeckeElement":
         """The bar involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
         total: dict[tuple[int, ...], dict[int, int]] = {}
-        for wwin, c in self._terms.items():
-            inv = t_basis_inverse(WindowPerm._unsafe(kernels.win_inverse(wwin)))
-            addmul_into(total, inv._terms, kernels.lp_bar(c))
+        for wwin, img in _bar_walk(self.r, self._terms):
+            addmul_into(total, img, kernels.lp_bar(self._terms[wwin]))
         return HeckeElement._raw(self.r, total)
 
     def specialize_group_algebra(self) -> dict[WindowPerm, int]:
@@ -228,17 +275,20 @@ def specialize_group_algebra(h: HeckeElement) -> dict[WindowPerm, int]:
     return h.specialize_group_algebra()
 
 
-def t_basis_inverse(w: WindowPerm) -> HeckeElement:
-    """The inverse of the basis term T_w.
+def _bar_walk(r: int, wins: Iterable[tuple[int, ...]]):
+    """(win, bar(T_win)) for each window in wins: bar(T_rho^z) = T_rho^z
+    and bar(T_w) = bar(T_{w s_i}) * T_{s_i}^-1 along the canonical word."""
+    return _word_walk(
+        wins,
+        lambda z: {tuple(range(1 + z, r + 1 + z)): dict(_ONE)},
+        lambda terms, i: _gen_inv(kernels.hecke_mul_gen_right(terms, i), terms),
+    )
 
-    With w = rho^z s_{i_1} ... s_{i_k} reduced, the inverse is the product
-    of the generator inverses in reverse order times T_rho^-z.
-    """
-    z, word = w.reduced_word()
-    h = HeckeElement.unit(w.r)
-    for i in reversed(word):
-        h = h.mul_gen_inv_right(i)
-    return h.mul_rho_right(-z)
+
+def t_basis_inverse(w: WindowPerm) -> HeckeElement:
+    """The inverse of the basis term T_w, which is bar(T_{w^-1})."""
+    ((_, img),) = _bar_walk(w.r, (kernels.win_inverse(w.window),))
+    return HeckeElement._raw(w.r, img)
 
 
 def x_lambda(pi: ParabolicIndex) -> HeckeElement:
@@ -546,23 +596,25 @@ def to_bernstein_basis(h: HeckeElement) -> dict[tuple[tuple[int, ...], WindowPer
     through from_bernstein.
     """
     r = h.r
-    idwin = tuple(range(1, r + 1))
-    zero_c = (0,) * r
-    total: dict = {}
-    for wwin, coeff in h._terms.items():
-        z, word = WindowPerm._unsafe(wwin).reduced_word()
-        bel = {(zero_c, idwin): dict(_ONE)}
+    unit_key = ((0,) * r, tuple(range(1, r + 1)))
+
+    def start(z: int) -> dict:
+        bel = {unit_key: dict(_ONE)}
         for _ in range(z):
             bel = _b_mul_rho(bel, r)
         for _ in range(-z):
             bel = _b_mul_rho_inv(bel, r)
-        for i in word:
-            if i < r:
-                bel = _b_mul_gen(bel, i)
-            else:
-                # s_r = rho s_1 rho^-1 at the level of basis terms
-                bel = _b_mul_rho_inv(_b_mul_gen(_b_mul_rho(bel, r), 1), r)
-        addmul_into(total, bel, coeff)
+        return bel
+
+    def step(bel: dict, i: int) -> dict:
+        if i < r:
+            return _b_mul_gen(bel, i)
+        # s_r = rho s_1 rho^-1 at the level of basis terms
+        return _b_mul_rho_inv(_b_mul_gen(_b_mul_rho(bel, r), 1), r)
+
+    total: dict = {}
+    for wwin, bel in _word_walk(h._terms, start, step):
+        addmul_into(total, bel, h._terms[wwin])
     return {
         (cvec, WindowPerm._unsafe(u)): Laurent(c) for (cvec, u), c in total.items()
     }
@@ -571,9 +623,13 @@ def to_bernstein_basis(h: HeckeElement) -> dict[tuple[tuple[int, ...], WindowPer
 def from_bernstein(
     assoc: Mapping[tuple[Iterable[int], WindowPerm], Laurent], r: int
 ) -> HeckeElement:
-    """Multiply a (c, u) association back out into the standard basis."""
-    total: dict = {}
+    """Multiply a (c, u) association back out into the standard basis: one
+    product y^c * (sum of coeff * T_u) per translation vector c."""
+    tails: dict[tuple[int, ...], dict] = {}
     for (cvec, u), coeff in assoc.items():
+        addmul_term(tails.setdefault(tuple(cvec), {}), u.window, coeff.raw())
+    total: dict = {}
+    for cvec, tail in tails.items():
         h = HeckeElement.unit(r)
         for j, cj in enumerate(cvec, start=1):
             if not cj:
@@ -581,5 +637,5 @@ def from_bernstein(
             factor = bernstein_y(r, j) if cj > 0 else bernstein_y_inverse(r, j)
             for _ in range(abs(cj)):
                 h = h * factor
-        addmul_into(total, h.mul_t_right(u)._terms, coeff.raw())
+        addmul_into(total, (h * HeckeElement._raw(r, tail))._terms)
     return HeckeElement._raw(r, total)

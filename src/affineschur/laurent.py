@@ -185,13 +185,6 @@ class Laurent:
         """Largest v-exponent; raises on zero."""
         return max(self._terms)
 
-    @property
-    def valuation(self) -> int:
-        return min(self._terms)
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def q_degree(self) -> int:
         """Largest q-exponent for polynomials in q = v^2; raises if odd
         exponents are present."""

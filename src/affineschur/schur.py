@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from affineschur._backend import kernels
-from affineschur.hecke import HeckeElement, KLTable, x_lambda
+from affineschur.hecke import HeckeElement, KLTable, _right_walk, x_lambda
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into
 from affineschur.weyl import (
     ParabolicIndex,
@@ -321,13 +321,12 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
         factor = _extract_right_factor(
             HeckeElement._raw(r, raw), young_parabolic(lam2)
         )
+        right = HeckeElement._raw(r, {dwin: c.raw() for dwin, c in factor.items()})
         for (l1, m1, d1), c1 in a._terms.items():
             if m1 != l2:
                 continue
             base = _phi_value_cached(r, l1, m1, d1)
-            acc = values.setdefault((l1, m2), {})
-            for dwin, c in factor.items():
-                addmul_into(acc, base.mul_t_right(WindowPerm._unsafe(dwin))._terms, kernels.lp_mul(c.raw(), c1))
+            addmul_into(values.setdefault((l1, m2), {}), (base * right)._terms, c1)
     out: dict[tuple, dict] = {}
     for (l1, m2), h in values.items():
         coords = _expand_phi(HeckeElement._raw(r, h), Weight(n, r, l1), Weight(n, r, m2))
@@ -467,19 +466,29 @@ def _right_factor_terms(values: dict[tuple, dict], r: int) -> dict[tuple, dict]:
     return out
 
 
+def _tails_by_weight(x: QTensorElement) -> dict[tuple, dict]:
+    """{lambda parts: raw sum of c T_d} over x's terms c x_lambda T_d."""
+    tails: dict[tuple, dict] = {}
+    for (lp, dwin), c in x._terms.items():
+        tails.setdefault(lp, {})[dwin] = c
+    return tails
+
+
 def act_schur_left(s: SchurElement, x: QTensorElement) -> QTensorElement:
     """Left action through the identification x_lambda T_d = phi^d_{lam,omega}."""
     if (s.n, s.r) != (x.n, x.r):
         raise ValueError("shape mismatch")
     n, r = x.n, x.r
+    tails = _tails_by_weight(x)
     values: dict[tuple, dict] = {}
-    for (l2, dwin), c2 in x._terms.items():
-        d2 = WindowPerm._unsafe(dwin)
-        for (l1, m1, d1), c1 in s._terms.items():
-            if m1 != l2:
-                continue
-            part = _phi_value_cached(r, l1, m1, d1).mul_t_right(d2)
-            addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
+    for (l1, m1, d1), c1 in s._terms.items():
+        tail = tails.get(m1)
+        if tail is None:
+            continue
+        acc = values.setdefault(l1, {})
+        # one walk per s-term: phi value * T_d for every d of the tail
+        for dwin, part in _right_walk(_phi_value_cached(r, l1, m1, d1)._terms, tail):
+            addmul_into(acc, part, kernels.lp_mul(c1, tail[dwin]))
     return QTensorElement._raw(n, r, _right_factor_terms(values, r))
 
 
@@ -488,8 +497,8 @@ def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
     if x.r != h.r:
         raise ValueError("rank mismatch")
     n, r = x.n, x.r
-    values: dict[tuple, dict] = {}
-    for (lp, dwin), c in x._terms.items():
-        part = x_lambda(young_subgroup_of_key(lp, r)).mul_t_right(WindowPerm._unsafe(dwin)) * h
-        addmul_into(values.setdefault(lp, {}), part._terms, c)
+    values = {
+        lp: (x_lambda(young_subgroup_of_key(lp, r)) * HeckeElement._raw(r, tail) * h)._terms
+        for lp, tail in _tails_by_weight(x).items()
+    }
     return QTensorElement._raw(n, r, _right_factor_terms(values, r))

@@ -20,10 +20,10 @@ from affineschur._backend import kernels
 from affineschur.hecke import (
     HeckeElement,
     KLTable,
+    _bar_walk,
     bernstein_y,
     bernstein_y_inverse,
     t_basis,
-    t_basis_inverse,
     x_lambda,
 )
 from affineschur.laurent import Laurent, addmul_into
@@ -347,7 +347,10 @@ def _kl_by_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
     lower = {WindowPerm.identity(r)}
     for i in word:
         lower |= {u * WindowPerm.s(r, i) for u in lower}
-    bar_t = {z: t_basis_inverse(z.inverse()) for z in lower}
+    bar_t = {
+        WindowPerm._unsafe(win): HeckeElement._raw(r, img)
+        for win, img in _bar_walk(r, (z.window for z in lower))
+    }
     lw = w.length()
     out: dict[WindowPerm, Laurent] = {w: Laurent.one()}
     for y in sorted(lower, key=lambda z: (-z.length(), z.window)):

@@ -128,9 +128,6 @@ class WindowPerm:
             self._len = kernels.win_length(self.window)
         return self._len
 
-    def is_identity(self) -> bool:
-        return self.window == tuple(range(1, self.r + 1))
-
     # -- descents ----------------------------------------------------------
 
     def left_descents(self) -> frozenset[int]:
@@ -200,10 +197,6 @@ class WindowPerm:
             perm.append(j)
             shifts[j - 1] = (val - j) // r
         return tuple(perm), tuple(shifts)
-
-    def is_finite(self) -> bool:
-        """True when the window is a permutation of 1..r."""
-        return all(1 <= t <= self.r for t in self.window)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -370,9 +363,6 @@ class ParabolicIndex:
             if i is None:
                 return w
             w = w * WindowPerm.s(self.r, i)
-
-    def poincare_exponents(self) -> list[int]:
-        return [w.length() for w in self.elements()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParabolicIndex):

@@ -256,9 +256,12 @@ def modp_rref(a, p: int):
         if sel != rr:
             a[[rr, sel]] = a[[sel, rr]]
         a[rr] = (a[rr] * pow(int(a[rr, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[rr] = 0
-        a = (a - np.outer(col, a[rr])) % p
+        # only rows with a nonzero in column c change, and only from column c
+        # on: the pivot row is zero to the left of c
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != rr]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[rr, c:])) % p
         piv.append(c)
         rr += 1
         if rr == rows:
@@ -622,3 +625,136 @@ def presentation_rows(n: int, r: int, keyset, sample_keys) -> list[tuple]:
                     break
         checks.append(_first_failure(f"translation-distant-all-keys-{i}", fails))
     return checks
+
+
+# ---------------------------------------------------------------------------
+# Per-term reduced-word loops, replaced in the library by one prefix-shared
+# walk (hecke._word_walk).  Each term of the right factor replays its whole
+# reduced word; the library's old code, kept as the reference.
+
+
+def t_basis_inverse_by_words(w: WindowPerm):
+    """T_w^-1: the generator inverses of w's reduced word in reverse order,
+    then T_rho^-z."""
+    from affineschur.hecke import HeckeElement
+
+    z, word = w.reduced_word()
+    h = HeckeElement.unit(w.r)
+    for i in reversed(word):
+        h = h.mul_gen_inv_right(i)
+    return h.mul_rho_right(-z)
+
+
+def hecke_mul_by_words(a, b):
+    """a * b, one full reduced-word sweep per term of b."""
+    from affineschur._backend import kernels
+    from affineschur.hecke import HeckeElement
+    from affineschur.laurent import addmul_into
+
+    if a.r != b.r:
+        raise ValueError("period mismatch")
+    total: dict[tuple[int, ...], dict[int, int]] = {}
+    for wwin, c in b._terms.items():
+        z, word = WindowPerm._unsafe(wwin).reduced_word()
+        part = kernels.hecke_mul_rho_right(a._terms, z)
+        for i in word:
+            part = kernels.hecke_mul_gen_right(part, i)
+        addmul_into(total, part, c)
+    return HeckeElement._raw(a.r, total)
+
+
+def hecke_bar_by_words(h):
+    """bar(h): bar each coefficient and invert T_{w^-1} term by term."""
+    from affineschur._backend import kernels
+    from affineschur.hecke import HeckeElement
+    from affineschur.laurent import addmul_into
+
+    total: dict[tuple[int, ...], dict[int, int]] = {}
+    for wwin, c in h._terms.items():
+        inv = t_basis_inverse_by_words(WindowPerm._unsafe(kernels.win_inverse(wwin)))
+        addmul_into(total, inv._terms, kernels.lp_bar(c))
+    return HeckeElement._raw(h.r, total)
+
+
+def to_bernstein_basis_by_words(h) -> dict:
+    """The (c, u) rewrite of h, each term's reduced word replayed from the
+    unit."""
+    from affineschur.hecke import _b_mul_gen, _b_mul_rho, _b_mul_rho_inv
+    from affineschur.laurent import addmul_into
+
+    r = h.r
+    idwin = tuple(range(1, r + 1))
+    zero_c = (0,) * r
+    total: dict = {}
+    for wwin, coeff in h._terms.items():
+        z, word = WindowPerm._unsafe(wwin).reduced_word()
+        bel = {(zero_c, idwin): {0: 1}}
+        for _ in range(z):
+            bel = _b_mul_rho(bel, r)
+        for _ in range(-z):
+            bel = _b_mul_rho_inv(bel, r)
+        for i in word:
+            if i < r:
+                bel = _b_mul_gen(bel, i)
+            else:
+                # s_r = rho s_1 rho^-1 at the level of basis terms
+                bel = _b_mul_rho_inv(_b_mul_gen(_b_mul_rho(bel, r), 1), r)
+        addmul_into(total, bel, coeff)
+    return {
+        (cvec, WindowPerm._unsafe(u)): Laurent(c) for (cvec, u), c in total.items()
+    }
+
+
+def from_bernstein_by_words(assoc, r: int):
+    """Multiply a (c, u) association back out term by term, each product
+    through hecke_mul_by_words."""
+    from affineschur.hecke import HeckeElement, bernstein_y, bernstein_y_inverse
+    from affineschur.laurent import addmul_into
+
+    total: dict = {}
+    for (cvec, u), coeff in assoc.items():
+        h = HeckeElement.unit(r)
+        for j, cj in enumerate(cvec, start=1):
+            if not cj:
+                continue
+            factor = bernstein_y(r, j) if cj > 0 else bernstein_y_inverse(r, j)
+            for _ in range(abs(cj)):
+                h = hecke_mul_by_words(h, factor)
+        addmul_into(total, hecke_mul_by_words(h, HeckeElement.t_basis(u))._terms, coeff.raw())
+    return HeckeElement._raw(r, total)
+
+
+def act_schur_left_by_terms(s, x):
+    """s . x, one product phi value * T_d per pair of terms of s and x."""
+    from affineschur._backend import kernels
+    from affineschur.laurent import addmul_into
+    from affineschur.schur import QTensorElement, _phi_value_cached, _right_factor_terms
+
+    if (s.n, s.r) != (x.n, x.r):
+        raise ValueError("shape mismatch")
+    n, r = x.n, x.r
+    values: dict[tuple, dict] = {}
+    for (l2, dwin), c2 in x._terms.items():
+        d2 = WindowPerm._unsafe(dwin)
+        for (l1, m1, d1), c1 in s._terms.items():
+            if m1 != l2:
+                continue
+            part = _phi_value_cached(r, l1, m1, d1).mul_t_right(d2)
+            addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
+    return QTensorElement._raw(n, r, _right_factor_terms(values, r))
+
+
+def act_hecke_right_by_terms(x, h):
+    """x . h, one product x_lambda T_d * h per term of x."""
+    from affineschur.hecke import x_lambda
+    from affineschur.laurent import addmul_into
+    from affineschur.schur import QTensorElement, _right_factor_terms, young_subgroup_of_key
+
+    if x.r != h.r:
+        raise ValueError("rank mismatch")
+    n, r = x.n, x.r
+    values: dict[tuple, dict] = {}
+    for (lp, dwin), c in x._terms.items():
+        part = x_lambda(young_subgroup_of_key(lp, r)).mul_t_right(WindowPerm._unsafe(dwin)) * h
+        addmul_into(values.setdefault(lp, {}), part._terms, c)
+    return QTensorElement._raw(n, r, _right_factor_terms(values, r))

@@ -257,7 +257,9 @@ def test_schur_verify_uses_the_suite_parameters(monkeypatch, capsys):
     "argv, flag",
     [(["verify", suite], "--len") for suite in ("hecke-core", "kl", "schur-core", "hopf", "all")]
     + [(["verify", suite], "--window") for suite in ("weyl-core", "hecke-core", "kl", "schur-core", "all")]
-    + [(["schur", "verify"], "--len"), (["schur", "verify"], "--window"), (["quantum", "verify-hopf"], "--len")],
+    + [(["schur", "verify"], "--len"), (["schur", "verify"], "--window"), (["quantum", "verify-hopf"], "--len")]
+    + [(["verify", suite], flag) for suite in ("kl", "all") for flag in ("--n", "--r")]
+    + [(["verify", "weyl-core"], "--n"), (["verify", "hecke-core"], "--n")],
 )
 def test_unread_flag_exits_two_before_any_work(argv, flag, monkeypatch, capsys):
     import affineschur.cli as cli
@@ -271,3 +273,21 @@ def test_unread_flag_exits_two_before_any_work(argv, flag, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("suite, read", [("weyl-core", "r"), ("hecke-core", "r"), ("schur-core", "n")])
+def test_given_n_and_r_reach_the_suite(suite, read, monkeypatch, capsys):
+    import affineschur.cli as cli
+    from affineschur.verify import SuiteReport
+
+    seen = []
+
+    def record(name, **kw):
+        seen.append(kw)
+        return SuiteReport(name, kw, [], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    code, _, _ = invoke(["verify", suite, "--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and seen[0][read] == 3
+    code, _, _ = invoke(["verify", suite, f"--{read}", "4", "--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and seen[1][read] == 4

@@ -34,7 +34,13 @@ from affineschur.weyl import (
     is_distinguished,
     longest_double_coset_elt,
 )
-from oracles import modp_in_span, modp_nullspace, modp_rank
+from oracles import (
+    act_hecke_right_by_terms,
+    act_schur_left_by_terms,
+    modp_in_span,
+    modp_nullspace,
+    modp_rank,
+)
 
 N = R = 3
 OM = omega(N, R)
@@ -320,6 +326,31 @@ def test_actions_commute():
         x = QTensorElement.basis(rng.choice(LAMS), rng.choice(pool))
         h = t_basis(rng.choice(pool)) + t_basis(rng.choice(pool)).scale(Laurent.v(-1))
         assert act_hecke_right(act_schur_left(s, x), h) == act_schur_left(s, act_hecke_right(x, h))
+
+
+def test_actions_match_the_per_term_loops():
+    """Both actions multiply once per weight (the terms of x grouped by
+    lambda) and must agree key by key with one product per term."""
+    rng = random.Random(31)
+    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    # few weights on the right of s and in x, so that terms share a weight
+    mids = LAMS[:3]
+    nonzero = 0
+    for k in range(12):
+        s = SchurElement.zero(N, R)
+        for _ in range(rng.randint(1, 4)):
+            s = s + phi(rng.choice(LAMS), rng.choice(mids), rng.choice(pool)).scale(
+                Laurent({rng.randint(-1, 1): rng.choice([-2, 1, 3])})
+            )
+        x = QTensorElement.zero(N, R)
+        for _ in range(k % 5):
+            x = x + QTensorElement.basis(rng.choice(mids), rng.choice(pool)).scale(Laurent.v(rng.randint(-1, 1)))
+        h = t_basis(rng.choice(pool)) + t_basis(rng.choice(pool)).scale(Laurent.v(-1) - 2)
+        left = act_schur_left(s, x)
+        assert left._terms == act_schur_left_by_terms(s, x)._terms
+        assert act_hecke_right(x, h)._terms == act_hecke_right_by_terms(x, h)._terms
+        nonzero += not left.is_zero()
+    assert nonzero >= 6
 
 
 def test_left_action_composes_like_the_product():
