@@ -14,7 +14,9 @@ containers so both backends stay trivially interchangeable:
 * Hecke algebra elements are dicts mapping window tuples to Laurent dicts.
 * Tensor-space vectors are dicts mapping int tuples (keys) to Laurent dicts.
 
-The Hecke and tensor kernels hard-code q = v**2.
+The Hecke and tensor kernels hard-code q = v**2.  The window kernels and the
+right generator step make one pass over a window, with one residue test per
+entry; win_length is Shi's formula, a sum over the r(r-1)/2 pairs of entries.
 """
 
 from __future__ import annotations
@@ -134,14 +136,22 @@ def win_apply(w, t):
 def win_pos(w, val):
     """Position of a value: val = (t)w returns t.  O(r) scan by residue."""
     r = len(w)
-    for j in range(r):
-        if (val - w[j]) % r == 0:
-            return j + 1 + (val - w[j])
+    j = 1
+    for x in w:
+        d = val - x
+        if not d % r:
+            return j + d
+        j += 1
     raise ValueError("incomplete residue system in window")
 
 
 def win_compose(u, w):
-    return tuple(win_apply(w, t) for t in u)
+    r = len(w)
+    out = []
+    for t in u:
+        s = (t - 1) % r
+        out.append(w[s] + t - 1 - s)
+    return tuple(out)
 
 
 def win_inverse(w):
@@ -154,20 +164,14 @@ def win_inverse(w):
 
 
 def win_length(w):
-    """Crossing count: pairs i < j (i in 1..r, j in Z) with (i)w > (j)w."""
+    """Shi's formula: the sum over 1 <= i < j <= r of |floor((w(j) - w(i)) / r)|."""
     r = len(w)
     total = 0
-    for i in range(r):
-        wi = w[i]
-        for s in range(r):
-            d = wi - w[s]
-            if d <= 0:
-                continue
-            cnt = (d + r - 1) // r  # number of m >= 0 with m*r < d
-            if s <= i:
-                cnt -= 1  # position s + m*r must exceed i + 1, so m >= 1
-            if cnt > 0:
-                total += cnt
+    j = 0
+    for b in w:
+        for a in w[:j]:
+            total += abs((b - a) // r)
+        j += 1
     return total
 
 
@@ -189,12 +193,14 @@ def win_mul_s_right(w, i):
     """Window of w * s_i: swap the values i, i+1 in every congruence class."""
     r = len(w)
     out = list(w)
-    for j in range(r):
-        m = (out[j] - i) % r
-        if m == 0:
-            out[j] += 1
+    j = 0
+    for x in w:
+        m = (x - i) % r
+        if not m:
+            out[j] = x + 1
         elif m == 1:
-            out[j] -= 1
+            out[j] = x - 1
+        j += 1
     return tuple(out)
 
 
@@ -218,7 +224,20 @@ def win_is_left_descent(w, i):
 
 def win_is_right_descent(w, i):
     """True iff (i)w^-1 > (i+1)w^-1, i.e. w * s_i is shorter than w."""
-    return win_pos(w, i) > win_pos(w, i + 1)
+    r = len(w)
+    a = b = None  # (i)w^-1 - i - 1 and (i+1)w^-1 - i - 2
+    j = 0
+    for x in w:
+        m = (x - i) % r
+        if not m:
+            if a is None:
+                a = j - x
+        elif m == 1 and b is None:
+            b = j - x
+        j += 1
+    if a is None or b is None:
+        raise ValueError("incomplete residue system in window")
+    return a > b + 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +245,48 @@ def win_is_right_descent(w, i):
 
 
 def hecke_mul_gen_right(terms, i):
+    """T_w T_s = T_{ws} if ws > w, else q T_{ws} + (q - 1) T_w.  One pass
+    over each window builds ws and finds a, b as in win_is_right_descent; a
+    new accumulator is a shifted copy of the coefficient."""
     out = {}
     for w, c in terms.items():
-        wsi = win_mul_s_right(w, i)
-        if win_pos(w, i) > win_pos(w, i + 1):
-            acc = out.setdefault(wsi, {})
-            lp_addmul_into(acc, c, _Q)
-            if not acc:
-                del out[wsi]
-            acc = out.setdefault(w, {})
-            lp_addmul_into(acc, c, _QM1)
-            if not acc:
-                del out[w]
+        r = len(w)
+        ws = list(w)
+        a = b = None
+        j = 0
+        for x in w:
+            m = (x - i) % r
+            if not m:
+                ws[j] = x + 1
+                if a is None:
+                    a = j - x
+            elif m == 1:
+                ws[j] = x - 1
+                if b is None:
+                    b = j - x
+            j += 1
+        if a is None or b is None:
+            raise ValueError("incomplete residue system in window")
+        if not c:
+            continue
+        ws = tuple(ws)
+        down = a > b + 1
+        qc = {e + 2: k for e, k in c.items()} if down else dict(c)
+        acc = out.get(ws)
+        if acc is None:
+            out[ws] = qc
         else:
-            acc = out.setdefault(wsi, {})
-            lp_add_into(acc, c)
+            lp_add_into(acc, qc)
             if not acc:
-                del out[wsi]
+                del out[ws]
+        if down:
+            acc = out.get(w)
+            if acc is None:
+                out[w] = lp_sub(qc, c)
+            else:
+                lp_addmul_into(acc, c, _QM1)
+                if not acc:
+                    del out[w]
     return out
 
 

@@ -32,12 +32,14 @@ THETA_NOTE = (
 # the Hopf sweep visits (2 * window + 1)^k keys for every k <= r
 HOPF_MAX_R = 3
 
-# the suites that read each flag; the others refuse it when it is given
+# the suites that read each flag; the other suites and every payload verb
+# (which reads none) refuse it when it is given
 _FLAG_READERS = {
     "n": ("schur-core", "hopf", "duality"),
     "r": ("weyl-core", "hecke-core", "schur-core", "hopf", "duality"),
     "len": ("weyl-core", "duality"),
     "window": ("hopf", "duality"),
+    "seed": ("all", "hecke-core", "schur-core", "duality"),
 }
 
 
@@ -45,8 +47,15 @@ class InputError(ValueError):
     """Bad JSON or a value out of domain; maps to exit code 2."""
 
 
-def _read_payload(stream) -> object:
-    text = stream.read()
+def _refuse_unread(name: str, args) -> None:
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag) is not None and name not in readers:
+            raise InputError(f"--{flag} is not read by {name}")
+
+
+def _read_payload(args) -> object:
+    _refuse_unread(f"{args.command} {args.verb}", args)
+    text = sys.stdin.read()
     if not text.strip():
         raise InputError("expected a JSON payload on stdin")
     try:
@@ -73,7 +82,7 @@ def _as_list(payload, what: str, least: int = 2) -> list:
 
 
 def _cmd_weyl(args) -> int:
-    payload = _read_payload(sys.stdin)
+    payload = _read_payload(args)
     if args.verb == "compose":
         parts = [WindowPerm.from_obj(o) for o in _as_list(payload, "weyl compose")]
         out = parts[0]
@@ -102,7 +111,7 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
-    payload = _read_payload(sys.stdin)
+    payload = _read_payload(args)
     if args.verb == "mul":
         parts = [HeckeElement.from_obj(o) for o in _as_list(payload, "hecke mul")]
         out = parts[0]
@@ -135,7 +144,7 @@ def _cmd_schur(args) -> int:
 
     if args.verb == "verify":
         return _run_reports([run_suite("schur-core", **_suite_params("schur-core", args))], args)
-    payload = _read_payload(sys.stdin)
+    payload = _read_payload(args)
     if args.verb == "mul":
         parts = [SchurElement.from_obj(o) for o in _as_list(payload, "schur mul")]
         out = parts[0]
@@ -166,7 +175,7 @@ def _cmd_quantum(args) -> int:
     if args.verb in ("verify-hopf", "verify-duality"):
         suite = args.verb[len("verify-"):]
         return _run_reports([run_suite(suite, **_suite_params(suite, args))], args)
-    payload = _read_payload(sys.stdin)
+    payload = _read_payload(args)
     if args.verb == "act":
         if not isinstance(payload, dict) or "element" not in payload or "vector" not in payload:
             raise InputError('quantum act expects {"element": …, "vector": …}')
@@ -208,21 +217,20 @@ def _cmd_quantum(args) -> int:
 
 
 def _suite_params(name: str, args) -> dict:
-    for flag, readers in _FLAG_READERS.items():
-        if getattr(args, flag) is not None and name not in readers:
-            raise InputError(f"--{flag} is not read by the {name} suite")
+    _refuse_unread(name, args)
     n = args.n if args.n is not None else 3
     r = args.r if args.r is not None else 3
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     if name == "all":
-        return {"seed": args.seed}
+        return {"seed": seed}
     if name == "weyl-core":
         return {"r": r, "length": args.len if args.len is not None else 8}
     if name == "hecke-core":
-        return {"r": r, "seed": args.seed}
+        return {"r": r, "seed": seed}
     if name == "kl":
         return {}
     if name == "schur-core":
-        return {"n": n, "r": r, "seed": args.seed}
+        return {"n": n, "r": r, "seed": seed}
     if name == "hopf":
         if not 1 <= r <= HOPF_MAX_R:
             raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
@@ -232,7 +240,7 @@ def _suite_params(name: str, args) -> dict:
         "r": r,
         "length": args.len if args.len is not None else 3,
         "window": args.window,
-        "seed": args.seed,
+        "seed": seed,
     }
 
 
@@ -270,7 +278,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--len", "--len-bound", dest="len", type=int, default=None, help="length bound for sweeps"
     )
     p.add_argument("--window", type=int, default=None, help="index window half-width")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed for sampled checks")
+    p.add_argument(
+        "--seed", type=int, default=None, help=f"PRNG seed for sampled checks; default {DEFAULT_SEED}"
+    )
     p.add_argument("--json", action="store_true", help="emit canonical JSON on stdout")
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
-from affineschur.weyl import ParabolicIndex, WindowPerm, bruhat_leq
+from affineschur.weyl import ParabolicIndex, WindowPerm
 
 __all__ = [
     "HeckeElement",
@@ -304,8 +304,10 @@ class KLTable:
     """Memoized Kazhdan-Lusztig polynomials P_{y,w} in q = v**2.
 
     Values are stored for pairs in the Coxeter part; the extension across
-    rho powers is a Kronecker delta.  The single mutable structure of this
-    module: confine a table to one task, or guard fills externally.
+    rho powers is a Kronecker delta.  Bruhat tests use the table's own lower
+    sets (the interval [e, w] of each w met), so they end with the table.
+    The single mutable structure of this module: confine a table to one
+    task, or guard fills externally.
     """
 
     def __init__(self, r: int):
@@ -361,7 +363,7 @@ class KLTable:
     def _kl_compute(self, ywin, wwin) -> dict[int, int]:
         if ywin == wwin:
             return {0: 1}
-        if not bruhat_leq(WindowPerm._unsafe(ywin), WindowPerm._unsafe(wwin)):
+        if ywin not in self._lower_set(wwin):
             return {}
         r = self.r
         s = next(
@@ -514,7 +516,7 @@ def _b_mul_gen(bel: dict, i: int) -> dict:
     out: dict = {}
     for (cvec, u), c in bel.items():
         us = kernels.win_mul_s_right(u, i)
-        if kernels.win_pos(u, i) > kernels.win_pos(u, i + 1):
+        if kernels.win_is_right_descent(u, i):
             addmul_term(out, (cvec, us), kernels.lp_shift(c, 2))
             addmul_term(out, (cvec, u), c, _QM1)
         else:
@@ -534,9 +536,7 @@ def _finite_term_mul_y(u: tuple[int, ...], j: int, e: int) -> tuple:
     if u == idwin:
         cvec = tuple(e if t == j else 0 for t in range(1, r + 1))
         return (((cvec, idwin), _ONE),)
-    i = next(
-        i for i in range(1, r) if kernels.win_pos(u, i) > kernels.win_pos(u, i + 1)
-    )
+    i = next(i for i in range(1, r) if kernels.win_is_right_descent(u, i))
     u2 = kernels.win_mul_s_right(u, i)  # u = u2 * s_i, shorter
     def as_dict(pairs):
         return {key: dict(c) for key, c in pairs}

@@ -140,9 +140,7 @@ class WindowPerm:
     def right_descents(self) -> frozenset[int]:
         """Generators i with w * s_i shorter than w."""
         win = self.window
-        return frozenset(
-            i for i in range(1, self.r + 1) if kernels.win_pos(win, i) > kernels.win_pos(win, i + 1)
-        )
+        return frozenset(i for i in range(1, self.r + 1) if kernels.win_is_right_descent(win, i))
 
     # -- canonical factorizations -----------------------------------------
 
@@ -169,10 +167,7 @@ class WindowPerm:
         win = c.window
         r = len(win)
         while True:
-            i = next(
-                (i for i in range(1, r + 1) if kernels.win_pos(win, i) > kernels.win_pos(win, i + 1)),
-                None,
-            )
+            i = next((i for i in range(1, r + 1) if kernels.win_is_right_descent(win, i)), None)
             if i is None:
                 break
             letters.append(i)
@@ -431,7 +426,7 @@ def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex)
                 win = kernels.win_mul_s_left(win, i)
                 changed = True
         for i in rgens:
-            while kernels.win_pos(win, i) > kernels.win_pos(win, i + 1):
+            while kernels.win_is_right_descent(win, i):
                 win = kernels.win_mul_s_right(win, i)
                 changed = True
     return WindowPerm._unsafe(win)

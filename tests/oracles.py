@@ -12,6 +12,7 @@ from collections import deque
 
 import numpy as np
 
+from affineschur._kernels_py import lp_add_into, lp_addmul_into, win_apply
 from affineschur.laurent import Laurent
 from affineschur.weyl import ParabolicIndex, WindowPerm
 
@@ -758,3 +759,126 @@ def act_hecke_right_by_terms(x, h):
         part = x_lambda(young_subgroup_of_key(lp, r)).mul_t_right(WindowPerm._unsafe(dwin)) * h
         addmul_into(values.setdefault(lp, {}), part._terms, c)
     return QTensorElement._raw(n, r, _right_factor_terms(values, r))
+
+
+# ---------------------------------------------------------------------------
+# Scanning window kernels, replaced in the pure backend by single passes
+# (one residue test per window entry, Shi's formula for the length).  The
+# old bodies, kept as the reference for tests/test_kernels_py.py.
+
+
+_Q = {2: 1}          # q
+_QM1 = {2: 1, 0: -1}  # q - 1
+
+
+def win_pos(w, val):
+    """Position of a value: val = (t)w returns t.  O(r) scan by residue."""
+    r = len(w)
+    for j in range(r):
+        if (val - w[j]) % r == 0:
+            return j + 1 + (val - w[j])
+    raise ValueError("incomplete residue system in window")
+
+
+def win_compose(u, w):
+    return tuple(win_apply(w, t) for t in u)
+
+
+def win_length(w):
+    """Crossing count: pairs i < j (i in 1..r, j in Z) with (i)w > (j)w."""
+    r = len(w)
+    total = 0
+    for i in range(r):
+        wi = w[i]
+        for s in range(r):
+            d = wi - w[s]
+            if d <= 0:
+                continue
+            cnt = (d + r - 1) // r  # number of m >= 0 with m*r < d
+            if s <= i:
+                cnt -= 1  # position s + m*r must exceed i + 1, so m >= 1
+            if cnt > 0:
+                total += cnt
+    return total
+
+
+def win_mul_s_right(w, i):
+    """Window of w * s_i: swap the values i, i+1 in every congruence class."""
+    r = len(w)
+    out = list(w)
+    for j in range(r):
+        m = (out[j] - i) % r
+        if m == 0:
+            out[j] += 1
+        elif m == 1:
+            out[j] -= 1
+    return tuple(out)
+
+
+def win_is_right_descent(w, i):
+    """True iff (i)w^-1 > (i+1)w^-1, i.e. w * s_i is shorter than w."""
+    return win_pos(w, i) > win_pos(w, i + 1)
+
+
+def hecke_mul_gen_right(terms, i):
+    out = {}
+    for w, c in terms.items():
+        wsi = win_mul_s_right(w, i)
+        if win_pos(w, i) > win_pos(w, i + 1):
+            acc = out.setdefault(wsi, {})
+            lp_addmul_into(acc, c, _Q)
+            if not acc:
+                del out[wsi]
+            acc = out.setdefault(w, {})
+            lp_addmul_into(acc, c, _QM1)
+            if not acc:
+                del out[w]
+        else:
+            acc = out.setdefault(wsi, {})
+            lp_add_into(acc, c)
+            if not acc:
+                del out[wsi]
+    return out
+
+
+def kl_table_by_bruhat(r: int):
+    """A KLTable whose Bruhat test is the global bruhat_leq, as before the
+    table tested membership in its own lower sets."""
+    from affineschur._backend import kernels
+    from affineschur.hecke import KLTable
+    from affineschur.weyl import bruhat_leq
+
+    class KLTableByBruhat(KLTable):
+        def _kl_compute(self, ywin, wwin) -> dict[int, int]:
+            if ywin == wwin:
+                return {0: 1}
+            if not bruhat_leq(WindowPerm._unsafe(ywin), WindowPerm._unsafe(wwin)):
+                return {}
+            r = self.r
+            s = next(
+                i for i in range(1, r + 1)
+                if kernels.win_apply(wwin, i) > kernels.win_apply(wwin, i + 1)
+            )
+            if not kernels.win_apply(ywin, s) > kernels.win_apply(ywin, s + 1):
+                # s*y > y: P_{y,w} = P_{sy,w}
+                return dict(self._kl(kernels.win_mul_s_left(ywin, s), wwin))
+            vwin = kernels.win_mul_s_left(wwin, s)
+            sywin = kernels.win_mul_s_left(ywin, s)
+            acc = dict(self._kl(sywin, vwin))
+            kernels.lp_add_into(acc, kernels.lp_shift(self._kl(ywin, vwin), 2))
+            lv = kernels.win_length(vwin)
+            for zwin in self._lower_set(vwin):
+                if not kernels.win_apply(zwin, s) > kernels.win_apply(zwin, s + 1):
+                    continue  # need s*z < z
+                mm = lv - kernels.win_length(zwin)
+                if mm <= 0 or mm % 2 == 0:
+                    continue
+                mu = self._kl(zwin, vwin).get(mm - 1, 0)
+                if not mu:
+                    continue
+                pyz = self._kl(ywin, zwin)
+                if pyz:
+                    kernels.lp_add_into(acc, kernels.lp_scale(kernels.lp_shift(pyz, mm + 1), -mu))
+            return acc
+
+    return KLTableByBruhat(r)

@@ -8,6 +8,7 @@ is visible in plain pytest output.
 
 import pytest
 
+from affineschur import quantum
 from affineschur.hecke import HeckeElement
 from affineschur.verify import (
     run_duality,
@@ -18,6 +19,8 @@ from affineschur.verify import (
     run_weyl_core,
 )
 from affineschur.weyl import ParabolicIndex, WindowPerm, bruhat_leq, enumerate_up_to_length
+
+from sweep_cache import cached_verify_hopf
 
 VERDICTS: list[tuple[str, bool]] = []
 
@@ -60,7 +63,10 @@ def test_criterion_4_schur_core():
     _record("criterion 4: schur-core n=r=3", [run_schur_core(samples=50)])
 
 
-def test_criterion_5_hopf_both_sizes():
+def test_criterion_5_hopf_both_sizes(monkeypatch):
+    # run_hopf imports verify_hopf at call time; the n=3 rows are shared
+    # with test_quantum.py::test_hopf_sweep_rank_three
+    monkeypatch.setattr(quantum, "verify_hopf", cached_verify_hopf)
     reports = [run_hopf(n=3), run_hopf(n=4)]
     names = {name for rep in reports for name, _, _ in rep.checks}
     for family in ("def-rel", "coassoc", "counit-left", "counit-right", "antipode"):

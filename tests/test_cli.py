@@ -259,7 +259,9 @@ def test_schur_verify_uses_the_suite_parameters(monkeypatch, capsys):
     + [(["verify", suite], "--window") for suite in ("weyl-core", "hecke-core", "kl", "schur-core", "all")]
     + [(["schur", "verify"], "--len"), (["schur", "verify"], "--window"), (["quantum", "verify-hopf"], "--len")]
     + [(["verify", suite], flag) for suite in ("kl", "all") for flag in ("--n", "--r")]
-    + [(["verify", "weyl-core"], "--n"), (["verify", "hecke-core"], "--n")],
+    + [(["verify", "weyl-core"], "--n"), (["verify", "hecke-core"], "--n")]
+    + [(["verify", suite], "--seed") for suite in ("weyl-core", "kl", "hopf")]
+    + [(["quantum", "verify-hopf"], "--seed")],
 )
 def test_unread_flag_exits_two_before_any_work(argv, flag, monkeypatch, capsys):
     import affineschur.cli as cli
@@ -291,3 +293,57 @@ def test_given_n_and_r_reach_the_suite(suite, read, monkeypatch, capsys):
     assert code == 0 and seen[0][read] == 3
     code, _, _ = invoke(["verify", suite, f"--{read}", "4", "--json"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0 and seen[1][read] == 4
+
+
+@pytest.mark.parametrize("suite", ["all", "hecke-core", "schur-core", "duality"])
+def test_default_and_given_seed_reach_the_suite(suite, monkeypatch, capsys):
+    import affineschur.cli as cli
+    from affineschur.verify import SuiteReport
+
+    seen = []
+
+    def record(name="all", **kw):
+        seen.append(kw["seed"])
+        return SuiteReport(name, kw, [], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    monkeypatch.setattr(cli, "run_all", lambda **kw: [record(**kw)])
+    for extra in ([], ["--seed", "7"]):
+        code, _, _ = invoke(["verify", suite, "--json"] + extra, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0
+    assert seen == [cli.DEFAULT_SEED, 7]
+
+
+PAYLOAD_VERBS = (
+    [("weyl", verb) for verb in ("length", "word", "compose", "coset")]
+    + [("hecke", verb) for verb in ("mul", "xlambda", "kl")]
+    + [("schur", verb) for verb in ("mul", "phi", "theta")]
+    + [("quantum", verb) for verb in ("act", "tau", "kappa")]
+)
+
+
+class UnreadStdin(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin must not be read")
+
+
+@pytest.mark.parametrize("command, verb", PAYLOAD_VERBS)
+def test_payload_verbs_refuse_every_sweep_flag(command, verb, monkeypatch, capsys):
+    for flag in ("--n", "--r", "--len", "--window", "--seed"):
+        monkeypatch.setattr(sys, "stdin", UnreadStdin())
+        code = run([command, verb, flag, "2", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+
+def test_weyl_length_refuses_unread_flags_and_answers_without_them(monkeypatch, capsys):
+    payload = '{"r":3,"window":[2,1,3]}'
+    argv = ["weyl", "length", "--r", "9", "--window", "4", "--len", "2", "--json"]
+    code, out, err = invoke(argv, stdin=payload, monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "--r" in err
+    code, out, _ = invoke(["weyl", "length", "--json"], stdin=payload, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {"length": 1, "rho_power": 0}

@@ -1,0 +1,169 @@
+"""The single-pass pure window and Hecke-generator kernels against the
+scanning bodies they replaced (oracles.py), and the KL table's own Bruhat
+test against the global bruhat_leq.
+
+tests/test_backends.py compares the two backends and is skipped when the
+extension is not built; these tests run on the pure module directly.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from affineschur import _kernels_py as pure
+from affineschur import weyl
+from affineschur.hecke import KLTable
+from affineschur.weyl import WindowPerm, bruhat_leq
+
+import oracles
+
+SEED = 20261018
+
+
+def seeded_windows(rng, r, count=12, max_len=30):
+    """Windows rho^z * (a random word of at most max_len letters) for every
+    rho power z in -3..3; lengths run up to max_len."""
+    out = []
+    for z in range(-3, 4):
+        for _ in range(count):
+            w = tuple(range(1 + z, r + 1 + z))
+            for _ in range(rng.randrange(max_len + 1)):
+                w = oracles.win_mul_s_right(w, rng.randrange(1, r + 1))
+            out.append(w)
+    return out
+
+
+def rand_lp(rng):
+    return {rng.randrange(-6, 7): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(1, 4))}
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_window_kernels_match_the_scanning_bodies(r):
+    rng = random.Random(SEED + r)
+    wins = seeded_windows(rng, r)
+    assert max(oracles.win_length(w) for w in wins) > 12
+    for w in wins:
+        assert pure.win_length(w) == oracles.win_length(w)
+        u = rng.choice(wins)
+        assert pure.win_compose(u, w) == oracles.win_compose(u, w)
+        for i in range(1, r + 1):
+            assert pure.win_mul_s_right(w, i) == oracles.win_mul_s_right(w, i)
+            assert pure.win_is_right_descent(w, i) == oracles.win_is_right_descent(w, i)
+        # every value of several periods, most of them outside the window
+        for val in range(min(w) - 2 * r, max(w) + 2 * r + 1):
+            assert pure.win_pos(w, val) == oracles.win_pos(w, val)
+
+
+def test_length_is_the_crossing_count_across_rho_powers():
+    rng = random.Random(SEED)
+    for r in range(3, 8):
+        for _ in range(300):
+            base = list(range(1, r + 1))
+            rng.shuffle(base)
+            w = tuple(b + r * rng.randrange(-4, 5) for b in base)
+            z = rng.randrange(-3, 4)
+            for win in (w, pure.win_add(w, z), pure.win_rot(w, z)):
+                assert pure.win_length(win) == oracles.win_length(win)
+
+
+def test_malformed_windows_raise_the_same_error():
+    # every window of length 3 or 4 with entries in -4..5 whose residues are
+    # not a complete system: kernels that raised keep raising the same
+    # ValueError, and the others keep their value
+    for r in (3, 4):
+        bad = [
+            w for w in itertools.product(range(-4, 6), repeat=r)
+            if len({x % r for x in w}) < r
+        ]
+        assert bad
+        for w in bad:
+            for i in range(1, r + 1):
+                for name in ("win_mul_s_right", "win_is_right_descent"):
+                    assert outcome(getattr(pure, name), w, i) == outcome(getattr(oracles, name), w, i)
+                terms = {w: {0: 1}}
+                assert outcome(pure.hecke_mul_gen_right, terms, i) == outcome(
+                    oracles.hecke_mul_gen_right, terms, i
+                )
+            for val in range(-5, 6):
+                assert outcome(pure.win_pos, w, val) == outcome(oracles.win_pos, w, val)
+            assert pure.win_compose(w, w) == oracles.win_compose(w, w)
+    with pytest.raises(ValueError, match="incomplete residue system"):
+        pure.hecke_mul_gen_right({(1, 2, 3): {0: 1}, (1, 4, 3): {0: 1}}, 2)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_hecke_generator_step_matches_the_scanning_body(r):
+    rng = random.Random(SEED + 10 * r)
+    wins = seeded_windows(rng, r, count=4, max_len=12)
+    for _ in range(150):
+        terms = {w: rand_lp(rng) for w in rng.sample(wins, rng.randrange(1, 9))}
+        for i in range(1, r + 1):
+            assert pure.hecke_mul_gen_right(terms, i) == oracles.hecke_mul_gen_right(terms, i)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_hecke_generator_step_drops_cancelled_terms(r):
+    # with ws = w s_i < w: T_w T_s = q T_ws + (q - 1) T_w and T_ws T_s = T_w,
+    # so c_ws = (1 - q) c_w cancels the image at w, wholly or in part
+    rng = random.Random(SEED + 100 * r)
+    cases = 0
+    for w in seeded_windows(rng, r, count=3, max_len=10):
+        for i in range(1, r + 1):
+            if not oracles.win_is_right_descent(w, i):
+                continue
+            ws = oracles.win_mul_s_right(w, i)
+            c = rand_lp(rng)
+            full = pure.lp_sub(c, {e + 2: k for e, k in c.items()})
+            part = dict(full)
+            part.pop(next(iter(part)))
+            for cw, cws in ((c, full), (c, part), (c, {}), ({}, full)):
+                for terms in ({w: cw, ws: cws}, {ws: cws, w: cw}):
+                    got = pure.hecke_mul_gen_right(terms, i)
+                    assert got == oracles.hecke_mul_gen_right(terms, i)
+                    assert all(got.values())
+                    if cws is full and cw:
+                        assert w not in got
+                    cases += 1
+    assert cases > 100
+
+
+def _long_element(rng, r, length):
+    w = WindowPerm.identity(r)
+    while w.length() < length:
+        w2 = w * WindowPerm.s(r, rng.randrange(1, r + 1))
+        if w2.length() > w.length():
+            w = w2
+    return w
+
+
+@pytest.mark.parametrize("r,length", [(4, 5), (4, 7), (5, 5), (5, 6)])
+def test_lower_sets_are_bruhat_intervals(r, length):
+    rng = random.Random(SEED + r * length)
+    w = _long_element(rng, r, length)
+    table = KLTable(r)
+    interval = sorted(table._lower_set(w.window))
+    assert len(interval) > 20
+    for y, x in itertools.product(interval, repeat=2):
+        assert (y in table._lower_set(x)) == bruhat_leq(WindowPerm(y), WindowPerm(x))
+
+
+def test_kl_column_matches_the_bruhat_leq_table_and_leaves_the_cache_alone():
+    rng = random.Random(SEED)
+    w = _long_element(rng, 4, 12)
+    table = KLTable(4)
+    size = weyl._bruhat_cox.cache_info().currsize
+    column = {y: table.polynomial(WindowPerm(y), w) for y in table._lower_set(w.window)}
+    assert weyl._bruhat_cox.cache_info().currsize == size
+    oracle = oracles.kl_table_by_bruhat(4)
+    assert column == {y: oracle.polynomial(WindowPerm(y), w) for y in column}
+    assert len(column) > 300
+    assert sum(p.degree > 0 for p in column.values()) > 10

@@ -22,6 +22,8 @@ from affineschur.quantum import (
 )
 from affineschur.schur import Weight
 
+from sweep_cache import cached_verify_hopf
+
 N = 3
 V = Laurent.v
 
@@ -196,7 +198,7 @@ def test_antipode_squares_grouplikes_back():
 
 
 def test_hopf_sweep_rank_three():
-    checks = verify_hopf(3, 3, range(-6, 7))
+    checks = cached_verify_hopf(3, 3, range(-6, 7))
     bad = [c for c in checks if not c[1]]
     assert not bad, bad[:3]
     assert len(checks) > 200
