@@ -14,7 +14,8 @@ import json
 import sys
 
 from affineschur.hecke import HeckeElement, KLTable, kl_extended, x_lambda
-from affineschur.verify import DEFAULT_SEED, SUITES, SuiteReport, run_all, run_suite
+from affineschur.verify import DEFAULT_SEED, SUITES, SWEEP_KEY_BUDGET, SuiteReport, sweep_key_count
+from affineschur.verify import run_all, run_suite
 from affineschur.weyl import ParabolicIndex, WindowPerm, coset_decompose
 
 __all__ = ["main", "run"]
@@ -31,6 +32,12 @@ THETA_NOTE = (
 
 # the Hopf sweep visits (2 * window + 1)^k keys for every k <= r
 HOPF_MAX_R = 3
+
+BUDGET_NOTE = (
+    f"hopf and duality refuse a sweep of more than {SWEEP_KEY_BUDGET} tensor keys, "
+    "sum over k <= r of (2W+1)^k for hopf and (2W+1)^r for duality, "
+    "W = --window (default 2n)"
+)
 
 # the suites that read each flag; the other suites and every payload verb
 # (which reads none) refuse it when it is given
@@ -234,14 +241,15 @@ def _suite_params(name: str, args) -> dict:
     if name == "hopf":
         if not 1 <= r <= HOPF_MAX_R:
             raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
-        return {"n": n, "r": r, "window": args.window}
-    return {
-        "n": n,
-        "r": r,
-        "length": args.len if args.len is not None else 3,
-        "window": args.window,
-        "seed": seed,
-    }
+        params = {"n": n, "r": r, "window": args.window}
+    else:
+        length = args.len if args.len is not None else 3
+        params = {"n": n, "r": r, "length": length, "window": args.window, "seed": seed}
+    if sweep_key_count(name, n, r, args.window) > SWEEP_KEY_BUDGET:
+        raise InputError(
+            f"the {name} sweep would visit more than {SWEEP_KEY_BUDGET} keys; lower --window, --n or --r"
+        )
+    return params
 
 
 def _run_reports(reports: list[SuiteReport], args) -> int:
@@ -307,12 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(schur)
     schur.set_defaults(fn=_cmd_schur)
 
-    quantum = sub.add_parser("quantum", help="tensor space actions and sweeps")
+    quantum = sub.add_parser("quantum", help="tensor space actions and sweeps", epilog=BUDGET_NOTE)
     quantum.add_argument("verb", choices=["act", "tau", "kappa", "verify-hopf", "verify-duality"])
     _add_common(quantum)
     quantum.set_defaults(fn=_cmd_quantum)
 
-    verify = sub.add_parser("verify", help="run a named verification suite")
+    verify = sub.add_parser("verify", help="run a named verification suite", epilog=BUDGET_NOTE)
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     _add_common(verify)
     verify.set_defaults(fn=_cmd_verify)

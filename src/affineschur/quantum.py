@@ -11,7 +11,9 @@ The bridge objects: tau turns Hecke elements into left operators on the
 top weight space, kappa turns Schur elements into operators on all of
 tensor space, theta_iso matches the q-tensor bimodule with tensor space,
 and hecke_right_action gives the right Hecke structure via the rewriting
-of elements into translation form.
+of elements into translation form.  theta_iso, the columns of its exact
+inverse and the duality sweep read one memo of basis-key images
+(_theta_image); like every cached image here, those are read only.
 """
 
 from __future__ import annotations
@@ -818,19 +820,29 @@ def kappa_exponents(n: int, r: int, lam: Weight) -> tuple[int, int]:
     return f, g
 
 
-def theta_iso(x: QTensorElement) -> TensorVector:
-    """The bimodule identification: the omega row goes to the orbit of the
-    cyclic vector, other rows through kappa."""
-    n, r = x.n, x.r
+@lru_cache(maxsize=None)
+def _theta_image(n: int, r: int, lparts: tuple, dwin: tuple) -> dict:
+    """The raw theta_iso image of the basis key x_lambda T_d: the omega row
+    goes to the orbit of the cyclic vector, other rows through kappa.  One
+    table for theta_iso, its inverse's columns and the duality sweep; the
+    images are read only, never mutated."""
     om = omega(n, r)
-    total: dict[tuple, dict[int, int]] = {}
     base = e_omega(n, r)
+    if lparts == om.parts:
+        return hecke_right_action(base, t_basis(WindowPerm._unsafe(dwin)))._terms
+    return _term_operator(n, r, lparts, om.parts, dwin).on_key(base.support()[0])._terms
+
+
+def theta_iso(x: QTensorElement) -> TensorVector:
+    """The bimodule identification, summed term by term from the shared
+    table of basis images (_theta_image); the sum copies every coefficient,
+    so no cached image reaches the caller.  Needs n >= r."""
+    n, r = x.n, x.r
+    if n < r:
+        raise ValueError(f"theta_iso needs n >= r, got n={n}, r={r}")
+    total: dict[tuple, dict[int, int]] = {}
     for (lp, dw), c in x._terms.items():
-        if lp == om.parts:
-            image = hecke_right_action(base, t_basis(WindowPerm._unsafe(dw)))
-        else:
-            image = _term_operator(n, r, lp, om.parts, dw).on_key(base.support()[0])
-        addmul_into(total, image._terms, c)
+        addmul_into(total, _theta_image(n, r, lp, dw), c)
     return TensorVector._raw(n, r, total)
 
 
@@ -853,10 +865,11 @@ def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tupl
 @lru_cache(maxsize=None)
 def _theta_columns(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
     """(basis keys, raw theta_iso images) of the q-tensor basis inside the
-    truncation window; built on first use, shared by theta_iso_inverse and
-    the duality sweep.  The images are read only, never mutated."""
+    truncation window, shared by theta_iso_inverse and the duality sweep.
+    The images are the very dicts of the _theta_image table, so a key in
+    several truncations is stored once; they are read only, never mutated."""
     keys = tuple(theta_iso_basis(n, r, len_bound, rho_bound))
-    return keys, tuple(theta_iso(QTensorElement.basis(lam, d))._terms for lam, d in keys)
+    return keys, tuple(_theta_image(n, r, lam.parts, d.window) for lam, d in keys)
 
 
 @lru_cache(maxsize=None)

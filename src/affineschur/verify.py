@@ -570,12 +570,36 @@ def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED, samples: in
 # hopf and duality (wrappers around the operator sweeps)
 
 
+# the most tensor keys one hopf or duality sweep may visit; the acceptance
+# sweeps visit 5,219 (hopf, n = 4) and 2,197 (duality)
+SWEEP_KEY_BUDGET = 20_000
+
+
+def _window_bound(n: int, window: int | None) -> int:
+    return 2 * n if window is None else window
+
+
+def sweep_key_count(suite: str, n: int, r: int, window: int | None = None) -> int:
+    """The tensor keys the hopf or duality sweep would visit, from its
+    parameters alone: the sum over 1 <= k <= r of (2W + 1)^k for hopf, and
+    (2W + 1)^r for duality, W the window half-width.  Counting stops once
+    the count passes SWEEP_KEY_BUDGET, so a huge r costs nothing."""
+    side = max(0, 2 * _window_bound(n, window) + 1)
+    power, total = 1, 0
+    for _ in range(min(r, SWEEP_KEY_BUDGET + 1)):
+        power *= side
+        total += power
+        if (total if suite == "hopf" else power) > SWEEP_KEY_BUDGET:
+            break
+    return total if suite == "hopf" else power
+
+
 def run_hopf(n: int = 3, r: int = 3, window: int | None = None, **_) -> SuiteReport:
     from affineschur.quantum import verify_hopf
 
     t0 = time.time()
     rec = _Recorder()
-    bound = 2 * n if window is None else window
+    bound = _window_bound(n, window)
     rec.sweep("hopf-sweep", lambda: verify_hopf(n, r, range(-bound, bound + 1)))
     return _finish("hopf", {"n": n, "r": r, "window": bound}, rec, t0)
 
@@ -587,7 +611,7 @@ def run_duality(
 
     t0 = time.time()
     rec = _Recorder()
-    bound = 2 * n if window is None else window
+    bound = _window_bound(n, window)
     rec.sweep(
         "duality-sweep", lambda: verify_affine_duality(n, r, length, range(-bound, bound + 1), seed=seed)
     )

@@ -116,7 +116,7 @@ class WindowPerm:
         return kernels.win_apply(self.window, t)
 
     def __mul__(self, other: "WindowPerm") -> "WindowPerm":
-        if self.r != other.r:
+        if len(self.window) != len(other.window):
             raise ValueError("rank mismatch")
         return WindowPerm._unsafe(kernels.win_compose(self.window, other.window))
 

@@ -761,6 +761,28 @@ def act_hecke_right_by_terms(x, h):
     return QTensorElement._raw(n, r, _right_factor_terms(values, r))
 
 
+def theta_iso_by_kappa(x):
+    """The bimodule identification, each term's image built afresh: the
+    omega row goes to the orbit of the cyclic vector, other rows through
+    kappa."""
+    from affineschur.hecke import t_basis
+    from affineschur.laurent import addmul_into
+    from affineschur.quantum import TensorVector, _term_operator, e_omega, hecke_right_action
+    from affineschur.schur import omega
+
+    n, r = x.n, x.r
+    om = omega(n, r)
+    total: dict[tuple, dict[int, int]] = {}
+    base = e_omega(n, r)
+    for (lp, dw), c in x._terms.items():
+        if lp == om.parts:
+            image = hecke_right_action(base, t_basis(WindowPerm._unsafe(dw)))
+        else:
+            image = _term_operator(n, r, lp, om.parts, dw).on_key(base.support()[0])
+        addmul_into(total, image._terms, c)
+    return TensorVector._raw(n, r, total)
+
+
 # ---------------------------------------------------------------------------
 # Scanning window kernels, replaced in the pure backend by single passes
 # (one residue test per window entry, Shi's formula for the length).  The

@@ -213,6 +213,75 @@ def test_quantum_verbs_use_the_suite_parameters(suite, monkeypatch, capsys):
         assert seen[0][1]["length"] == 3
 
 
+def test_sweep_key_estimate():
+    from affineschur.verify import SWEEP_KEY_BUDGET, sweep_key_count
+
+    assert sweep_key_count("hopf", 4, 3) == 17 + 17**2 + 17**3 == 5219
+    assert sweep_key_count("hopf", 3, 3) == 13 + 13**2 + 13**3
+    assert sweep_key_count("duality", 3, 3) == 13**3 == 2197
+    assert sweep_key_count("duality", 3, 3, window=1) == 27
+    assert sweep_key_count("hopf", 3, 2, window=0) == 2
+    assert sweep_key_count("hopf", 4, 3, window=12) == 25 + 25**2 + 25**3 <= SWEEP_KEY_BUDGET
+    assert sweep_key_count("hopf", 4, 3, window=13) > SWEEP_KEY_BUDGET
+    assert sweep_key_count("duality", 3, 4, window=6) > SWEEP_KEY_BUDGET
+    assert sweep_key_count("duality", 8, 8) > SWEEP_KEY_BUDGET
+    # counting stops past the budget, so a huge r is cheap to refuse
+    assert sweep_key_count("duality", 10**9, 10**9) > SWEEP_KEY_BUDGET
+    assert sweep_key_count("duality", 3, 10**9, window=0) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "duality", "--n", "8", "--r", "8"],
+        ["quantum", "verify-duality", "--n", "8", "--r", "8"],
+        ["verify", "duality", "--n", "4", "--r", "4"],
+        ["verify", "duality", "--n", "1000000000", "--r", "1000000000"],
+        ["verify", "hopf", "--window", "30"],
+        ["quantum", "verify-hopf", "--n", "4", "--window", "13"],
+    ],
+)
+def test_oversized_sweep_exits_two_before_any_work(argv, monkeypatch, capsys):
+    import affineschur.cli as cli
+    from affineschur import quantum
+
+    def refuse(*args, **kw):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(quantum, "verify_hopf", refuse)
+    monkeypatch.setattr(quantum, "verify_affine_duality", refuse)
+    code, out, err = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "more than 20000 keys" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "hopf", "--n", "4"],
+        ["verify", "hopf", "--n", "4", "--window", "12"],
+        ["verify", "duality"],
+        ["quantum", "verify-duality", "--n", "4", "--r", "3"],
+    ],
+)
+def test_sweeps_within_the_key_budget_start(argv, monkeypatch, capsys):
+    import affineschur.cli as cli
+    from affineschur.verify import SuiteReport
+
+    seen = []
+
+    def record(name, **kw):
+        seen.append(name)
+        return SuiteReport(name, kw, [], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    code, _, _ = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert len(seen) == 1
+
+
 @pytest.mark.parametrize(
     "argv, row",
     [

@@ -22,6 +22,7 @@ from affineschur.laurent import Laurent
 from affineschur.quantum import (
     TensorVector,
     UElement,
+    _theta_columns,
     act_tensor,
     e_omega,
     finite_hecke_right_action,
@@ -47,6 +48,7 @@ from affineschur.schur import (
     young_parabolic,
 )
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
+from oracles import theta_iso_by_kappa
 
 N = R = 3
 OM = omega(N, R)
@@ -299,6 +301,49 @@ def test_theta_intertwines_the_left_action():
         x = QTensorElement.basis(lam, d)
         for g in gens:
             assert theta_iso(act_schur_left(g, x)) == kappa(g)(theta_iso(x))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_theta_images_match_the_kappa_oracle(n):
+    # every truncation key, seeded combinations, and their images under
+    # both actions, some of whose keys leave the truncation
+    keys = theta_iso_basis(n, R, 2, 1)
+    for lam, d in keys:
+        x = QTensorElement.basis(lam, d)
+        assert theta_iso(x)._terms == theta_iso_by_kappa(x)._terms, (lam.parts, d.window)
+    rng = random.Random(59 + n)
+    hs = [t_basis(WindowPerm.s(R, 1)), t_basis(WindowPerm.rho(R)), bernstein_y(R, 2)]
+    weights = all_weights(n, R)
+    for _ in range(20):
+        x = QTensorElement.zero(n, R)
+        for lam, d in rng.sample(keys, rng.randint(2, 6)):
+            x = x + QTensorElement.basis(lam, d).scale(Laurent({rng.randrange(-2, 3): rng.choice((1, -1))}))
+        g = phi(rng.choice(weights), rng.choice(weights), rng.choice((E, WindowPerm.s(R, 2))))
+        for z in (x, act_hecke_right(x, rng.choice(hs)), act_schur_left(g, x)):
+            assert theta_iso(z)._terms == theta_iso_by_kappa(z)._terms
+
+
+def test_theta_images_are_not_shared_with_callers():
+    rng = random.Random(61)
+    keys = theta_iso_basis(N, R, 1, 1)
+    xs = [QTensorElement.basis(lam, d) for lam, d in keys[:: max(1, len(keys) // 8)]]
+    xs.append(xs[0].scale(V(1)) + xs[-1])
+    for x in xs:
+        y = theta_iso(x)
+        for c in y._terms.values():
+            c[rng.randrange(7, 9)] = 5
+        y._terms[(50, 60, 70)] = {0: 1}
+        assert theta_iso(x)._terms == theta_iso_by_kappa(x)._terms
+    assert theta_iso_inverse(theta_iso(xs[-1]), 1, 1) == xs[-1]
+
+
+def test_theta_columns_share_one_image_per_key():
+    keys1, cols1 = _theta_columns(N, R, 1, 1)
+    keys2, cols2 = _theta_columns(N, R, 2, 1)
+    where = {(lam.parts, d.window): k for k, (lam, d) in enumerate(keys2)}
+    assert len(keys1) < len(keys2)
+    for j, (lam, d) in enumerate(keys1):
+        assert cols1[j] is cols2[where[lam.parts, d.window]]
 
 
 def test_theta_inverse_round_trip():

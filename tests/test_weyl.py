@@ -67,6 +67,12 @@ def test_group_law():
     assert rho * WindowPerm.s(3, 2) == s * rho
 
 
+def test_product_of_mismatched_ranks_is_refused():
+    for u, w in [(WindowPerm.s(3, 1), WindowPerm.s(4, 1)), (WindowPerm.rho(4), WindowPerm.identity(3))]:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            u * w
+
+
 def test_rho_conjugation_rotates_generators():
     for r in (3, 4):
         rho = WindowPerm.rho(r)
