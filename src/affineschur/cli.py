@@ -30,12 +30,13 @@ THETA_NOTE = (
 )
 
 
-# the Hopf sweep visits (2 * window + 1)^k keys for every k <= r
+# the Hopf relation rows visit (2 * window + 1)^k keys for every k <= r
 HOPF_MAX_R = 3
 
 BUDGET_NOTE = (
-    f"hopf and duality refuse a sweep of more than {SWEEP_KEY_BUDGET} tensor keys, "
-    "sum over k <= r of (2W+1)^k for hopf and (2W+1)^r for duality, "
+    f"hopf and duality refuse a sweep of more than {SWEEP_KEY_BUDGET} tensor keys: "
+    "for hopf the sum over k <= r of (2W+1)^k, plus (2W+1)^3 when r < 3, since "
+    "coassociativity always uses 3-slot keys; for duality (2W+1)^r; "
     "W = --window (default 2n)"
 )
 
@@ -238,11 +239,17 @@ def _suite_params(name: str, args) -> dict:
         return {}
     if name == "schur-core":
         return {"n": n, "r": r, "seed": seed}
+    if n < 1:
+        raise InputError(f"{name} needs --n >= 1, got --n {n}")
+    if args.window is not None and args.window < 0:
+        raise InputError(f"--window is a half-width >= 0, got --window {args.window}")
     if name == "hopf":
         if not 1 <= r <= HOPF_MAX_R:
             raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
         params = {"n": n, "r": r, "window": args.window}
     else:
+        if not 3 <= r <= n:
+            raise InputError(f"duality needs 3 <= r <= n, got --n {n} --r {r}")
         length = args.len if args.len is not None else 3
         params = {"n": n, "r": r, "length": length, "window": args.window, "seed": seed}
     if sweep_key_count(name, n, r, args.window) > SWEEP_KEY_BUDGET:

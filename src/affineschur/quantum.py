@@ -1,11 +1,12 @@
 """The quantum loop algebra of gl_n, tensor space, and the duality maps.
 
 Elements of the algebra are free words in E_i, F_i, K_i^{+-1}, R^{+-1};
-no symbolic rewriting is attempted, and every identity is checked through
-the action on tensor space.  Tensor space has basis indexed by r-tuples of
+no symbolic rewriting is attempted, so identities hold or fail through the
+action on tensor space.  Tensor space has basis indexed by r-tuples of
 arbitrary integers; all operators here are finitary on basis vectors, so
-the arithmetic stays exact and truncation windows appear only in global
-assertions (injectivity, commutants), always as explicit parameters.
+the arithmetic stays exact and no truncation window is built in.  This
+module holds the mathematics only: the checks of the Hopf laws and of the
+duality, which sweep keys over explicit windows, are affineschur._sweeps.
 
 The bridge objects: tau turns Hecke elements into left operators on the
 top weight space, kappa turns Schur elements into operators on all of
@@ -25,8 +26,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from affineschur._backend import kernels
 from affineschur.hecke import (
     HeckeElement,
-    bernstein_y,
-    bernstein_y_inverse,
     commute_gen_past_translations,
     t_basis,
     to_bernstein_basis,
@@ -64,14 +63,10 @@ __all__ = [
     "theta_iso_inverse",
     "kappa",
     "kappa_exponents",
-    "verify_hopf",
-    "verify_affine_duality",
 ]
 
 _KINDS = ("E", "F", "K", "Kinv", "R", "Rinv")
 _INDEXED = {"E", "F", "K", "Kinv"}
-# v - v^-1, the denominator of the E-F commutator
-_VV = {1: 1, -1: -1}
 _MINUS_ONE = {0: -1}
 _V = {1: 1}
 _Q = {2: 1}
@@ -897,496 +892,3 @@ def theta_iso_inverse(
     keys, columns, order = _theta_system(n, r, len_bound, rho_bound)
     coords = _peel(columns, order, y._terms)
     return QTensorElement._raw(n, r, {k: c for k, c in zip(keys, coords) if c})
-
-
-# ---------------------------------------------------------------------------
-# Verification sweeps
-
-
-def _vec_obj(terms: dict) -> list:
-    return [[list(k), {str(e): c for e, c in sorted(v.items())}] for k, v in sorted(terms.items())]
-
-
-def _witness(key, lhs: dict, rhs: dict) -> dict:
-    return {"key": list(key), "lhs": _vec_obj(lhs), "rhs": _vec_obj(rhs)}
-
-
-def _op_check(name: str, lhs: TensorVector, rhs: TensorVector, key) -> tuple:
-    if lhs == rhs:
-        return (name, True, None)
-    return (name, False, _witness(key, lhs._terms, rhs._terms))
-
-
-def _first_failure(name: str, fails: list) -> tuple:
-    if not fails:
-        return (name, True, None)
-    return (name, False, fails[0][2])
-
-
-def _defining_relation_pairs(n: int):
-    """(name, lhs word, rhs combination) for the word-vs-word relations."""
-    U = UElement
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pairs.append((f"kk-commute-{i}-{j}", U.K(n, i) * U.K(n, j), U.K(n, j) * U.K(n, i)))
-    for i in range(1, n + 1):
-        pairs.append((f"k-inverse-{i}", U.K(n, i) * U.K_inv(n, i), U.one(n)))
-        pairs.append((f"k-inverse-rev-{i}", U.K_inv(n, i) * U.K(n, i), U.one(n)))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            eps = (1 if i == j else 0) - (1 if i == _next(j, n) else 0)
-            pairs.append(
-                (
-                    f"ke-twist-{i}-{j}",
-                    U.K(n, i) * U.E(n, j),
-                    (U.E(n, j) * U.K(n, i)).scale(Laurent.v(eps)),
-                )
-            )
-            pairs.append(
-                (
-                    f"kf-twist-{i}-{j}",
-                    U.K(n, i) * U.F(n, j),
-                    (U.F(n, j) * U.K(n, i)).scale(Laurent.v(-eps)),
-                )
-            )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            adjacent = j == _next(i, n) or i == _next(j, n)
-            if i == j or adjacent:
-                continue
-            pairs.append((f"ee-commute-{i}-{j}", U.E(n, i) * U.E(n, j), U.E(n, j) * U.E(n, i)))
-            pairs.append((f"ff-commute-{i}-{j}", U.F(n, i) * U.F(n, j), U.F(n, j) * U.F(n, i)))
-    vpv = Laurent({1: 1, -1: 1})
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j or not (j == _next(i, n) or i == _next(j, n)):
-                continue
-            e_i, e_j = U.E(n, i), U.E(n, j)
-            pairs.append(
-                (
-                    f"e-serre-{i}-{j}",
-                    e_i * e_i * e_j + e_j * e_i * e_i,
-                    (e_i * e_j * e_i).scale(vpv),
-                )
-            )
-            f_i, f_j = U.F(n, i), U.F(n, j)
-            pairs.append(
-                (
-                    f"f-serre-{i}-{j}",
-                    f_i * f_i * f_j + f_j * f_i * f_i,
-                    (f_i * f_j * f_i).scale(vpv),
-                )
-            )
-    pairs.append(("r-inverse", U.R(n) * U.R_inv(n), U.one(n)))
-    pairs.append(("r-inverse-rev", U.R_inv(n) * U.R(n), U.one(n)))
-    for i in range(1, n + 1):
-        ip = _next(i, n)
-        for tag, mk in (("e", U.E), ("f", U.F), ("k", U.K), ("kinv", U.K_inv)):
-            pairs.append(
-                (f"r-rotate-{tag}-{i}", U.R_inv(n) * mk(n, ip) * U.R(n), mk(n, i))
-            )
-    return pairs
-
-
-def _relation_sides(n: int) -> list[tuple]:
-    """(name, lhs, rhs, divide) for every defining relation and E-F
-    commutator, both sides as raw {letters: coeff}; with divide set the rhs
-    image is divided by v - v^-1 (relation (5), the quantum Cartan term)."""
-    U = UElement
-    sides = [(name, lhs._terms, rhs._terms, False) for name, lhs, rhs in _defining_relation_pairs(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            comm = U.E(n, i) * U.F(n, j) - U.F(n, j) * U.E(n, i)
-            if i != j:
-                cartan = U.zero(n)
-            else:
-                ip = _next(i, n)
-                cartan = U.K(n, i) * U.K_inv(n, ip) - U.K_inv(n, i) * U.K(n, ip)
-            sides.append((f"ef-commutator-{i}-{j}", comm._terms, cartan._terms, i == j))
-    return sides
-
-
-def _relation_rows(n: int, r_max: int, window: Sequence[int]) -> list[tuple]:
-    """The def-rel-*-r<k> rows: every relation on every key of every rank up
-    to r_max, keys outside and relations inside.  Each key first acts with
-    every word suffix the relations use, once, so words sharing a suffix
-    share its image; the memo goes with the key.  A check's witness is its
-    first failing key."""
-    sides = _relation_sides(n)
-    suffixes = _suffixes(w for _, lhs, rhs, _ in sides for w in (*lhs, *rhs))
-    _vv = Laurent(_VV)
-
-    def apply(terms: dict, letter: tuple) -> dict:
-        return _apply_letter(terms, letter, n)
-
-    rows: list[tuple] = []
-    for k in range(1, r_max + 1):
-        witness: dict[str, dict] = {}
-        for key in itertools.product(window, repeat=k):
-            image = _word_images(suffixes, {key: {0: 1}}, apply).__getitem__
-            for name, lhs, rhs, divide in sides:
-                if name in witness:
-                    continue
-                got, want = _combine(lhs, image), _combine(rhs, image)
-                if divide:
-                    want = {kk: Laurent(cc).divexact(_vv).raw() for kk, cc in want.items()}
-                if got != want:
-                    witness[name] = _witness(key, got, want)
-        rows.extend((f"def-rel-{name}-r{k}", name not in witness, witness.get(name)) for name, *_ in sides)
-    return rows
-
-
-def _split_action(comps: list, image: Callable[[tuple, tuple], dict], key: tuple, cut: int) -> dict:
-    """sum(coeff * (a on key[:cut]) (x) (b on key[cut:])) over the coproduct
-    triples (a, b, coeff), image(word, part) acting with a word on a piece."""
-    out: dict[tuple, dict[int, int]] = {}
-    for aw, bw, coeff in comps:
-        right = image(bw, key[cut:])
-        for ka, ca in image(aw, key[:cut]).items():
-            for kb, cb in right.items():
-                addmul_term(out, ka + kb, kernels.lp_mul(ca, cb), {0: coeff})
-    return out
-
-
-def _hopf_letters(n: int) -> list[tuple]:
-    """The letters whose coproduct, counit and antipode laws are checked."""
-    return (
-        [("E", i) for i in range(1, n + 1)]
-        + [("F", i) for i in range(1, n + 1)]
-        + [("K", 1), ("Kinv", 1), ("R", 0), ("Rinv", 0)]
-    )
-
-
-def _letter_name(letter: tuple) -> str:
-    return letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
-
-
-def _coassoc_rows(n: int, window: Sequence[int]) -> list[tuple]:
-    """The coassoc-* rows: (Delta x 1) Delta == (1 x Delta) Delta for each
-    letter on every three-slot key, the witness being the first key that
-    fails.  Each letter memoises its coproduct words on the one- and
-    two-slot pieces of the keys and drops the memo before the next letter."""
-    rows = []
-    triple = list(itertools.product(window, repeat=3))
-    for letter in _hopf_letters(n):
-        comps = _coproduct(letter, n)
-        images: dict[tuple, dict] = {}
-
-        def image(word: tuple, part: tuple) -> dict:
-            got = images.get((word, part))
-            if got is None:
-                got = images[(word, part)] = _act_word(word, {part: {0: 1}}, n)
-            return got
-
-        witness = None
-        for key in triple:
-            left, right = _split_action(comps, image, key, 2), _split_action(comps, image, key, 1)
-            if left != right:
-                witness = _witness(key, left, right)
-                break
-        rows.append((f"coassoc-{_letter_name(letter)}", witness is None, witness))
-    return rows
-
-
-def verify_hopf(n: int, r_max: int, window: Iterable[int]) -> list[tuple]:
-    """Operator-level check of the defining relations, coassociativity,
-    counit laws, and the antipode law; returns (name, ok, witness) rows."""
-    window = sorted(set(int(t) for t in window))
-    checks = _relation_rows(n, r_max, window) + _coassoc_rows(n, window)
-    letters = _hopf_letters(n)
-    # counit and antipode laws on the natural module
-    for letter in letters:
-        comps = _coproduct(letter, n)
-        u = UElement.from_word(GeneratorWord(n, [letter]))
-        fails_l, fails_r, fails_s = [], [], []
-        for t in window:
-            x = TensorVector.unit(n, (t,))
-            direct = act_tensor(u, x)
-            lhs_l = TensorVector.zero(n, 1)
-            lhs_r = TensorVector.zero(n, 1)
-            for aw, bw, coeff in comps:
-                ua = UElement.from_word(GeneratorWord(n, aw))
-                ub = UElement.from_word(GeneratorWord(n, bw))
-                lhs_l = lhs_l + act_tensor(ub, x).scale(counit(ua)).scale(coeff)
-                lhs_r = lhs_r + act_tensor(ua, x).scale(counit(ub)).scale(coeff)
-            if lhs_l != direct:
-                fails_l.append(_op_check("", lhs_l, direct, (t,)))
-            if lhs_r != direct:
-                fails_r.append(_op_check("", lhs_r, direct, (t,)))
-            folded = UElement.zero(n)
-            for aw, bw, coeff in comps:
-                sa = antipode(UElement.from_word(GeneratorWord(n, aw)))
-                folded = folded + (sa * UElement.from_word(GeneratorWord(n, bw))).scale(coeff)
-            want = x.scale(counit(u))
-            got = act_tensor(folded, x)
-            if got != want:
-                fails_s.append(_op_check("", got, want, (t,)))
-        name = _letter_name(letter)
-        checks.append(_first_failure(f"counit-left-{name}", fails_l))
-        checks.append(_first_failure(f"counit-right-{name}", fails_r))
-        checks.append(_first_failure(f"antipode-{name}", fails_s))
-    return sorted(checks, key=lambda c: c[0])
-
-
-def _commuting_action_rows(n: int, r: int, keyset: Sequence[tuple]) -> list[tuple]:
-    """The commuting-actions-u??-h? rows: every quantum generator g against
-    every right Hecke generator h, g(x)h == g(xh) on every key x, the
-    witness being the first key that fails.  The right generators are the
-    outer loop; each keeps a memo of its images of unit keys, extended by
-    linearity, and drops it before the next one starts."""
-    ugens = (
-        [UElement.E(n, i) for i in range(1, n + 1)]
-        + [UElement.F(n, i) for i in range(1, n + 1)]
-        + [UElement.K(n, i) for i in range(1, n + 1)]
-        + [UElement.R(n), UElement.R_inv(n)]
-    )
-    hgens = [t_basis(WindowPerm.s(r, i)) for i in range(1, r)] + [
-        t_basis(WindowPerm.rho(r)),
-        t_basis(WindowPerm.rho(r, -1)),
-    ]
-    rows = []
-    for hi, h in enumerate(hgens):
-        right = _RightMemo(_bernstein_assoc(h), n, r)
-        for gi, g in enumerate(ugens):
-            witness = None
-            for key in keyset:
-                lhs = right(_act_terms(g._terms, {key: {0: 1}}, n))
-                rhs = _act_terms(g._terms, right.on_key(key), n)
-                if lhs != rhs:
-                    witness = _witness(key, lhs, rhs)
-                    break
-            rows.append((f"commuting-actions-u{gi:02d}-h{hi}", witness is None, witness))
-    return rows
-
-
-def _presentation_rows(n: int, r: int, keyset: Sequence[tuple], sample_keys: Sequence[tuple]) -> list[tuple]:
-    """The translation presentation as right operators: quadratic, braid,
-    Y-commutation and Y-inverse relations and the conjugation identity on
-    the sampled keys, distant translations against the generators on every
-    key.  A relation lists (lhs, rhs) sides, raw {word: coeff} over the
-    right generators ("s", i), ("y", i), ("yinv", i) and the slot shifts
-    ("Y", j); a word acts with its rightmost letter first.  Each right
-    generator memoises its images of unit keys for the length of the call.
-    A relation's witness is its first failing key, at the first side that
-    fails there."""
-    ops: dict[tuple, Callable[[dict], dict]] = {}
-    for i in range(1, r):
-        ops["s", i] = _RightMemo(_bernstein_assoc(t_basis(WindowPerm.s(r, i))), n, r)
-    for i in range(1, r + 1):
-        ops["y", i] = _RightMemo(_bernstein_assoc(bernstein_y(r, i)), n, r)
-        ops["yinv", i] = _RightMemo(_bernstein_assoc(bernstein_y_inverse(r, i)), n, r)
-        ops["Y", i] = lambda terms, t=i - 1: kernels.tensor_shift_slot(terms, t, -n)
-
-    def word(*letters) -> dict:
-        return {letters: {0: 1}}
-
-    few = sample_keys[:10]
-    rels: list[tuple] = []
-    for i in range(1, r):
-        s_i = ("s", i)
-        rels.append((f"presentation-quadratic-{i}", sample_keys, [(word(s_i, s_i), {(s_i,): _QM1, (): _Q})]))
-    for i in range(1, r - 1):
-        s_i, s_j = ("s", i), ("s", i + 1)
-        rels.append((f"presentation-braid-{i}", sample_keys, [(word(s_i, s_j, s_i), word(s_j, s_i, s_j))]))
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            y_i, y_j = ("y", i), ("y", j)
-            rels.append((f"presentation-y-commute-{i}-{j}", few, [(word(y_j, y_i), word(y_i, y_j))]))
-    for i in range(1, r + 1):
-        rels.append((f"presentation-y-inverse-{i}", few, [(word(("yinv", i), ("y", i)), word())]))
-    for i in range(1, r):
-        for j in range(1, r + 1):
-            if j not in (i, i + 1):
-                s_i, y_j = ("s", i), ("y", j)
-                rels.append((f"presentation-y-distant-{i}-{j}", few, [(word(s_i, y_j), word(y_j, s_i))]))
-    for i in range(1, r):
-        s_i = ("s", i)
-        rels.append((f"conjugation-identity-{i}", sample_keys, [(word(s_i, ("y", i), s_i), {(("y", i + 1),): _Q})]))
-    # distant translation operators commute with the generators on all keys
-    for i in range(1, r):
-        s_i = ("s", i)
-        sides = [(word(s_i, ("Y", j)), word(("Y", j), s_i)) for j in range(1, r + 1) if j not in (i, i + 1)]
-        rels.append((f"translation-distant-all-keys-{i}", keyset, sides))
-
-    def act(combo: dict, terms: dict) -> dict:
-        def image(letters: tuple) -> dict:
-            part = terms
-            for letter in reversed(letters):
-                part = ops[letter](part)
-            return part
-
-        return _combine(combo, image)
-
-    rows: list[tuple] = []
-    for name, keys, sides in rels:
-        witness = None
-        for key in keys:
-            x = {key: {0: 1}}
-            for lhs, rhs in sides:
-                got, want = act(lhs, x), act(rhs, x)
-                if got != want:
-                    witness = _witness(key, got, want)
-                    break
-            if witness is not None:
-                break
-        rows.append((name, witness is None, witness))
-    return rows
-
-
-def verify_affine_duality(
-    n: int, r: int, L: int, window: Iterable[int], seed: int = 20250825, samples: int = 30
-) -> list[tuple]:
-    """The two-sided structure at desk scale: commuting actions, tau
-    injectivity, the translation presentation as right operators, Lemma-level
-    conjugation identities, the bimodule identification, and kappa as an
-    algebra map; returns (name, ok, witness) rows."""
-    import random as _random
-
-    from affineschur.schur import all_weights
-    from affineschur.weyl import enumerate_up_to_length
-
-    if n < r:
-        raise ValueError(f"duality checks need n >= r, got n={n}, r={r}")
-    window = sorted(set(int(t) for t in window))
-    keyset = list(itertools.product(window, repeat=r))
-    checks: list[tuple] = []
-    rng = _random.Random(seed)
-    p = 46337
-
-    checks.extend(_commuting_action_rows(n, r, keyset))
-
-    # tau injectivity by rank over a large prime
-    basis = enumerate_up_to_length(r, L, extended=True, rho_bound=2)
-    omega_keys = [k for k in keyset if Weight.of_key(k, n).parts == omega(n, r).parts]
-    rank = _modp_rank(_tau_rows(n, r, basis, omega_keys, p), p)
-    checks.append(
-        (
-            "tau-injective",
-            rank == len(basis),
-            None if rank == len(basis) else {"rank": rank, "expected": len(basis)},
-        )
-    )
-
-    # the translation presentation as right operators
-    sample_keys = rng.sample(keyset, min(len(keyset), 40))
-    checks.extend(_presentation_rows(n, r, keyset, sample_keys))
-
-    # bimodule identification: intertwining plus injectivity on the window
-    tkeys, columns = _theta_columns(n, r, L, 1)
-    images = [TensorVector._raw(n, r, col) for col in columns]
-    rank = _modp_rank([_eval_row(col, p) for col in columns], p)
-    checks.append(
-        (
-            "theta-injective",
-            rank == len(tkeys),
-            None if rank == len(tkeys) else {"rank": rank, "expected": len(tkeys)},
-        )
-    )
-    from affineschur.schur import act_hecke_right
-
-    hsub = [t_basis(WindowPerm.s(r, i)) for i in range(1, r)] + [t_basis(WindowPerm.rho(r))]
-    fails = []
-    for (lam, d), img in zip(tkeys, images):
-        x = QTensorElement.basis(lam, d)
-        for h in hsub:
-            lhs = theta_iso(act_hecke_right(x, h))
-            rhs = hecke_right_action(img, h)
-            if lhs != rhs:
-                fails.append(_op_check("", lhs, rhs, (list(lam.parts), list(d.window))))
-                break
-        if fails:
-            break
-    checks.append(_first_failure("theta-intertwines-right", fails))
-    sgens = [phi(lam, lam, WindowPerm.identity(r)) for lam in all_weights(n, r)[:4]] + [
-        phi(omega(n, r), omega(n, r), WindowPerm.s(r, 1)),
-        phi(omega(n, r), omega(n, r), WindowPerm.rho(r)),
-    ]
-    fails = []
-    for (lam, d), img in zip(tkeys[:: max(1, len(tkeys) // 12)], images[:: max(1, len(tkeys) // 12)]):
-        x = QTensorElement.basis(lam, d)
-        for g in sgens:
-            lhs = theta_iso(act_schur_left(g, x))
-            rhs = kappa(g)(img)
-            if lhs != rhs:
-                fails.append(_op_check("", lhs, rhs, (list(lam.parts), list(d.window))))
-                break
-        if fails:
-            break
-    checks.append(_first_failure("theta-intertwines-left", fails))
-
-    # kappa respects sampled products
-    pool = enumerate_up_to_length(r, 2, rho_bound=1)
-    lamlist = all_weights(n, r)
-    fails = []
-    tested = 0
-    while tested < samples:
-        lam, mu, nu = rng.choice(lamlist), rng.choice(lamlist), rng.choice(lamlist)
-        a = phi(lam, mu, rng.choice(pool))
-        b = phi(mu, nu, rng.choice(pool))
-        prod = a * b
-        ka, kb, kp = kappa(a), kappa(b), kappa(prod)
-        for key in rng.sample(keyset, 4):
-            lhs = ka(kb.on_key(key))
-            rhs = kp.on_key(key)
-            if lhs != rhs:
-                fails.append(
-                    _op_check("", lhs, rhs, (list(lam.parts), list(mu.parts), list(nu.parts), list(key)))
-                )
-                break
-        tested += 1
-    checks.append(_first_failure("kappa-multiplicative", fails))
-    return sorted(checks, key=lambda c: c[0])
-
-
-def _eval_row(terms: dict, p: int) -> dict:
-    """A sparse row {key: coefficient at v = 3 mod p}."""
-    return {k: kernels.lp_eval_mod(c, 3, p) for k, c in terms.items()}
-
-
-def _tau_rows(n: int, r: int, basis: Sequence[WindowPerm], keys: Sequence[tuple], p: int) -> list[dict]:
-    """One sparse row per w in basis: tau(w) on the given keys, columns
-    (key, image key), coefficients at v = 3 mod p.  For each key the finite
-    part of every reduced word is built from the image of the word minus its
-    last applied letter, so words sharing a suffix share its images."""
-    words = [w.reduced_word() for w in basis]
-    suffixes = _suffixes(word for _, word in words)
-    rows: list[dict] = [{} for _ in basis]
-
-    def apply(terms: dict, i: int) -> dict:
-        return _tau_sigma_terms(terms, n, i)
-
-    for key in keys:
-        images = _word_images(suffixes, {key: {0: 1}}, apply)
-        for row, (z, word) in zip(rows, words):
-            terms = images[word]
-            for _ in range(abs(z)):
-                terms = _tau_rho_terms(terms, n, r, inverse=z < 0)
-            for k2, val in _eval_row(terms, p).items():
-                row[(key, k2)] = val
-    return rows
-
-
-def _modp_rank(rows: Sequence[dict], p: int) -> int:
-    """Rank over Z/p of sparse rows {column: value}: each row is reduced
-    against the pivot rows kept so far, in the order they were kept, and
-    becomes a new pivot row if anything is left.  A small local routine that
-    keeps the module free of test-side dependencies."""
-    pivots: list[tuple] = []
-    for row in rows:
-        row = {c: x % p for c, x in row.items() if x % p}
-        for pc, prow in pivots:
-            f = row.get(pc)
-            if not f:
-                continue
-            for c, x in prow.items():
-                s = (row.get(c, 0) - f * x) % p
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-        if row:
-            pc = next(iter(row))
-            inv = pow(row[pc], p - 2, p)
-            pivots.append((pc, {c: x * inv % p for c, x in row.items()}))
-    return len(pivots)

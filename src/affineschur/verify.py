@@ -6,6 +6,14 @@ rather than comparing the library to itself.  Reports are deterministic
 for a fixed seed and parameter set; wall time is carried on the object
 but kept out of the serialized form so identical runs emit identical
 bytes.
+
+The hopf and duality suites wrap the operator sweeps of
+affineschur._sweeps, imported when such a suite runs, so that loading this
+module (as the command line does) compiles neither the sweeps nor the
+quantum layer.  The keys of those sweeps come from one table here:
+sweep_ranks names the tensor ranks each sweep visits, sweep_keys builds
+the keys of one rank, and sweep_key_count, the budget's estimate, sums
+over the same ranks.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from affineschur._backend import kernels
 from affineschur.hecke import (
@@ -567,7 +575,7 @@ def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED, samples: in
 
 
 # ---------------------------------------------------------------------------
-# hopf and duality (wrappers around the operator sweeps)
+# hopf and duality (the sweeps themselves live in affineschur._sweeps)
 
 
 # the most tensor keys one hopf or duality sweep may visit; the acceptance
@@ -579,42 +587,57 @@ def _window_bound(n: int, window: int | None) -> int:
     return 2 * n if window is None else window
 
 
+def sweep_ranks(suite: str, r: int) -> Iterable[int]:
+    """The tensor ranks whose keys a sweep visits: hopf checks its relations
+    on every rank 1..r, coassociativity on rank 3 and the counit and
+    antipode laws on rank 1; duality works on rank r alone."""
+    if suite == "duality":
+        return (r,)
+    return itertools.chain(range(1, r + 1), (3,) if r < 3 else ())
+
+
+def sweep_keys(window: int, rank: int) -> Iterator[tuple]:
+    """The keys of one rank a sweep visits, each slot in -W..W for the
+    half-width W = window, in lexicographic order."""
+    return itertools.product(range(-window, window + 1), repeat=rank)
+
+
 def sweep_key_count(suite: str, n: int, r: int, window: int | None = None) -> int:
-    """The tensor keys the hopf or duality sweep would visit, from its
-    parameters alone: the sum over 1 <= k <= r of (2W + 1)^k for hopf, and
-    (2W + 1)^r for duality, W the window half-width.  Counting stops once
-    the count passes SWEEP_KEY_BUDGET, so a huge r costs nothing."""
+    """The distinct tensor keys the hopf or duality sweep would visit, from
+    its parameters alone: (2W + 1)^k summed over its sweep_ranks, W the
+    window half-width.  Counting stops once the count passes
+    SWEEP_KEY_BUDGET, so a huge r costs nothing."""
     side = max(0, 2 * _window_bound(n, window) + 1)
-    power, total = 1, 0
-    for _ in range(min(r, SWEEP_KEY_BUDGET + 1)):
-        power *= side
-        total += power
-        if (total if suite == "hopf" else power) > SWEEP_KEY_BUDGET:
+    # a side of 2 or more passes the budget by this power, and a side of 0
+    # or 1 has the same powers from 1 on, so capping k keeps the verdict
+    cap = SWEEP_KEY_BUDGET.bit_length()
+    total = 0
+    for k in itertools.islice(sweep_ranks(suite, r), SWEEP_KEY_BUDGET + 1):
+        total += side ** min(k, cap)
+        if total > SWEEP_KEY_BUDGET:
             break
-    return total if suite == "hopf" else power
+    return total
 
 
 def run_hopf(n: int = 3, r: int = 3, window: int | None = None, **_) -> SuiteReport:
-    from affineschur.quantum import verify_hopf
+    from affineschur._sweeps import verify_hopf
 
     t0 = time.time()
     rec = _Recorder()
     bound = _window_bound(n, window)
-    rec.sweep("hopf-sweep", lambda: verify_hopf(n, r, range(-bound, bound + 1)))
+    rec.sweep("hopf-sweep", lambda: verify_hopf(n, r, bound))
     return _finish("hopf", {"n": n, "r": r, "window": bound}, rec, t0)
 
 
 def run_duality(
     n: int = 3, r: int = 3, length: int = 3, window: int | None = None, seed: int = DEFAULT_SEED, **_
 ) -> SuiteReport:
-    from affineschur.quantum import verify_affine_duality
+    from affineschur._sweeps import verify_affine_duality
 
     t0 = time.time()
     rec = _Recorder()
     bound = _window_bound(n, window)
-    rec.sweep(
-        "duality-sweep", lambda: verify_affine_duality(n, r, length, range(-bound, bound + 1), seed=seed)
-    )
+    rec.sweep("duality-sweep", lambda: verify_affine_duality(n, r, length, bound, seed=seed))
     return _finish("duality", {"n": n, "r": r, "len": length, "window": bound, "seed": seed}, rec, t0)
 
 

@@ -300,23 +300,37 @@ def modp_in_span(cols, vec, p: int) -> bool:
 # on each basis key once and memoise; these are their oracles.
 
 
+def _vec_obj(terms: dict) -> list:
+    return [[list(k), {str(e): c for e, c in sorted(v.items())}] for k, v in sorted(terms.items())]
+
+
+def _op_check(name: str, lhs, rhs, key) -> tuple:
+    """(name, ok, witness) for two TensorVectors on one key, the witness in
+    the report's format."""
+    if lhs == rhs:
+        return (name, True, None)
+    return (name, False, {"key": list(key), "lhs": _vec_obj(lhs._terms), "rhs": _vec_obj(rhs._terms)})
+
+
+def _first_failure(name: str, fails: list) -> tuple:
+    if not fails:
+        return (name, True, None)
+    return (name, False, fails[0][2])
+
+
 def hopf_relation_rows(n: int, r_max: int, window) -> list[tuple]:
     """The defining-relation and E-F commutator rows of verify_hopf,
     pair-outer over every key of every rank up to r_max."""
-    from affineschur.quantum import (
-        _VV,
-        TensorVector,
-        UElement,
-        _defining_relation_pairs,
-        _first_failure,
-        _next,
-        _op_check,
-        act_tensor,
-    )
+    from affineschur._sweeps import _VV, _relation_sides
+    from affineschur.quantum import TensorVector, UElement, _next, act_tensor
 
     window = sorted(set(int(t) for t in window))
     checks: list[tuple] = []
-    pairs = _defining_relation_pairs(n)
+    pairs = [
+        (name, UElement._raw(n, lhs), UElement._raw(n, rhs))
+        for name, lhs, rhs, _ in _relation_sides(n)
+        if not name.startswith("ef-commutator-")
+    ]
     for k in range(1, r_max + 1):
         keyset = list(itertools.product(window, repeat=k))
         for name, lhs, rhs in pairs:
@@ -365,8 +379,6 @@ def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
         UElement,
         _assoc_terms,
         _bernstein_assoc,
-        _first_failure,
-        _op_check,
         act_tensor,
     )
 
@@ -405,7 +417,8 @@ def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
 def tau_rows(n: int, r: int, basis, keys, p: int) -> list[dict]:
     """One sparse row per w in basis, tau(w) replayed letter by letter on
     every key: columns (key, image key), coefficients at v = 3 mod p."""
-    from affineschur.quantum import _eval_row, tau
+    from affineschur._sweeps import _eval_row
+    from affineschur.quantum import tau
 
     rows = []
     for w in basis:
@@ -422,7 +435,7 @@ def coassoc_rows(n: int, window) -> list[tuple]:
     """The coassoc-* rows of verify_hopf: both iterated coproducts of each
     letter rebuilt on every three-slot key through TensorVector sums."""
     from affineschur._backend import kernels
-    from affineschur.quantum import TensorVector, _act_word, _coproduct, _first_failure, _op_check
+    from affineschur.quantum import TensorVector, _act_word, _coproduct
 
     window = sorted(set(int(t) for t in window))
     checks: list[tuple] = []
@@ -457,6 +470,60 @@ def coassoc_rows(n: int, window) -> list[tuple]:
                 fails.append(_op_check("", left, right, key))
         name = letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
         checks.append(_first_failure(f"coassoc-{name}", fails))
+    return sorted(checks, key=lambda c: c[0])
+
+
+def hopf_counit_antipode_rows(n: int, window) -> list[tuple]:
+    """The counit-left-*, counit-right-* and antipode-* rows of verify_hopf,
+    rebuilt through UElement and TensorVector objects for every letter, key
+    and coproduct term."""
+    from affineschur.quantum import (
+        GeneratorWord,
+        TensorVector,
+        UElement,
+        _coproduct,
+        act_tensor,
+        antipode,
+        counit,
+    )
+
+    window = sorted(set(int(t) for t in window))
+    checks: list[tuple] = []
+    letters = (
+        [("E", i) for i in range(1, n + 1)]
+        + [("F", i) for i in range(1, n + 1)]
+        + [("K", 1), ("Kinv", 1), ("R", 0), ("Rinv", 0)]
+    )
+    for letter in letters:
+        comps = _coproduct(letter, n)
+        u = UElement.from_word(GeneratorWord(n, [letter]))
+        fails_l, fails_r, fails_s = [], [], []
+        for t in window:
+            x = TensorVector.unit(n, (t,))
+            direct = act_tensor(u, x)
+            lhs_l = TensorVector.zero(n, 1)
+            lhs_r = TensorVector.zero(n, 1)
+            for aw, bw, coeff in comps:
+                ua = UElement.from_word(GeneratorWord(n, aw))
+                ub = UElement.from_word(GeneratorWord(n, bw))
+                lhs_l = lhs_l + act_tensor(ub, x).scale(counit(ua)).scale(coeff)
+                lhs_r = lhs_r + act_tensor(ua, x).scale(counit(ub)).scale(coeff)
+            if lhs_l != direct:
+                fails_l.append(_op_check("", lhs_l, direct, (t,)))
+            if lhs_r != direct:
+                fails_r.append(_op_check("", lhs_r, direct, (t,)))
+            folded = UElement.zero(n)
+            for aw, bw, coeff in comps:
+                sa = antipode(UElement.from_word(GeneratorWord(n, aw)))
+                folded = folded + (sa * UElement.from_word(GeneratorWord(n, bw))).scale(coeff)
+            want = x.scale(counit(u))
+            got = act_tensor(folded, x)
+            if got != want:
+                fails_s.append(_op_check("", got, want, (t,)))
+        name = letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
+        checks.append(_first_failure(f"counit-left-{name}", fails_l))
+        checks.append(_first_failure(f"counit-right-{name}", fails_r))
+        checks.append(_first_failure(f"antipode-{name}", fails_s))
     return sorted(checks, key=lambda c: c[0])
 
 
@@ -537,8 +604,6 @@ def presentation_rows(n: int, r: int, keyset, sample_keys) -> list[tuple]:
     from affineschur.quantum import (
         TensorVector,
         _bernstein_assoc,
-        _first_failure,
-        _op_check,
         _RightMemo,
         y_op,
     )

@@ -8,7 +8,7 @@ is visible in plain pytest output.
 
 import pytest
 
-from affineschur import quantum
+from affineschur import _sweeps
 from affineschur.hecke import HeckeElement
 from affineschur.verify import (
     run_duality,
@@ -66,7 +66,7 @@ def test_criterion_4_schur_core():
 def test_criterion_5_hopf_both_sizes(monkeypatch):
     # run_hopf imports verify_hopf at call time; the n=3 rows are shared
     # with test_quantum.py::test_hopf_sweep_rank_three
-    monkeypatch.setattr(quantum, "verify_hopf", cached_verify_hopf)
+    monkeypatch.setattr(_sweeps, "verify_hopf", cached_verify_hopf)
     reports = [run_hopf(n=3), run_hopf(n=4)]
     names = {name for rep in reports for name, _, _ in rep.checks}
     for family in ("def-rel", "coassoc", "counit-left", "counit-right", "antipode"):

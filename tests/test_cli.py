@@ -220,7 +220,9 @@ def test_sweep_key_estimate():
     assert sweep_key_count("hopf", 3, 3) == 13 + 13**2 + 13**3
     assert sweep_key_count("duality", 3, 3) == 13**3 == 2197
     assert sweep_key_count("duality", 3, 3, window=1) == 27
-    assert sweep_key_count("hopf", 3, 2, window=0) == 2
+    # coassociativity uses 3-slot keys whatever r is
+    assert sweep_key_count("hopf", 3, 2, window=0) == 3
+    assert sweep_key_count("hopf", 3, 1, window=60) == 121 + 121**3 > SWEEP_KEY_BUDGET
     assert sweep_key_count("hopf", 4, 3, window=12) == 25 + 25**2 + 25**3 <= SWEEP_KEY_BUDGET
     assert sweep_key_count("hopf", 4, 3, window=13) > SWEEP_KEY_BUDGET
     assert sweep_key_count("duality", 3, 4, window=6) > SWEEP_KEY_BUDGET
@@ -228,6 +230,18 @@ def test_sweep_key_estimate():
     # counting stops past the budget, so a huge r is cheap to refuse
     assert sweep_key_count("duality", 10**9, 10**9) > SWEEP_KEY_BUDGET
     assert sweep_key_count("duality", 3, 10**9, window=0) == 1
+
+
+def _refuse_sweeps(monkeypatch):
+    import affineschur.cli as cli
+    from affineschur import _sweeps
+
+    def refuse(*args, **kw):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(_sweeps, "verify_hopf", refuse)
+    monkeypatch.setattr(_sweeps, "verify_affine_duality", refuse)
 
 
 @pytest.mark.parametrize(
@@ -239,22 +253,36 @@ def test_sweep_key_estimate():
         ["verify", "duality", "--n", "1000000000", "--r", "1000000000"],
         ["verify", "hopf", "--window", "30"],
         ["quantum", "verify-hopf", "--n", "4", "--window", "13"],
+        # 121 one-slot keys, but coassociativity would walk 121**3
+        ["verify", "hopf", "--r", "1", "--window", "60"],
     ],
 )
 def test_oversized_sweep_exits_two_before_any_work(argv, monkeypatch, capsys):
-    import affineschur.cli as cli
-    from affineschur import quantum
-
-    def refuse(*args, **kw):
-        raise AssertionError("the sweep must not start")
-
-    monkeypatch.setattr(cli, "run_suite", refuse)
-    monkeypatch.setattr(quantum, "verify_hopf", refuse)
-    monkeypatch.setattr(quantum, "verify_affine_duality", refuse)
+    _refuse_sweeps(monkeypatch)
     code, out, err = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2
     assert out == ""
     assert "more than 20000 keys" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["verify", "hopf", "--n", "0", "--r", "1", "--window", "1"], "--n >= 1"),
+        (["quantum", "verify-hopf", "--n", "-2"], "--n >= 1"),
+        (["verify", "duality", "--n", "2", "--r", "3"], "3 <= r <= n"),
+        (["verify", "duality", "--r", "0", "--window", "1"], "3 <= r <= n"),
+        (["quantum", "verify-duality", "--n", "4", "--r", "2"], "3 <= r <= n"),
+        (["verify", "duality", "--window", "-1"], "half-width >= 0"),
+        (["verify", "hopf", "--r", "1", "--window", "-3"], "half-width >= 0"),
+    ],
+)
+def test_out_of_domain_sweep_exits_two_before_any_work(argv, reason, monkeypatch, capsys):
+    _refuse_sweeps(monkeypatch)
+    code, out, err = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert reason in err
 
 
 @pytest.mark.parametrize(

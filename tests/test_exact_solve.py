@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from affineschur import quantum
+from affineschur import _sweeps, quantum
 from affineschur.laurent import Laurent
 from affineschur.quantum import TensorVector, theta_iso, theta_iso_basis
 from affineschur.schur import QTensorElement, Weight, omega
@@ -107,14 +107,14 @@ def test_modp_rank_on_the_duality_matrices():
     keyset = itertools.product(range(-6, 7), repeat=r)
     omega_keys = [k for k in keyset if Weight.of_key(k, n).parts == omega(n, r).parts]
     basis = enumerate_up_to_length(r, 3, extended=True, rho_bound=2)
-    rows = quantum._tau_rows(n, r, basis, omega_keys, P)
-    assert quantum._modp_rank(rows, P) == 95
+    rows = _sweeps._tau_rows(n, r, basis, omega_keys, P)
+    assert _sweeps._modp_rank(rows, P) == 95
     one_key = [{c: x for c, x in row.items() if c[0] == omega_keys[0]} for row in rows]
-    assert modp_rank(_dense(one_key), P) == quantum._modp_rank(one_key, P) == 95
+    assert modp_rank(_dense(one_key), P) == _sweeps._modp_rank(one_key, P) == 95
 
     _, images, _ = quantum._theta_system(n, r, 3, 1)
-    rows = [quantum._eval_row(img, P) for img in images]
-    assert modp_rank(_dense(rows), P) == quantum._modp_rank(rows, P) == 327
+    rows = [_sweeps._eval_row(img, P) for img in images]
+    assert modp_rank(_dense(rows), P) == _sweeps._modp_rank(rows, P) == 327
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -134,4 +134,4 @@ def test_modp_rank_on_planted_deficiency(seed):
     rng.shuffle(rows)
     expected = modp_rank(_dense(rows), P)
     assert expected <= rank < len(rows)
-    assert quantum._modp_rank(rows, P) == expected
+    assert _sweeps._modp_rank(rows, P) == expected

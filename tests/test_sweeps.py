@@ -1,9 +1,9 @@
 """The memoised operator sweeps against their first, pair-outer form.
 
-The Hopf relation and coassociativity rows, the duality commuting-actions,
-presentation and tau rank rows are rebuilt by the oracles in
-tests/oracles.py, which act on a fresh unit vector for every (operator, key)
-pair, and must come out identical: names, verdicts and witnesses.  A kernel
+The Hopf relation, coassociativity, counit and antipode rows, the duality
+commuting-actions, presentation and tau rank rows are rebuilt by the oracles
+in tests/oracles.py, which act on a fresh unit vector for every (operator,
+key) pair, and must come out identical: names, verdicts and witnesses.  A kernel
 corrupted on one key must make both versions fail the same checks with the
 same first witness.  The right T_{s_i} step is checked key by key against
 its first form.
@@ -14,60 +14,62 @@ import random
 
 import pytest
 
-from affineschur import quantum
+from affineschur import _sweeps, quantum
 from affineschur.hecke import t_basis
 from affineschur.laurent import Laurent
 from affineschur.quantum import TensorVector, hecke_right_action
 from affineschur.schur import Weight, omega
-from affineschur.verify import DEFAULT_SEED
+from affineschur.verify import DEFAULT_SEED, sweep_key_count, sweep_keys
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
 from oracles import (
     act_sigma_terms,
     coassoc_rows,
     commuting_action_rows,
+    hopf_counit_antipode_rows,
     hopf_relation_rows,
     presentation_rows,
     tau_rows,
 )
 
 N = R = 3
-WINDOW = range(-2, 3)
+W = 2
+WINDOW = range(-W, W + 1)
 P = 46337
 
 
 def _relation_rows(n, r_max, window):
-    return sorted(quantum._relation_rows(n, r_max, sorted(window)), key=lambda c: c[0])
+    return sorted(_sweeps._relation_rows(n, r_max, window), key=lambda c: c[0])
 
 
 def _commuting_rows(n, r, window):
-    keyset = list(itertools.product(sorted(window), repeat=r))
-    return sorted(quantum._commuting_action_rows(n, r, keyset), key=lambda c: c[0])
+    keyset = list(sweep_keys(window, r))
+    return sorted(_sweeps._commuting_action_rows(n, r, keyset), key=lambda c: c[0])
 
 
 def test_relation_rows_match_the_oracle():
-    got = _relation_rows(N, R, WINDOW)
+    got = _relation_rows(N, R, W)
     assert got == hopf_relation_rows(N, R, WINDOW)
     assert len(got) == 3 * 68 and all(ok for _, ok, _ in got)
 
 
 def test_coassoc_rows_match_the_oracle():
-    got = sorted(quantum._coassoc_rows(N, sorted(WINDOW)), key=lambda c: c[0])
+    got = sorted(_sweeps._coassoc_rows(N, W), key=lambda c: c[0])
     assert got == coassoc_rows(N, WINDOW)
     assert len(got) == 2 * N + 4 and all(ok for _, ok, _ in got)
 
 
 def test_commuting_rows_match_the_oracle():
-    got = _commuting_rows(N, R, WINDOW)
+    got = _commuting_rows(N, R, W)
     assert got == commuting_action_rows(N, R, WINDOW)
     assert len(got) == (3 * N + 2) * (R + 1) and all(ok for _, ok, _ in got)
 
 
 def test_tau_rows_match_the_oracle():
-    keyset = itertools.product(WINDOW, repeat=R)
+    keyset = sweep_keys(W, R)
     keys = [k for k in keyset if Weight.of_key(k, N).parts == omega(N, R).parts]
     basis = enumerate_up_to_length(R, 3, extended=True, rho_bound=2)
-    got = quantum._tau_rows(N, R, basis, keys, P)
+    got = _sweeps._tau_rows(N, R, basis, keys, P)
     want = tau_rows(N, R, basis, keys, P)
     assert got == want
     # same column order too, so the rank elimination picks the same pivots
@@ -97,7 +99,7 @@ def _failures(rows):
 
 def test_corrupted_kernel_fails_the_same_relations(monkeypatch):
     _corrupt_E(monkeypatch, (1, 0))
-    got = _relation_rows(N, 2, WINDOW)
+    got = _relation_rows(N, 2, W)
     assert got == hopf_relation_rows(N, 2, WINDOW)
     fails = _failures(got)
     assert fails and all(name.endswith("-r2") for name, _ in fails)
@@ -106,28 +108,56 @@ def test_corrupted_kernel_fails_the_same_relations(monkeypatch):
 
 def test_corrupted_kernel_fails_the_same_coassociativity(monkeypatch):
     _corrupt_E(monkeypatch, (1, 0))
-    got = sorted(quantum._coassoc_rows(N, sorted(WINDOW)), key=lambda c: c[0])
+    got = sorted(_sweeps._coassoc_rows(N, W), key=lambda c: c[0])
     assert got == coassoc_rows(N, WINDOW)
     assert [name for name, _ in _failures(got)] == ["coassoc-E1"]
 
 
 def test_corrupted_kernel_fails_the_same_commuting_actions(monkeypatch):
     _corrupt_E(monkeypatch, (1, 0, 2))
-    got = _commuting_rows(N, R, WINDOW)
+    got = _commuting_rows(N, R, W)
     assert got == commuting_action_rows(N, R, WINDOW)
     fails = _failures(got)
     assert fails and all(name.startswith("commuting-actions-u00-") for name, _ in fails)
 
 
+def test_counit_antipode_rows_match_the_oracle():
+    got = sorted(_sweeps._counit_antipode_rows(N, W), key=lambda c: c[0])
+    assert got == hopf_counit_antipode_rows(N, WINDOW)
+    assert len(got) == 3 * (2 * N + 4) and all(ok for _, ok, _ in got)
+
+
+def test_corrupted_kernel_fails_the_same_counit_antipode_rows(monkeypatch):
+    """K_1^-1 also sends e_(1,) to itself: still linear, but no longer the
+    inverse of K_1."""
+    bad_key = (1,)
+    clean = quantum.kernels.tensor_act_K
+
+    def tensor_act_K(terms, i, n, inverse):
+        out = clean(terms, i, n, inverse)
+        c = terms.get(bad_key)
+        if inverse and i == 1 and c:
+            acc = out.setdefault(bad_key, {})
+            quantum.kernels.lp_add_into(acc, c)
+            if not acc:
+                del out[bad_key]
+        return out
+
+    monkeypatch.setattr(quantum.kernels, "tensor_act_K", tensor_act_K)
+    got = sorted(_sweeps._counit_antipode_rows(N, W), key=lambda c: c[0])
+    assert got == hopf_counit_antipode_rows(N, WINDOW)
+    assert [name for name, _ in _failures(got)] == ["antipode-E3", "antipode-K1", "antipode-Kinv1"]
+
+
 def _presentation_inputs():
     # the keys verify_affine_duality samples at the default seed
-    keyset = list(itertools.product(sorted(WINDOW), repeat=R))
+    keyset = list(sweep_keys(W, R))
     return keyset, random.Random(DEFAULT_SEED).sample(keyset, 40)
 
 
 def test_presentation_rows_match_the_oracle():
     keyset, sample = _presentation_inputs()
-    got = quantum._presentation_rows(N, R, keyset, sample)
+    got = _sweeps._presentation_rows(N, R, keyset, sample)
     assert got == presentation_rows(N, R, keyset, sample)
     assert len(got) == 2 + 1 + R * R + R + 2 + 2 + 2 and all(ok for _, ok, _ in got)
 
@@ -150,9 +180,24 @@ def test_corrupted_shift_fails_the_same_presentation_checks(monkeypatch):
 
     monkeypatch.setattr(quantum.kernels, "tensor_shift_slot", tensor_shift_slot)
     keyset, sample = _presentation_inputs()
-    got = quantum._presentation_rows(N, R, keyset, sample)
+    got = _sweeps._presentation_rows(N, R, keyset, sample)
     assert got == presentation_rows(N, R, keyset, sample)
     assert _failures(got)
+
+
+def test_first_failure_writes_the_first_failing_key_as_lists():
+    """A tensor key, a q-tensor basis key (lambda, d) and a kappa sample
+    (lambda, mu, nu, key) all come out as lists, as in the report."""
+    unit, zero = {(1, 0, 2): {0: 1}}, {}
+    for key, listed in (
+        ((1, 0, 2), [1, 0, 2]),
+        (((1, 1, 1), (2, 1, 3)), [[1, 1, 1], [2, 1, 3]]),
+        (((3, 0, 0), (2, 1, 0), (1, 1, 1), (0, 4, -1)), [[3, 0, 0], [2, 1, 0], [1, 1, 1], [0, 4, -1]]),
+    ):
+        keys = [(9, 9, 9), key, (8, 8, 8)]
+        witness = _sweeps._first_failure(keys, lambda k: [(unit, unit), (unit, zero if k != (9, 9, 9) else unit)])
+        assert witness == {"key": listed, "lhs": [[[1, 0, 2], {"0": 1}]], "rhs": []}
+    assert _sweeps._first_failure(keys, lambda k: [(unit, unit)]) is None
 
 
 @pytest.mark.parametrize("n, r, half", [(3, 3, 7), (4, 3, 7), (5, 3, 7), (4, 4, 5)])
@@ -178,3 +223,24 @@ def test_right_memo_extends_by_linearity(key):
     assert TensorVector._raw(N, R, memo(x._terms)) == hecke_right_action(x, h)
     assert set(memo.images) == set(x._terms)
     assert memo(x._terms) == memo(x._terms)
+
+
+@pytest.mark.parametrize("suite, r", [("hopf", 1), ("hopf", 2), ("hopf", 3), ("duality", 3)])
+def test_key_count_is_the_keys_the_sweep_visits(suite, r, monkeypatch):
+    """The budget's estimate against the distinct keys the builder hands a
+    whole sweep at W = 1."""
+    seen = set()
+    clean = _sweeps.sweep_keys
+
+    def recording(window, rank):
+        for key in clean(window, rank):
+            seen.add(key)
+            yield key
+
+    monkeypatch.setattr(_sweeps, "sweep_keys", recording)
+    if suite == "hopf":
+        rows = _sweeps.verify_hopf(N, r, 1)
+    else:
+        rows = _sweeps.verify_affine_duality(N, r, 1, 1, samples=2)
+    assert rows and all(ok for _, ok, _ in rows)
+    assert len(seen) == sweep_key_count(suite, N, r, 1)
