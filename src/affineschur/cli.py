@@ -226,6 +226,8 @@ def _cmd_quantum(args) -> int:
 
 def _suite_params(name: str, args) -> dict:
     _refuse_unread(name, args)
+    if args.len is not None and args.len < 1:
+        raise InputError(f"--len is a length bound >= 1, got --len {args.len}")
     n = args.n if args.n is not None else 3
     r = args.r if args.r is not None else 3
     seed = args.seed if args.seed is not None else DEFAULT_SEED

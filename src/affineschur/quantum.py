@@ -40,7 +40,7 @@ from affineschur.schur import (
     phi,
     young_parabolic,
 )
-from affineschur.weyl import WindowPerm
+from affineschur.weyl import WindowPerm, young_subgroup_of_key
 
 __all__ = [
     "GeneratorWord",
@@ -486,16 +486,17 @@ def tau(n: int, r: int, w: WindowPerm) -> TensorOperator:
     if w.r != r:
         raise ValueError("rank mismatch")
     z, word = w.reduced_word()
+    return TensorOperator(n, r, lambda key: TensorVector._raw(n, r, _tau_terms({key: {0: 1}}, n, r, z, word)))
 
-    def fn(key: tuple[int, ...]) -> TensorVector:
-        terms = {key: {0: 1}}
-        for i in reversed(word):
-            terms = _tau_sigma_terms(terms, n, i)
-        for _ in range(abs(z)):
-            terms = _tau_rho_terms(terms, n, r, inverse=z < 0)
-        return TensorVector._raw(n, r, terms)
 
-    return TensorOperator(n, r, fn)
+def _tau_terms(terms: dict, n: int, r: int, z: int, word: tuple) -> dict:
+    """Raw terms under T_w, w = rho^z s_word; returns terms itself when w is
+    the identity."""
+    for i in reversed(word):
+        terms = _tau_sigma_terms(terms, n, i)
+    for _ in range(abs(z)):
+        terms = _tau_rho_terms(terms, n, r, inverse=z < 0)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -724,56 +725,57 @@ def _poincare_of_conjugated(d: WindowPerm, left, right) -> Laurent:
     return total
 
 
-def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple) -> TensorOperator:
-    lam = Weight(n, r, lparts)
-    mu = Weight(n, r, mparts)
+@lru_cache(maxsize=None)
+def _finite_term_image(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple, base: tuple) -> dict:
+    """The raw image of a base key (entries in 1..n, weight mu) under
+    phi^d_{lambda,mu} with d finite: the finite module structure transported
+    to tensor space.  Keyed by the base, never by a translated key, so the
+    table holds at most (finite phi-terms) x (base keys of weight mu)
+    images.  Read only: callers copy what they keep."""
+    g = phi(Weight(n, r, lparts), Weight(n, r, mparts), WindowPerm._unsafe(dwin))
+    terms: dict[tuple, dict[int, int]] = {}
+    for lp2, dw2, c in _finite_expansion(n, r, base):
+        moved = act_schur_left(g, QTensorElement.basis(Weight(n, r, lp2), WindowPerm._unsafe(dw2)))
+        for lam3, d3, c3 in moved.items():
+            addmul_into(terms, _finite_image(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _affine_term(r: int, lparts: tuple, mparts: tuple, dwin: tuple) -> tuple:
+    """(Poincare factor of the sandwich identity, z, reduced word of d) for
+    an affine phi-term."""
     d = WindowPerm._unsafe(dwin)
-    om = omega(n, r)
+    pnu = _poincare_of_conjugated(d, young_subgroup_of_key(lparts, r), young_subgroup_of_key(mparts, r))
+    z, word = d.reduced_word()
+    return pnu, z, word
+
+
+def _term_terms(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple, key: tuple) -> dict:
+    """The raw image of e_key under phi^d_{lambda,mu}.  The result may be a
+    cached dict or share one's coefficients: read only, so callers copy it
+    (addmul_into, _combine) before they keep or change it."""
     if all(1 <= t <= r for t in dwin):
-        # finite d: transport the finite module structure, extend by the
-        # commuting translation operators
-        g = phi(lam, mu, d)
-
-        def fn(key: tuple[int, ...]) -> TensorVector:
-            cvec = tuple((t - 1) // n for t in key)
-            base = tuple(t - n * q for t, q in zip(key, cvec))
-            terms: dict[tuple, dict[int, int]] = {}
-            for lp2, dw2, c in _finite_expansion(n, r, base):
-                if lp2 != mparts:
-                    continue
-                moved = act_schur_left(
-                    g, QTensorElement.basis(Weight(n, r, lp2), WindowPerm._unsafe(dw2))
-                )
-                for lam3, d3, c3 in moved.items():
-                    addmul_into(terms, _finite_image(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
-            for t, ct in enumerate(cvec):
-                if ct and terms:
-                    terms = kernels.tensor_shift_slot(terms, t, n * ct)
-            return TensorVector._raw(n, r, terms)
-
-        return TensorOperator(n, r, fn)
-
-    # affine d: route through the top weight space and divide by the
-    # Poincare factor of the sandwich identity
-    pnu = _poincare_of_conjugated(d, young_parabolic(lam), young_parabolic(mu))
-    merge = _term_operator(n, r, lparts, om.parts, WindowPerm.identity(r).window)
-    split = _term_operator(n, r, om.parts, mparts, WindowPerm.identity(r).window)
-    middle = tau(n, r, d)
-    omega_proj = om
-
-    def fn(key: tuple[int, ...]) -> TensorVector:
-        part = split.on_key(key)
-        part = project_weight(part, omega_proj)
-        part = middle(part)
-        part = merge(part)
-        if part.is_zero():
-            return part
-        out = {}
-        for k2, c2 in part._terms.items():
-            out[k2] = Laurent(c2).divexact(pnu).raw()
-        return TensorVector._raw(n, r, out)
-
-    return TensorOperator(n, r, fn)
+        # finite d: the image of the base key, moved by the commuting
+        # translation operators
+        cvec = tuple((t - 1) // n for t in key)
+        base = tuple(t - n * q for t, q in zip(key, cvec))
+        if Weight.of_key(base, n).parts != mparts:
+            return {}
+        terms = _finite_term_image(n, r, lparts, mparts, dwin, base)
+        for t, ct in enumerate(cvec):
+            if ct and terms:
+                terms = kernels.tensor_shift_slot(terms, t, n * ct)
+        return terms
+    # affine d: split to omega, act by tau on the top weight space, merge
+    # back, and divide by the Poincare factor of the sandwich identity
+    pnu, z, word = _affine_term(r, lparts, mparts, dwin)
+    om = omega(n, r).parts
+    ident = tuple(range(1, r + 1))
+    split = _term_terms(n, r, om, mparts, ident, key)
+    part = {k: c for k, c in split.items() if Weight.of_key(k, n).parts == om}
+    part = _combine(_tau_terms(part, n, r, z, word), lambda k: _term_terms(n, r, lparts, om, ident, k))
+    return {k: Laurent._raw(c).divexact(pnu).raw() for k, c in part.items()}
 
 
 def kappa(s: SchurElement) -> TensorOperator:
@@ -781,14 +783,9 @@ def kappa(s: SchurElement) -> TensorOperator:
     n, r = s.n, s.r
     if n < r:
         raise ValueError(f"kappa needs n >= r, got n={n}, r={r}")
-
-    def fn(key: tuple[int, ...]) -> TensorVector:
-        total: dict[tuple, dict[int, int]] = {}
-        for (lp, mp, dw), c in s._terms.items():
-            addmul_into(total, _term_operator(n, r, lp, mp, dw).on_key(key)._terms, c)
-        return TensorVector._raw(n, r, total)
-
-    return TensorOperator(n, r, fn)
+    return TensorOperator(
+        n, r, lambda key: TensorVector._raw(n, r, _combine(s._terms, lambda t: _term_terms(n, r, *t, key)))
+    )
 
 
 def kappa_exponents(n: int, r: int, lam: Weight) -> tuple[int, int]:
@@ -820,12 +817,14 @@ def _theta_image(n: int, r: int, lparts: tuple, dwin: tuple) -> dict:
     """The raw theta_iso image of the basis key x_lambda T_d: the omega row
     goes to the orbit of the cyclic vector, other rows through kappa.  One
     table for theta_iso, its inverse's columns and the duality sweep; the
-    images are read only, never mutated."""
+    images are read only, never mutated.  A kappa image is stored as a copy,
+    since _term_terms may hand out the dicts of its own tables."""
     om = omega(n, r)
     base = e_omega(n, r)
     if lparts == om.parts:
         return hecke_right_action(base, t_basis(WindowPerm._unsafe(dwin)))._terms
-    return _term_operator(n, r, lparts, om.parts, dwin).on_key(base.support()[0])._terms
+    image = _term_terms(n, r, lparts, om.parts, dwin, base.support()[0])
+    return {k: dict(c) for k, c in image.items()}
 
 
 def theta_iso(x: QTensorElement) -> TensorVector:

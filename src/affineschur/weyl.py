@@ -461,7 +461,14 @@ def longest_double_coset_elt(
 
 
 def young_subgroup_of_key(parts: Sequence[int], r: int) -> ParabolicIndex:
-    """Young parabolic of a composition: s_i for i, i+1 in the same block."""
+    """Young parabolic of a composition: s_i for i, i+1 in the same block.
+    One shared ParabolicIndex per (parts, r), so its memo of elements is
+    built once."""
+    return _young_subgroup(tuple(parts), r)
+
+
+@lru_cache(maxsize=None)
+def _young_subgroup(parts: tuple, r: int) -> ParabolicIndex:
     members = []
     pos = 0
     for part in parts:

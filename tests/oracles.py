@@ -95,14 +95,6 @@ def brute_coset_factorizations(
     return out
 
 
-def poincare_polynomial(pi: ParabolicIndex) -> Laurent:
-    """Sum of q^length over the parabolic subgroup."""
-    total = Laurent.zero()
-    for w in pi.elements():
-        total = total + Laurent.q(w.length())
-    return total
-
-
 def hecke_mul_left_expansion(a, b):
     """Product oracle that expands the LEFT factor into its rho power and
     reduced word and applies left multiplications, the mirror image of the
@@ -826,13 +818,99 @@ def act_hecke_right_by_terms(x, h):
     return QTensorElement._raw(n, r, _right_factor_terms(values, r))
 
 
+def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple):
+    """One phi-term as a TensorOperator built afresh, with closures over
+    phi, the Poincare factor, tau and the merge/split operators."""
+    from affineschur._backend import kernels
+    from affineschur.laurent import addmul_into
+    from affineschur.quantum import (
+        TensorOperator,
+        TensorVector,
+        _finite_expansion,
+        _finite_image,
+        _poincare_of_conjugated,
+        project_weight,
+        tau,
+    )
+    from affineschur.schur import QTensorElement, Weight, act_schur_left, omega, phi, young_parabolic
+
+    lam = Weight(n, r, lparts)
+    mu = Weight(n, r, mparts)
+    d = WindowPerm._unsafe(dwin)
+    om = omega(n, r)
+    if all(1 <= t <= r for t in dwin):
+        # finite d: transport the finite module structure, extend by the
+        # commuting translation operators
+        g = phi(lam, mu, d)
+
+        def fn(key: tuple[int, ...]) -> TensorVector:
+            cvec = tuple((t - 1) // n for t in key)
+            base = tuple(t - n * q for t, q in zip(key, cvec))
+            terms: dict[tuple, dict[int, int]] = {}
+            for lp2, dw2, c in _finite_expansion(n, r, base):
+                if lp2 != mparts:
+                    continue
+                moved = act_schur_left(
+                    g, QTensorElement.basis(Weight(n, r, lp2), WindowPerm._unsafe(dw2))
+                )
+                for lam3, d3, c3 in moved.items():
+                    addmul_into(terms, _finite_image(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
+            for t, ct in enumerate(cvec):
+                if ct and terms:
+                    terms = kernels.tensor_shift_slot(terms, t, n * ct)
+            return TensorVector._raw(n, r, terms)
+
+        return TensorOperator(n, r, fn)
+
+    # affine d: route through the top weight space and divide by the
+    # Poincare factor of the sandwich identity
+    pnu = _poincare_of_conjugated(d, young_parabolic(lam), young_parabolic(mu))
+    merge = _term_operator(n, r, lparts, om.parts, WindowPerm.identity(r).window)
+    split = _term_operator(n, r, om.parts, mparts, WindowPerm.identity(r).window)
+    middle = tau(n, r, d)
+    omega_proj = om
+
+    def fn(key: tuple[int, ...]) -> TensorVector:
+        part = split.on_key(key)
+        part = project_weight(part, omega_proj)
+        part = middle(part)
+        part = merge(part)
+        if part.is_zero():
+            return part
+        out = {}
+        for k2, c2 in part._terms.items():
+            out[k2] = Laurent(c2).divexact(pnu).raw()
+        return TensorVector._raw(n, r, out)
+
+    return TensorOperator(n, r, fn)
+
+
+def kappa_by_operators(s):
+    """The Schur algebra as operators on tensor space, one _term_operator
+    built per input key and Schur term; needs n >= r."""
+    from affineschur.laurent import addmul_into
+    from affineschur.quantum import TensorOperator, TensorVector
+
+    n, r = s.n, s.r
+    if n < r:
+        raise ValueError(f"kappa needs n >= r, got n={n}, r={r}")
+
+    def fn(key: tuple[int, ...]) -> TensorVector:
+        total: dict[tuple, dict[int, int]] = {}
+        for (lp, mp, dw), c in s._terms.items():
+            addmul_into(total, _term_operator(n, r, lp, mp, dw).on_key(key)._terms, c)
+        return TensorVector._raw(n, r, total)
+
+    return TensorOperator(n, r, fn)
+
+
 def theta_iso_by_kappa(x):
     """The bimodule identification, each term's image built afresh: the
     omega row goes to the orbit of the cyclic vector, other rows through
     kappa."""
     from affineschur.hecke import t_basis
     from affineschur.laurent import addmul_into
-    from affineschur.quantum import TensorVector, _term_operator, e_omega, hecke_right_action
+    from affineschur.quantum import TensorVector, e_omega, hecke_right_action
     from affineschur.schur import omega
 
     n, r = x.n, x.r

@@ -275,6 +275,11 @@ def test_oversized_sweep_exits_two_before_any_work(argv, monkeypatch, capsys):
         (["quantum", "verify-duality", "--n", "4", "--r", "2"], "3 <= r <= n"),
         (["verify", "duality", "--window", "-1"], "half-width >= 0"),
         (["verify", "hopf", "--r", "1", "--window", "-3"], "half-width >= 0"),
+        (["verify", "duality", "--len", "-1", "--window", "1"], "length bound >= 1"),
+        (["verify", "duality", "--len", "0"], "length bound >= 1"),
+        (["quantum", "verify-duality", "--len", "0", "--window", "1"], "length bound >= 1"),
+        (["verify", "weyl-core", "--len", "-3"], "length bound >= 1"),
+        (["verify", "weyl-core", "--len", "0"], "length bound >= 1"),
     ],
 )
 def test_out_of_domain_sweep_exits_two_before_any_work(argv, reason, monkeypatch, capsys):

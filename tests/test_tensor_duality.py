@@ -23,7 +23,9 @@ from affineschur.laurent import Laurent
 from affineschur.quantum import (
     TensorVector,
     UElement,
+    _finite_term_image,
     _theta_columns,
+    _theta_image,
     act_tensor,
     e_omega,
     finite_hecke_right_action,
@@ -48,7 +50,7 @@ from affineschur.schur import (
     young_parabolic,
 )
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
-from oracles import theta_iso_by_kappa
+from oracles import kappa_by_operators, theta_iso_by_kappa
 
 N = R = 3
 OM = omega(N, R)
@@ -449,6 +451,73 @@ def test_one_term_element_with_two_vector_image():
 def test_kappa_requires_enough_columns():
     with pytest.raises(ValueError):
         kappa(SchurElement.identity(2, 3))
+
+
+# every translation vector moves at least two slots
+SHIFTS = ((N, -N, 0), (0, 2 * N, -N), (-N, 0, N), (N, N, -2 * N))
+
+
+def test_kappa_matches_the_operator_oracle_on_every_term():
+    # every phi-term (lambda, mu, d) at n = r = 3 with d from the length-2,
+    # rho-bound-1 pool, finite and affine; per term one key of weight mu
+    # and one of another weight, both translated in two or more slots
+    pool = enumerate_up_to_length(R, 2, extended=True, rho_bound=1)
+    weights = all_weights(N, R)
+    terms = sorted({t for lam in weights for mu in weights for d in pool for t in phi(lam, mu, d)._terms})
+    assert {all(1 <= t <= R for t in dw) for _, _, dw in terms} == {True, False}
+    weight_of_key = {k: Weight.of_key(k, N).parts for k in finite_keys()}
+    for j, (lp, mp, dw) in enumerate(terms):
+        g = SchurElement._raw(N, R, {(lp, mp, dw): {0: 1}})
+        new, old = kappa(g), kappa_by_operators(g)
+        inside = [k for k, wp in weight_of_key.items() if wp == mp]
+        outside = [k for k, wp in weight_of_key.items() if wp != mp]
+        shift = SHIFTS[j % len(SHIFTS)]
+        for base in (inside[j % len(inside)], outside[j % len(outside)]):
+            key = tuple(t + c for t, c in zip(base, shift))
+            assert new.on_key(key)._terms == old.on_key(key)._terms, (lp, mp, dw, key)
+
+
+def test_cached_images_are_not_shared_with_callers():
+    # each result is changed in place, then computed again by the same
+    # operator; theta_iso's table keeps its own copy of a kappa image
+    lam = Weight(N, R, (2, 1, 0))
+    finite, affine = kappa(phi(lam, lam, WindowPerm.s(R, 2))), kappa(phi(lam, lam, WindowPerm((4, 5, 3))))
+    moved, fixed = tau(N, R, WindowPerm((2, 4, 0))), tau(N, R, E)
+    x = QTensorElement.basis(lam, E)
+    results = [
+        lambda: finite.on_key((1, 1, 2)),
+        lambda: finite.on_key((4, -2, 2)),
+        lambda: affine.on_key((1, 1, 2)),
+        lambda: moved.on_key((1, 2, 3)),
+        lambda: fixed.on_key((1, 2, 3)),
+        lambda: theta_iso(x),
+    ]
+    for make in results:
+        before = make()
+        assert not before.is_zero()
+        expected = {k: dict(c) for k, c in before._terms.items()}
+        for c in before._terms.values():
+            c[7] = 5
+        before._terms[(50, 60, 70)] = {0: 1}
+        assert make()._terms == expected
+    image = _theta_image(N, R, lam.parts, E.window)
+    cached = _finite_term_image(N, R, lam.parts, OM.parts, E.window, (1, 2, 3))
+    assert image == cached
+    assert image is not cached and all(image[k] is not cached[k] for k in image)
+
+
+def test_finite_term_images_are_keyed_by_the_base_key():
+    # translating the key by multiples of n in any slots translates the
+    # image, and the table gains at most the base key's one image
+    g = kappa(phi(Weight(N, R, (1, 1, 1)), Weight(N, R, (2, 1, 0)), WindowPerm.s(R, 2)))
+    base = (1, 2, 1)
+    size = _finite_term_image.cache_info().currsize
+    image = g.on_key(base)
+    assert not image.is_zero()
+    for shift in SHIFTS + ((N, 0, 0), (0, 0, -N), (-N, -N, -N)):
+        moved = {tuple(t + c for t, c in zip(k, shift)): v for k, v in image._terms.items()}
+        assert g.on_key(tuple(t + c for t, c in zip(base, shift)))._terms == moved, shift
+    assert _finite_term_image.cache_info().currsize - size <= 1
 
 
 # -- the full sweep at reduced size -----------------------------------------
