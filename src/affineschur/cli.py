@@ -280,7 +280,12 @@ def _run_reports(reports: list[SuiteReport], args) -> int:
 def _cmd_verify(args) -> int:
     params = _suite_params(args.suite, args)
     if args.suite == "all":
-        return _run_reports(run_all(**params), args)
+        try:
+            reports = run_all(**params)
+        except RuntimeError as exc:  # a suite worker died (BrokenProcessPool): a crashed check
+            sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+            return 1
+        return _run_reports(reports, args)
     return _run_reports([run_suite(args.suite, **params)], args)
 
 

@@ -767,14 +767,15 @@ def _term_terms(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple, key: 
             if ct and terms:
                 terms = kernels.tensor_shift_slot(terms, t, n * ct)
         return terms
-    # affine d: split to omega, act by tau on the top weight space, merge
-    # back, and divide by the Poincare factor of the sandwich identity
+    # affine d: split to omega (the split image has weight omega already),
+    # act by tau on the top weight space, merge back, and divide by the
+    # Poincare factor of the sandwich identity; split may be a cached dict,
+    # which _tau_terms and _combine only read
     pnu, z, word = _affine_term(r, lparts, mparts, dwin)
     om = omega(n, r).parts
     ident = tuple(range(1, r + 1))
     split = _term_terms(n, r, om, mparts, ident, key)
-    part = {k: c for k, c in split.items() if Weight.of_key(k, n).parts == om}
-    part = _combine(_tau_terms(part, n, r, z, word), lambda k: _term_terms(n, r, lparts, om, ident, k))
+    part = _combine(_tau_terms(split, n, r, z, word), lambda k: _term_terms(n, r, lparts, om, ident, k))
     return {k: Laurent._raw(c).divexact(pnu).raw() for k, c in part.items()}
 
 

@@ -14,11 +14,16 @@ quantum layer.  The keys of those sweeps come from one table here:
 sweep_ranks names the tensor ranks each sweep visits, sweep_keys builds
 the keys of one rank, and sweep_key_count, the budget's estimate, sums
 over the same ranks.
+
+run_all runs its eight suites side by side in worker processes, one per
+available CPU, longest first, and returns the reports in report order;
+run_suite runs one suite in the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -661,16 +666,49 @@ def run_suite(name: str, **params) -> SuiteReport:
     return SUITES[name](**params)
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[SuiteReport]:
-    """The acceptance sweep: both ranks for the group suite, both column
-    counts for the Hopf suite, defaults elsewhere."""
+def _all_jobs(seed: int) -> list[tuple[str, dict]]:
+    """The acceptance sweep as (suite name, params) jobs in report order:
+    both ranks for the group suite, both column counts for the Hopf suite,
+    defaults elsewhere."""
     return [
-        run_weyl_core(r=3),
-        run_weyl_core(r=4),
-        run_hecke_core(seed=seed),
-        run_kl(),
-        run_schur_core(seed=seed),
-        run_hopf(n=3),
-        run_hopf(n=4),
-        run_duality(seed=seed),
+        ("weyl-core", {"r": 3}),
+        ("weyl-core", {"r": 4}),
+        ("hecke-core", {"seed": seed}),
+        ("kl", {}),
+        ("schur-core", {"seed": seed}),
+        ("hopf", {"n": 3}),
+        ("hopf", {"n": 4}),
+        ("duality", {"seed": seed}),
     ]
+
+
+# the positions of _all_jobs in the order the pool takes them, longest
+# first (hopf n=4, duality, hopf n=3, schur-core, then the short rest), so
+# that no long suite starts last on a core that the others have left idle
+_LONGEST_FIRST = (6, 7, 5, 4, 0, 1, 2, 3)
+
+
+def _run_jobs(jobs: list[tuple[str, dict]]) -> list[SuiteReport]:
+    """run_suite(name, **params) for every job, each in a worker process,
+    started in the order given; the reports come back in that order.  A
+    worker that dies raises concurrent.futures' BrokenProcessPool (a
+    RuntimeError) once the other workers are stopped, and an exception a
+    suite raises is raised here after the running jobs end."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = ProcessPoolExecutor(max_workers=min(len(jobs), cpus))
+    try:
+        futures = [pool.submit(run_suite, name, **params) for name, params in jobs]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_all(seed: int = DEFAULT_SEED) -> list[SuiteReport]:
+    """The acceptance sweep, its suites run side by side in worker
+    processes; the reports come back in report order."""
+    jobs = _all_jobs(seed)
+    by_position = dict(zip(_LONGEST_FIRST, _run_jobs([jobs[i] for i in _LONGEST_FIRST])))
+    return [by_position[i] for i in range(len(jobs))]

@@ -1,9 +1,9 @@
 """Which modules an import loads, checked in a fresh interpreter.
 
 The command line front end must start without compiling the mathematics
-(quantum, schur) or the sweeps, since `affineschur verify --help` and every
-payload verb pay for each module they load; and the mathematics must not
-depend on the checks that verify it.
+(quantum, schur), the sweeps or the process pool, since `affineschur verify
+--help` and every payload verb pay for each module they load; and the
+mathematics must not depend on the checks that verify it.
 """
 
 import os
@@ -28,7 +28,17 @@ def _loaded_after(module: str) -> set:
 @pytest.mark.parametrize(
     "module, absent",
     [
-        ("affineschur.cli", {"affineschur.quantum", "affineschur.schur", "affineschur._sweeps"}),
+        (
+            "affineschur.cli",
+            {
+                "affineschur.quantum",
+                "affineschur.schur",
+                "affineschur._sweeps",
+                # verify all's process pool is imported when it runs
+                "multiprocessing",
+                "concurrent.futures.process",
+            },
+        ),
         ("affineschur.quantum", {"affineschur._sweeps", "affineschur.verify"}),
     ],
 )

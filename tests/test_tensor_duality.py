@@ -24,6 +24,7 @@ from affineschur.quantum import (
     TensorVector,
     UElement,
     _finite_term_image,
+    _term_terms,
     _theta_columns,
     _theta_image,
     act_tensor,
@@ -475,6 +476,26 @@ def test_kappa_matches_the_operator_oracle_on_every_term():
         for base in (inside[j % len(inside)], outside[j % len(outside)]):
             key = tuple(t + c for t, c in zip(base, shift))
             assert new.on_key(key)._terms == old.on_key(key)._terms, (lp, mp, dw, key)
+
+
+def test_split_images_of_affine_terms_have_weight_omega():
+    # an affine phi-term splits the key to omega before tau acts on the top
+    # weight space; the split image has no key of another weight, for every
+    # weight mu of an affine term from the length-2, rho-bound-1 pool and
+    # every key, of weight mu or not, in 1..n or translated
+    pool = enumerate_up_to_length(R, 2, extended=True, rho_bound=1)
+    weights = all_weights(N, R)
+    terms = {t for lam in weights for mu in weights for d in pool for t in phi(lam, mu, d)._terms}
+    affine_mus = sorted({mp for _, mp, dw in terms if not all(1 <= t <= R for t in dw)})
+    assert len(affine_mus) == len(weights)
+    keys = [tuple(t + c for t, c in zip(k, shift)) for k in finite_keys() for shift in ((0, 0, 0),) + SHIFTS]
+    images = 0
+    for mp in affine_mus:
+        for key in keys:
+            split = _term_terms(N, R, OM.parts, mp, E.window, key)
+            images += bool(split)
+            assert all(Weight.of_key(k, N) == OM for k in split), (mp, key)
+    assert images == len(keys)
 
 
 def test_cached_images_are_not_shared_with_callers():

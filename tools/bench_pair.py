@@ -4,7 +4,10 @@
     python3 tools/bench_pair.py --base HEAD~1 --change HEAD --out B.json
 
 Each side is a revision exported with `git archive` into a temporary
-directory, or the working tree itself (the default for --change).  For every
+directory, or the working tree (the default for --change) copied into one:
+its tracked files as they are on disk plus its untracked files that are not
+ignored.  Both sides thus run from the same kind of fresh directory, since
+where a side runs from moves setup_s by itself.  For every
 workload of BENCHMARK.json, `perfbench/run.py --workload W --seconds S
 --trace 0`, with S its run_seconds, runs on the two sides in turn, ten times
 each, alternating which side goes first.  The output holds, per workload
@@ -41,6 +44,20 @@ def _export(rev: str, into: str) -> dict:
     archive = subprocess.run(["git", "-C", ROOT, "archive", sha], capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
     return {"rev": rev, "sha": sha}
+
+
+def _export_worktree(into: str) -> dict:
+    """Copy the working tree's tracked and untracked, not ignored files into
+    a fresh directory, as _export unpacks a revision."""
+    paths = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for path in filter(None, paths):
+        src = os.path.join(ROOT, path)
+        if not os.path.lexists(src):  # deleted in the working tree
+            continue
+        dst = os.path.join(into, path)
+        os.makedirs(os.path.dirname(dst), exist_ok=True)
+        shutil.copy2(src, dst, follow_symlinks=False)
+    return _worktree_id()
 
 
 def _worktree_id() -> dict:
@@ -96,12 +113,9 @@ def main(argv=None) -> int:
     try:
         sides = {}
         for name, rev in (("base", args.base), ("change", args.change)):
-            if rev == WORKTREE:
-                sides[name] = (ROOT, _worktree_id())
-            else:
-                path = os.path.join(tmp, name)
-                os.mkdir(path)
-                sides[name] = (path, _export(rev, path))
+            path = os.path.join(tmp, name)
+            os.mkdir(path)
+            sides[name] = (path, _export_worktree(path) if rev == WORKTREE else _export(rev, path))
 
         entry: dict = {
             "harness": f"perfbench/run.py --workload W --seconds {seconds:g} --trace 0",
