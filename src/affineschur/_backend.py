@@ -1,21 +1,12 @@
-"""Import-time selection between the compiled and pure-Python kernels.
+"""The kernel module every layer calls through.
 
-``affineschur._kernels`` is a Cython extension built opportunistically by
-setup.py.  When it is missing (no compiler, source checkout without a build
-step) the pure reference module is used instead; both expose the same API.
-Set AFFINESCHUR_PURE=1 to force the pure backend, e.g. for benchmarking.
+The package's modules import ``kernels`` from here, and
+``perfbench/tracer.py`` wraps the kernel functions it finds here;
+``BACKEND`` is the name the benchmark stamps on each run.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("AFFINESCHUR_PURE"):
-    from affineschur import _kernels_py as kernels
-else:
-    try:
-        from affineschur import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from affineschur import _kernels_py as kernels  # type: ignore[no-redef]
+from affineschur import _kernels_py as kernels
 
 BACKEND: str = kernels.BACKEND

@@ -1,8 +1,5 @@
-"""Pure-Python reference implementations of the hot kernels.
-
-Same API as the compiled extension ``affineschur._kernels``; the import-time
-selection lives in ``affineschur._backend``.  Everything here works on plain
-containers so both backends stay trivially interchangeable:
+"""The hot kernels, on plain containers; the other modules reach them
+through ``affineschur._backend``:
 
 * Laurent polynomials in v are dicts mapping int exponents to nonzero int
   coefficients; ``{}`` is zero.  Functions return freshly normalized dicts
@@ -133,18 +130,6 @@ def win_apply(w, t):
     return w[s] + (t - 1 - s)
 
 
-def win_pos(w, val):
-    """Position of a value: val = (t)w returns t.  O(r) scan by residue."""
-    r = len(w)
-    j = 1
-    for x in w:
-        d = val - x
-        if not d % r:
-            return j + d
-        j += 1
-    raise ValueError("incomplete residue system in window")
-
-
 def win_compose(u, w):
     r = len(w)
     out = []
@@ -215,11 +200,6 @@ def win_mul_s_left(w, i):
         out[i - 1] = w[i]
         out[i] = w[i - 1]
     return tuple(out)
-
-
-def win_is_left_descent(w, i):
-    """True iff (i)w > (i+1)w, i.e. s_i * w is shorter than w."""
-    return win_apply(w, i) > win_apply(w, i + 1)
 
 
 def win_is_right_descent(w, i):

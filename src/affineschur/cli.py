@@ -246,6 +246,10 @@ def _suite_params(name: str, args) -> dict:
     if args.window is not None and args.window < 0:
         raise InputError(f"--window is a half-width >= 0, got --window {args.window}")
     if name == "hopf":
+        # the relation table is that of type A_{n-1}^(1) with n >= 3: the
+        # Serre rows are cubic, and only |i - j| = 1 mod n pairs fail to commute
+        if n < 3:
+            raise InputError(f"hopf checks the relations that hold for --n >= 3, got --n {n}")
         if not 1 <= r <= HOPF_MAX_R:
             raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
         params = {"n": n, "r": r, "window": args.window}

@@ -927,7 +927,7 @@ def theta_iso_by_kappa(x):
 
 
 # ---------------------------------------------------------------------------
-# Scanning window kernels, replaced in the pure backend by single passes
+# Scanning window kernels, replaced in _kernels_py by single passes
 # (one residue test per window entry, Shi's formula for the length).  The
 # old bodies, kept as the reference for tests/test_kernels_py.py.
 

@@ -280,6 +280,11 @@ def test_oversized_sweep_exits_two_before_any_work(argv, monkeypatch, capsys):
         (["quantum", "verify-duality", "--len", "0", "--window", "1"], "length bound >= 1"),
         (["verify", "weyl-core", "--len", "-3"], "length bound >= 1"),
         (["verify", "weyl-core", "--len", "0"], "length bound >= 1"),
+        # the relation table holds for n >= 3 only: n = 2 fails its Serre
+        # rows and n = 1 its coassociativity rows
+        (["verify", "hopf", "--n", "2", "--r", "1", "--window", "1"], "--n >= 3"),
+        (["verify", "hopf", "--n", "1", "--r", "2", "--window", "1"], "--n >= 3"),
+        (["quantum", "verify-hopf", "--n", "2"], "--n >= 3"),
     ],
 )
 def test_out_of_domain_sweep_exits_two_before_any_work(argv, reason, monkeypatch, capsys):

@@ -2,8 +2,9 @@
 
 The command line front end must start without compiling the mathematics
 (quantum, schur), the sweeps or the process pool, since `affineschur verify
---help` and every payload verb pay for each module they load; and the
-mathematics must not depend on the checks that verify it.
+--help` and every payload verb pay for each module they load; the
+mathematics must not depend on the checks that verify it; and the package
+runs on its one kernel module, the one the benchmark stamps.
 """
 
 import os
@@ -40,9 +41,20 @@ def _loaded_after(module: str) -> set:
             },
         ),
         ("affineschur.quantum", {"affineschur._sweeps", "affineschur.verify"}),
+        # the kernels are _kernels_py alone: a stale built _kernels*.so stays unloaded
+        ("affineschur", {"affineschur._kernels"}),
     ],
 )
 def test_import_does_not_load(module, absent):
     loaded = _loaded_after(module)
     assert module in loaded
     assert not absent & loaded, sorted(absent & loaded)
+
+
+def test_the_kernels_are_the_pure_module():
+    # perfbench/run.py stamps BACKEND on every run, and tools/bench_pair.py
+    # pairs only runs with the same stamp
+    from affineschur import _backend, _kernels_py
+
+    assert affineschur.BACKEND == "pure-python"
+    assert _backend.kernels is _kernels_py

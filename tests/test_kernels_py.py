@@ -1,9 +1,6 @@
 """The single-pass pure window and Hecke-generator kernels against the
 scanning bodies they replaced (oracles.py), and the KL table's own Bruhat
 test against the global bruhat_leq.
-
-tests/test_backends.py compares the two backends and is skipped when the
-extension is not built; these tests run on the pure module directly.
 """
 
 import itertools
@@ -58,9 +55,6 @@ def test_window_kernels_match_the_scanning_bodies(r):
         for i in range(1, r + 1):
             assert pure.win_mul_s_right(w, i) == oracles.win_mul_s_right(w, i)
             assert pure.win_is_right_descent(w, i) == oracles.win_is_right_descent(w, i)
-        # every value of several periods, most of them outside the window
-        for val in range(min(w) - 2 * r, max(w) + 2 * r + 1):
-            assert pure.win_pos(w, val) == oracles.win_pos(w, val)
 
 
 def test_length_is_the_crossing_count_across_rho_powers():
@@ -93,8 +87,6 @@ def test_malformed_windows_raise_the_same_error():
                 assert outcome(pure.hecke_mul_gen_right, terms, i) == outcome(
                     oracles.hecke_mul_gen_right, terms, i
                 )
-            for val in range(-5, 6):
-                assert outcome(pure.win_pos, w, val) == outcome(oracles.win_pos, w, val)
             assert pure.win_compose(w, w) == oracles.win_compose(w, w)
     with pytest.raises(ValueError, match="incomplete residue system"):
         pure.hecke_mul_gen_right({(1, 2, 3): {0: 1}, (1, 4, 3): {0: 1}}, 2)

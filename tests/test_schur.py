@@ -366,7 +366,11 @@ def test_left_action_composes_like_the_product():
 def test_double_centralizer_on_the_finite_block():
     """The span of keys with finite d carries commuting actions; mod p at
     three values of v, matrices commuting with the whole left action are
-    exactly the span of the six right translation operators."""
+    exactly the span of the six right translation operators.
+
+    The left set holds every phi(lam, lam, 1), and these act as the weight
+    projections, so a matrix commuting with it is block-diagonal by weight:
+    the commutant is solved over those sum(dim_lam^2) entries alone."""
     p = 46337
     perms = finite_perms(R)
     keys = sorted(
@@ -397,6 +401,18 @@ def test_double_centralizer_on_the_finite_block():
         sym_matrix(lambda lam, d, g=g: act_schur_left(g, QTensorElement.basis(lam, d)))
         for g in basis_elts
     ]
+    one = WindowPerm.identity(R)
+    for lam in LAMS:
+        e = phi(lam, lam, one)
+        assert e in basis_elts
+        proj = sym_matrix(lambda lam2, d, e=e: act_schur_left(e, QTensorElement.basis(lam2, d)))
+        assert proj == [
+            [Laurent.one() if i == j and keys[i][0] == lam.parts else None for j in range(dim)]
+            for i in range(dim)
+        ]
+    # row-major positions i * dim + j of the entries inside a weight block
+    block = [i * dim + j for i in range(dim) for j in range(dim) if keys[i][0] == keys[j][0]]
+    assert len(block) == sum(sum(k[0] == lam.parts for k in keys) ** 2 for lam in LAMS) == 93
     right_sym = [
         sym_matrix(lambda lam, d, w=w: act_hecke_right(QTensorElement.basis(lam, d), t_basis(w)))
         for w in perms
@@ -425,7 +441,9 @@ def test_double_centralizer_on_the_finite_block():
             a = sum(rng.randint(1, p - 1) * m for m in left) % p
             if sol is None:
                 k = (np.kron(a, eye) - np.kron(eye, a.T)) % p
-                sol = modp_nullspace(k, p)
+                kernel = modp_nullspace(k[:, block], p)
+                sol = np.zeros((dim * dim, kernel.shape[1]), dtype=np.int64)
+                sol[block] = kernel
             else:
                 cols = [
                     ((a @ sol[:, c].reshape(dim, dim) - sol[:, c].reshape(dim, dim) @ a) % p).reshape(-1)
