@@ -4,8 +4,9 @@ Weights are compositions of r into n nonnegative parts.  The algebra acts
 on the direct sum of the right ideals x_lambda * H, and its basis elements
 phi^d_{lambda,mu} send x_mu to the double-coset sum over W_lambda d W_mu.
 Products are genuine composites of module homomorphisms, re-expanded in the
-basis by peeling minimal double-coset strata; nothing here depends on
-structure constants being known in closed form.
+basis by reading coefficients off the distinguished double-coset
+representatives; nothing here depends on structure constants being known in
+closed form.
 
 q-tensor space is the column of the algebra at the weight omega = (1^r, 0*),
 a left Schur / right Hecke bimodule with basis x_lambda T_d.
@@ -15,18 +16,18 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
-from affineschur.hecke import HeckeElement, KLTable, _right_walk, x_lambda
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into
+from affineschur.hecke import HeckeElement, KLTable, _right_walk, _word_walk
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
+    _coset_split,
     coset_decompose,
     double_coset,
     double_coset_rep,
-    is_distinguished,
     longest_double_coset_elt,
     young_subgroup_of_key,
 )
@@ -47,10 +48,6 @@ __all__ = [
     "act_schur_left",
     "act_hecke_right",
 ]
-
-# peeling must strictly shrink a finite stratum poset; hitting this cap
-# means the input was not in the claimed span
-_PEEL_CAP = 100_000
 
 
 class Weight:
@@ -163,35 +160,39 @@ def phi(lam: Weight, mu: Weight, d: WindowPerm, strict: bool = False) -> "SchurE
     )
 
 
-def _peel_strata(
-    h: HeckeElement, is_lead: Callable[[tuple], bool], image: Callable[[tuple], dict], span: str
+def _read_cells(
+    h: HeckeElement, is_lead: Callable[[tuple], bool], cell: Callable[[tuple], Iterable[tuple]], span: str
 ) -> dict[tuple, Laurent]:
-    """Coordinates of h over the columns image(w), one per lead window w.
-
-    Peels the minimal-length, lexicographically smallest window of the
-    residual; for an element of the span that window is a lead window with
-    the right coefficient.  Raises ValueError if h leaves the span.
-    """
+    """Coordinates of h over the sums of T_w, w in cell(d), one per lead
+    window d; the cells are disjoint.  An element of their span carries its
+    coordinate at d on all of d's cell: it is read off at d and checked on
+    the cell, and the cells must cover h, else ValueError (no assert, so the
+    check survives python -O)."""
+    terms = h._terms
     coords: dict[tuple, Laurent] = {}
-    residual = {w: dict(c) for w, c in h._terms.items()}
-    for _ in range(_PEEL_CAP):
-        if not residual:
-            return coords
-        wwin = min(residual, key=lambda w: (kernels.win_length(w), w))
-        if not is_lead(wwin):
-            raise ValueError(f"element is not {span}: stuck at {wwin}")
-        c = coords[wwin] = Laurent(residual[wwin])
-        addmul_into(residual, image(wwin), kernels.lp_neg(c.raw()))
-    raise RuntimeError(f"peel did not terminate; element is not {span}")
+    covered = 0
+    for d, c in terms.items():
+        if not is_lead(d):
+            continue
+        for w in cell(d):
+            if terms.get(w) != c:
+                raise ValueError(f"element is not {span}: {w} differs from its lead {d}")
+            covered += 1
+        coords[d] = Laurent(c)
+    if covered != len(terms):
+        raise ValueError(f"element is not {span}: {len(terms) - covered} windows lie in no cell")
+    return coords
 
 
 def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, Laurent]:
-    """Coordinates of h in the basis {x_pi T_d : d distinguished}."""
-    xl = x_lambda(pi)
-    return _peel_strata(
+    """Coordinates of h in the basis {x_pi T_d : d distinguished}; x_pi T_d
+    is the sum of T_ud over u in the parabolic."""
+    gens = sorted(pi.generators)
+    us = [u.window for u in pi.elements()]
+    return _read_cells(
         h,
-        lambda w: is_distinguished(WindowPerm._unsafe(w), pi),
-        lambda w: xl.mul_t_right(WindowPerm._unsafe(w))._terms,
+        lambda w: all(kernels.win_apply(w, i) < kernels.win_apply(w, i + 1) for i in gens),
+        lambda d: (kernels.win_compose(u, d) for u in us),
         "a combination of x*T_d terms",
     )
 
@@ -199,11 +200,12 @@ def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, La
 def _expand_phi(h: HeckeElement, lam: Weight, mu: Weight) -> dict[tuple, Laurent]:
     """Coordinates of h in the phi-basis column (lam, mu); the lead windows
     are the minimal double-coset representatives."""
-    left, right = young_parabolic(lam), young_parabolic(mu)
-    return _peel_strata(
+    lgens, rgens = sorted(young_parabolic(lam).generators), sorted(young_parabolic(mu).generators)
+    return _read_cells(
         h,
-        lambda w: double_coset_rep(WindowPerm._unsafe(w), left, right).window == w,
-        lambda w: _phi_value_cached(lam.r, lam.parts, mu.parts, w)._terms,
+        lambda w: all(kernels.win_apply(w, i) < kernels.win_apply(w, i + 1) for i in lgens)
+        and not any(kernels.win_is_right_descent(w, i) for i in rgens),
+        lambda d: _phi_value_cached(lam.r, lam.parts, mu.parts, d)._terms,
         "in the double-coset span",
     )
 
@@ -305,7 +307,8 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     A term of a with row/column pair (lam1, mu1) composes with a term of b
     at (lam2, mu2) only when mu1 == lam2.  Each b-column is evaluated on
     x_mu2, written as x_lam2 times a right factor, pushed through a, and the
-    resulting Hecke value is peeled back into basis coordinates.
+    basis coordinates of the resulting Hecke value are read off its
+    distinguished double-coset representatives.
     """
     if (a.n, a.r) != (b.n, b.r):
         raise ValueError("shape mismatch")
@@ -493,12 +496,25 @@ def act_schur_left(s: SchurElement, x: QTensorElement) -> QTensorElement:
 
 
 def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
-    """Right action: multiply each x_lambda T_d by h and re-expand."""
+    """Right action: x_lambda T_d h = x_lambda (T_d h), and a window u d' of
+    T_d h, u in the parabolic, d' distinguished, gives q^l(u) x_lambda T_d'."""
     if x.r != h.r:
         raise ValueError("rank mismatch")
     n, r = x.n, x.r
-    values = {
-        lp: (x_lambda(young_subgroup_of_key(lp, r)) * HeckeElement._raw(r, tail) * h)._terms
-        for lp, tail in _tails_by_weight(x).items()
-    }
-    return QTensorElement._raw(n, r, _right_factor_terms(values, r))
+    tails = _tails_by_weight(x)
+    # one walk over h's words carries every weight's tail at once
+    prods: dict[tuple, dict] = {lp: {} for lp in tails}
+    for wwin, parts in _word_walk(
+        h._terms,
+        lambda z: {lp: kernels.hecke_mul_rho_right(tail, z) for lp, tail in tails.items()},
+        lambda imgs, i: {lp: kernels.hecke_mul_gen_right(img, i) for lp, img in imgs.items()},
+    ):
+        for lp, part in parts.items():
+            addmul_into(prods[lp], part, h._terms[wwin])
+    out: dict[tuple, dict] = {}
+    for lp, prod in prods.items():
+        gens = sorted(young_subgroup_of_key(lp, r).generators)
+        for wwin, c in prod.items():
+            k, dwin = _coset_split(wwin, gens)
+            addmul_term(out, (lp, dwin), kernels.lp_shift(c, 2 * k))
+    return QTensorElement._raw(n, r, out)

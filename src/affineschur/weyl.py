@@ -395,21 +395,24 @@ def is_distinguished(w: WindowPerm, pi: ParabolicIndex) -> bool:
 def coset_decompose(w: WindowPerm, pi: ParabolicIndex) -> tuple[WindowPerm, WindowPerm]:
     """The unique (u, d) with w = u * d, u in the parabolic, d distinguished;
     lengths add.  Runs by stripping left descents lying in pi."""
-    gens = sorted(pi.generators)
-    letters: list[int] = []
-    win = w.window
+    _, dwin = _coset_split(w.window, sorted(pi.generators))
+    d = WindowPerm._unsafe(dwin)
+    return w * d.inverse(), d
+
+
+def _coset_split(win: tuple[int, ...], gens: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(k, d) with w = u * d for w of window win, u in the parabolic of gens
+    (sorted) with length k and d distinguished, by stripping the smallest
+    left descent in gens until none is left."""
+    k = 0
     while True:
         i = next(
             (i for i in gens if kernels.win_apply(win, i) > kernels.win_apply(win, i + 1)), None
         )
         if i is None:
-            break
-        letters.append(i)
+            return k, win
+        k += 1
         win = kernels.win_mul_s_left(win, i)
-    u = WindowPerm.identity(w.r)
-    for i in letters:
-        u = u * WindowPerm.s(w.r, i)
-    return u, WindowPerm._unsafe(win)
 
 
 def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> WindowPerm:

@@ -782,11 +782,116 @@ def from_bernstein_by_words(assoc, r: int):
     return HeckeElement._raw(r, total)
 
 
+# ---------------------------------------------------------------------------
+# The peel that schur replaced by reading coordinates off the distinguished
+# representatives.  It subtracts whole basis columns, shortest window first,
+# so it never relies on the cells partitioning the group.
+
+# peeling must strictly shrink a finite stratum poset; hitting this cap
+# means the input was not in the claimed span
+_PEEL_CAP = 100_000
+
+
+def peel_strata(h, is_lead, image, span: str) -> dict:
+    """Coordinates of h over the columns image(w), one per lead window w.
+
+    Peels the minimal-length, lexicographically smallest window of the
+    residual; for an element of the span that window is a lead window with
+    the right coefficient.  Raises ValueError if h leaves the span.
+    """
+    from affineschur.laurent import addmul_into
+
+    coords: dict = {}
+    residual = {w: dict(c) for w, c in h._terms.items()}
+    for _ in range(_PEEL_CAP):
+        if not residual:
+            return coords
+        wwin = min(residual, key=lambda w: (win_length(w), w))
+        if not is_lead(wwin):
+            raise ValueError(f"element is not {span}: stuck at {wwin}")
+        c = coords[wwin] = Laurent(residual[wwin])
+        addmul_into(residual, image(wwin), {e: -k for e, k in c.raw().items()})
+    raise RuntimeError(f"peel did not terminate; element is not {span}")
+
+
+def extract_right_factor_by_peel(h, pi) -> dict:
+    """Coordinates of h in the basis {x_pi T_d : d distinguished}."""
+    from affineschur.hecke import x_lambda
+    from affineschur.weyl import is_distinguished
+
+    xl = x_lambda(pi)
+    return peel_strata(
+        h,
+        lambda w: is_distinguished(WindowPerm._unsafe(w), pi),
+        lambda w: xl.mul_t_right(WindowPerm._unsafe(w))._terms,
+        "a combination of x*T_d terms",
+    )
+
+
+def expand_phi_by_peel(h, lam, mu) -> dict:
+    """Coordinates of h in the phi-basis column (lam, mu); the lead windows
+    are the minimal double-coset representatives."""
+    from affineschur.schur import _phi_value_cached, young_parabolic
+    from affineschur.weyl import double_coset_rep
+
+    left, right = young_parabolic(lam), young_parabolic(mu)
+    return peel_strata(
+        h,
+        lambda w: double_coset_rep(WindowPerm._unsafe(w), left, right).window == w,
+        lambda w: _phi_value_cached(lam.r, lam.parts, mu.parts, w)._terms,
+        "in the double-coset span",
+    )
+
+
+def right_factor_terms_by_peel(values: dict, r: int) -> dict:
+    """{(lambda parts, d window): coefficient} of Hecke values {lambda parts:
+    raw terms}, each value peeled over x_lambda T_d."""
+    from affineschur.hecke import HeckeElement
+    from affineschur.weyl import young_subgroup_of_key
+
+    out: dict = {}
+    for lp, terms in values.items():
+        coords = extract_right_factor_by_peel(HeckeElement._raw(r, terms), young_subgroup_of_key(lp, r))
+        for dwin, c in coords.items():
+            out[(lp, dwin)] = c.raw()
+    return out
+
+
+def schur_mul_by_peel(a, b):
+    """a after b as schur_mul computes it, with both re-expansions peeled."""
+    from affineschur.hecke import HeckeElement
+    from affineschur.laurent import addmul_into
+    from affineschur.schur import SchurElement, Weight, _phi_value_cached, young_parabolic
+
+    if (a.n, a.r) != (b.n, b.r):
+        raise ValueError("shape mismatch")
+    n, r = a.n, a.r
+    blocks: dict = {}
+    for (l2, m2, d2), c2 in b._terms.items():
+        addmul_into(blocks.setdefault((l2, m2), {}), _phi_value_cached(r, l2, m2, d2)._terms, c2)
+    values: dict = {}
+    for (l2, m2), raw in blocks.items():
+        if not raw:
+            continue
+        factor = extract_right_factor_by_peel(HeckeElement._raw(r, raw), young_parabolic(Weight(n, r, l2)))
+        right = HeckeElement._raw(r, {dwin: c.raw() for dwin, c in factor.items()})
+        for (l1, m1, d1), c1 in a._terms.items():
+            if m1 == l2:
+                base = _phi_value_cached(r, l1, m1, d1)
+                addmul_into(values.setdefault((l1, m2), {}), (base * right)._terms, c1)
+    out: dict = {}
+    for (l1, m2), h in values.items():
+        coords = expand_phi_by_peel(HeckeElement._raw(r, h), Weight(n, r, l1), Weight(n, r, m2))
+        for dwin, c in coords.items():
+            out[(l1, m2, dwin)] = c.raw()
+    return SchurElement._raw(n, r, out)
+
+
 def act_schur_left_by_terms(s, x):
     """s . x, one product phi value * T_d per pair of terms of s and x."""
     from affineschur._backend import kernels
     from affineschur.laurent import addmul_into
-    from affineschur.schur import QTensorElement, _phi_value_cached, _right_factor_terms
+    from affineschur.schur import QTensorElement, _phi_value_cached
 
     if (s.n, s.r) != (x.n, x.r):
         raise ValueError("shape mismatch")
@@ -799,14 +904,15 @@ def act_schur_left_by_terms(s, x):
                 continue
             part = _phi_value_cached(r, l1, m1, d1).mul_t_right(d2)
             addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
-    return QTensorElement._raw(n, r, _right_factor_terms(values, r))
+    return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
 
 def act_hecke_right_by_terms(x, h):
     """x . h, one product x_lambda T_d * h per term of x."""
     from affineschur.hecke import x_lambda
     from affineschur.laurent import addmul_into
-    from affineschur.schur import QTensorElement, _right_factor_terms, young_subgroup_of_key
+    from affineschur.schur import QTensorElement
+    from affineschur.weyl import young_subgroup_of_key
 
     if x.r != h.r:
         raise ValueError("rank mismatch")
@@ -815,7 +921,7 @@ def act_hecke_right_by_terms(x, h):
     for (lp, dwin), c in x._terms.items():
         part = x_lambda(young_subgroup_of_key(lp, r)).mul_t_right(WindowPerm._unsafe(dwin)) * h
         addmul_into(values.setdefault(lp, {}), part._terms, c)
-    return QTensorElement._raw(n, r, _right_factor_terms(values, r))
+    return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
 
 def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple):
