@@ -8,12 +8,16 @@ through ``affineschur._backend``:
   mod r form a complete residue system.  The tuple describes a bijection of
   the integers with ``(t + r)w = (t)w + r``, and composition is postfix:
   ``(t)(uw) = ((t)u)w``.
-* Hecke algebra elements are dicts mapping window tuples to Laurent dicts.
+* Hecke algebra elements are dicts mapping window tuples to Laurent dicts,
+  or, inside a walk, to packed ints: a Laurent dict at v = 2^width
+  (lp_pack, lp_unpack and hecke_packed_mul_gen_right).
 * Tensor-space vectors are dicts mapping int tuples (keys) to Laurent dicts.
 
 The Hecke and tensor kernels hard-code q = v**2.  The window kernels and the
 right generator step make one pass over a window, with one residue test per
 entry; win_length is Shi's formula, a sum over the r(r-1)/2 pairs of entries.
+The right generator step has one body, hecke_packed_mul_gen_right;
+hecke_mul_gen_right is that body between hecke_pack and hecke_unpack.
 """
 
 from __future__ import annotations
@@ -121,6 +125,63 @@ def lp_eval_mod(a, x, p):
 
 
 # ---------------------------------------------------------------------------
+# Packed coefficients: the Kronecker substitution v -> 2^width
+#
+# lp_pack(a, offset, width) is the value of v^offset * a at v = 2^width, one
+# exact int; offset + (the least exponent of a) must be >= 0.  The map is a
+# ring homomorphism, so sums, products and multiplication by v^k (a left
+# shift by k * width) may run on the ints.  lp_unpack reads the result back
+# as balanced base-2^width digits, each in [-2^(width-1), 2^(width-1)); it
+# returns a exactly when every coefficient of a has absolute value below
+# 2^(width-1), which packed_width(bound) guarantees for coefficients <= bound.
+
+
+def packed_width(bound):
+    """The least width >= 2 with 2^(width-1) > bound, for a bound >= 0.  At
+    width 1 the only digits are -1 and 0, and lp_unpack of 1 would not end."""
+    return max(bound.bit_length() + 1, 2)
+
+
+def lp_pack(a, offset, width):
+    p = 0
+    for e, c in a.items():
+        p += c << (width * (e + offset))
+    return p
+
+
+def lp_unpack(p, offset, width):
+    out = {}
+    if not p:
+        return out
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    # the low digits that are 0 are the low bits that are 0
+    skip = ((p & -p).bit_length() - 1) // width
+    p >>= skip * width
+    e = skip - offset
+    while p:
+        d = p & mask
+        if d >= half:
+            d -= full
+        if d:
+            out[e] = d
+        p = (p - d) >> width
+        e += 1
+    return out
+
+
+def hecke_pack(terms, offset, width):
+    """lp_pack on every coefficient of a {window: Laurent dict} element."""
+    return {w: lp_pack(c, offset, width) for w, c in terms.items()}
+
+
+def hecke_unpack(terms, offset, width):
+    """lp_unpack on every coefficient; keys whose value is 0 are dropped."""
+    return {w: lp_unpack(p, offset, width) for w, p in terms.items() if p}
+
+
+# ---------------------------------------------------------------------------
 # Window permutations
 
 
@@ -225,11 +286,25 @@ def win_is_right_descent(w, i):
 
 
 def hecke_mul_gen_right(terms, i):
-    """T_w T_s = T_{ws} if ws > w, else q T_{ws} + (q - 1) T_w.  One pass
-    over each window builds ws and finds a, b as in win_is_right_descent; a
-    new accumulator is a shifted copy of the coefficient."""
+    """terms * T_{s_i} on Laurent coefficients: hecke_pack, the packed step,
+    hecke_unpack.  An output coefficient is at most 3 * sum_w |c_w|_1 (see
+    hecke_packed_mul_gen_right), which fixes the width."""
+    lo = min((e for c in terms.values() for e in c), default=0)
+    width = packed_width(3 * sum(abs(k) for c in terms.values() for k in c.values()))
+    packed = hecke_pack(terms, -lo, width)
+    return hecke_unpack(hecke_packed_mul_gen_right(packed, i, 2 * width), -lo, width)
+
+
+def hecke_packed_mul_gen_right(terms, i, shift):
+    """T_w T_s = T_{ws} if ws > w, else q T_{ws} + (q - 1) T_w, on packed
+    coefficients: with v = 2^width and shift = 2 * width, q * p is p << shift.
+    One pass over each window builds ws and finds a, b as in
+    win_is_right_descent.  A term's image has l1 norm at most 3 times its
+    own, so the step at most triples the l1 norm.  A cancelled key may stay
+    with value 0; hecke_unpack drops it."""
     out = {}
-    for w, c in terms.items():
+    get = out.get
+    for w, p in terms.items():
         r = len(w)
         ws = list(w)
         a = b = None
@@ -247,26 +322,13 @@ def hecke_mul_gen_right(terms, i):
             j += 1
         if a is None or b is None:
             raise ValueError("incomplete residue system in window")
-        if not c:
-            continue
         ws = tuple(ws)
-        down = a > b + 1
-        qc = {e + 2: k for e, k in c.items()} if down else dict(c)
-        acc = out.get(ws)
-        if acc is None:
-            out[ws] = qc
+        if a > b + 1:
+            qp = p << shift
+            out[ws] = get(ws, 0) + qp
+            out[w] = get(w, 0) + qp - p
         else:
-            lp_add_into(acc, qc)
-            if not acc:
-                del out[ws]
-        if down:
-            acc = out.get(w)
-            if acc is None:
-                out[w] = lp_sub(qc, c)
-            else:
-                lp_addmul_into(acc, c, _QM1)
-                if not acc:
-                    del out[w]
+            out[ws] = get(ws, 0) + p
     return out
 
 

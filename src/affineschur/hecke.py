@@ -6,7 +6,18 @@ expand the right factor through its rho power and reduced words.  The
 canonical reduced words of b's support form a prefix tree, and a*b walks
 that tree once: one generator sweep per node of the tree, not one per letter
 of every term.  The bar involution and the Bernstein rewrite walk the same
-tree.  On top of the T-basis sit
+tree.
+
+The product, bar and the Schur actions walk on packed coefficients: each
+Laurent coefficient is one exact int, its value at v = 2^B after a shift
+by an exponent offset (the Kronecker substitution, kernels.lp_pack), so a
+step, the accumulation and a q-shift are int adds and shifts.  A T_s step
+at most triples the l1 norm (the sum of |coefficient| over all terms), and
+so does v^2 times a T_s^-1 step; hence every coefficient of
+sum_w c_w * (a * T_w) is at most |a|_1 * sum_w |c_w|_1 * 3^l(w).  B is the
+least width with 2^(B-1) above that bound, so the balanced base-2^B digits
+of each result (kernels.lp_unpack) are its coefficients exactly.  On top
+of the T-basis sit
 
 * the parabolic sums x_lambda,
 * Kazhdan-Lusztig polynomials (zero across distinct rho powers),
@@ -71,6 +82,25 @@ def _word_walk(wins: Iterable[tuple[int, ...]], start: Callable, step: Callable)
     length-0 elements rho^z.  The walk covers the prefix closure of wins
     with one step per node, depth first, and drops each image once its
     subtree is done: only the current root-to-node path stays alive.
+
+    The products, bar and the Schur actions walk with packed images
+    (_packed_products, _packed_bar_walk): {window: int}, each int a
+    Laurent coefficient times v^offset at v = 2^B (kernels.lp_pack).  The
+    width B comes from a bound on the l1 norm |.|_1, the sum of
+    |coefficient| over every term:
+
+    * T_w T_s is T_ws or q T_ws + (q - 1) T_w, and v^2 T_w T_s^-1 is
+      v^2 T_ws or T_ws + (1 - v^2) T_w: of norm 1 or 3 either way, so by
+      the triangle inequality a step at most triples the norm of an image;
+    * a node w sits l(w) steps below its root a * T_rho^z, whose norm is
+      |a|_1, so |a * T_w|_1 <= 3^l(w) |a|_1;
+    * |f g|_1 <= |f|_1 |g|_1 for Laurent polynomials, and a coefficient is
+      at most the norm of the whole sum.
+
+    So every coefficient of sum_w c_w * (a * T_w) is at most
+    |a|_1 * sum_w |c_w|_1 * 3^l(w) (_walk_bound).  B is the least width
+    with 2^(B-1) above that bound, and each result is unpacked once, into
+    balanced base-2^B digits that are its coefficients exactly.
     """
     wanted = dict.fromkeys(wins)
     kids: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
@@ -106,11 +136,53 @@ def _word_walk(wins: Iterable[tuple[int, ...]], start: Callable, step: Callable)
                 path.append((child, iter(kids[node])))
 
 
-def _right_walk(terms: dict, wins: Iterable[tuple[int, ...]]):
-    """(win, terms * T_win) for each window in wins."""
-    return _word_walk(
-        wins, lambda z: kernels.hecke_mul_rho_right(terms, z), kernels.hecke_mul_gen_right
-    )
+def _norm(terms: dict) -> int:
+    """The l1 norm of raw terms: the sum of |coefficient| over every key and
+    exponent."""
+    return sum(sum(map(abs, c.values())) for c in terms.values())
+
+
+def _low(terms: dict) -> int:
+    """The least exponent among the coefficients of raw terms (0 if none)."""
+    return min(map(min, filter(None, terms.values())), default=0)
+
+
+def _walk_bound(terms: dict) -> int:
+    """sum_w |c_w|_1 * 3^l(w) over raw terms: times |a|_1, it bounds every
+    coefficient of sum_w c_w * (a * T_w) (see _word_walk)."""
+    return sum(sum(map(abs, c.values())) * 3 ** kernels.win_length(w) for w, c in terms.items())
+
+
+def _packed_products(xs: Mapping, b: dict) -> tuple[dict, int, int]:
+    """({key: x * b packed}, offset, width) for the raw terms x of xs and b,
+    from one packed walk over b's canonical words that carries every x.
+    The bound of _word_walk holds for the l1 norm of each whole product, so
+    a packed product may also be regrouped, its values multiplied by powers
+    of q and summed across keys, before kernels.hecke_unpack reads it."""
+    width = kernels.packed_width(max(map(_norm, xs.values()), default=0) * _walk_bound(b))
+    ox = -min(map(_low, xs.values()), default=0)
+    ob = -_low(b)
+    shift = 2 * width
+    packed = {key: kernels.hecke_pack(x, ox, width) for key, x in xs.items()}
+    totals: dict = {key: {} for key in xs}
+    for wwin, imgs in _word_walk(
+        b,
+        lambda z: {key: {kernels.win_add(w, z): p for w, p in px.items()} for key, px in packed.items()},
+        lambda imgs, i: {key: kernels.hecke_packed_mul_gen_right(img, i, shift) for key, img in imgs.items()},
+    ):
+        cb = kernels.lp_pack(b[wwin], ob, width)
+        for key, img in imgs.items():
+            total = totals[key]
+            get = total.get
+            for w, p in img.items():
+                total[w] = get(w, 0) + p * cb
+    return totals, ox + ob, width
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """a * b on raw terms."""
+    totals, offset, width = _packed_products({0: a}, b)
+    return kernels.hecke_unpack(totals[0], offset, width)
 
 
 class HeckeElement(LaurentCombination):
@@ -180,27 +252,32 @@ class HeckeElement(LaurentCombination):
 
     def mul_t_right(self, w: WindowPerm) -> "HeckeElement":
         """Right multiplication by the basis term T_w."""
-        ((_, cur),) = _right_walk(self._terms, (w.window,))
-        return HeckeElement._raw(self.r, cur)
+        return HeckeElement._raw(self.r, _mul_terms(self._terms, {w.window: _ONE}))
 
     def __mul__(self, other: "HeckeElement | Laurent | int") -> "HeckeElement":
         if isinstance(other, (Laurent, int)):
             return self.scale(other)
         if self.r != other.r:
             raise ValueError("period mismatch")
-        total: dict[tuple[int, ...], dict[int, int]] = {}
-        for wwin, part in _right_walk(self._terms, other._terms):
-            addmul_into(total, part, other._terms[wwin])
-        return HeckeElement._raw(self.r, total)
+        return HeckeElement._raw(self.r, _mul_terms(self._terms, other._terms))
 
     # -- involutions and specializations -----------------------------------
 
     def bar(self) -> "HeckeElement":
         """The bar involution: v -> v^-1 and T_w -> (T_{w^-1})^-1."""
-        total: dict[tuple[int, ...], dict[int, int]] = {}
-        for wwin, img in _bar_walk(self.r, self._terms):
-            addmul_into(total, img, kernels.lp_bar(self._terms[wwin]))
-        return HeckeElement._raw(self.r, total)
+        lengths = {w: kernels.win_length(w) for w in self._terms}
+        top = max(lengths.values(), default=0)
+        width = kernels.packed_width(_walk_bound(self._terms))
+        barred = {w: kernels.lp_bar(c) for w, c in self._terms.items()}
+        lo = -_low(barred)
+        total: dict[tuple[int, ...], int] = {}
+        get = total.get
+        for wwin, img in _packed_bar_walk(self.r, self._terms, width):
+            # img is v^(2 l) bar(T_w): raise every term to v^(2 top)
+            c = kernels.lp_pack(barred[wwin], lo + 2 * (top - lengths[wwin]), width)
+            for w, p in img.items():
+                total[w] = get(w, 0) + p * c
+        return HeckeElement._raw(self.r, kernels.hecke_unpack(total, lo + 2 * top, width))
 
     def specialize_group_algebra(self) -> dict[WindowPerm, int]:
         """The image under v -> 1, as a group-algebra element over Z."""
@@ -275,14 +352,39 @@ def specialize_group_algebra(h: HeckeElement) -> dict[WindowPerm, int]:
     return h.specialize_group_algebra()
 
 
-def _bar_walk(r: int, wins: Iterable[tuple[int, ...]]):
-    """(win, bar(T_win)) for each window in wins: bar(T_rho^z) = T_rho^z
-    and bar(T_w) = bar(T_{w s_i}) * T_{s_i}^-1 along the canonical word."""
+def _packed_gen_inv(img: dict, i: int, shift: int) -> dict:
+    """v^2 * img * T_{s_i}^-1 = img * T_{s_i} + (1 - q) * img on packed
+    coefficients.  Per term it is v^2 T_{ws} if ws < w, else
+    T_{ws} + (1 - v^2) T_w, so it too at most triples the l1 norm."""
+    out = kernels.hecke_packed_mul_gen_right(img, i, shift)
+    for w, p in img.items():
+        s = out.get(w, 0) + p - (p << shift)
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
+
+
+def _packed_bar_walk(r: int, wins: Iterable[tuple[int, ...]], width: int):
+    """(win, v^(2 l(win)) * bar(T_win)) for each window in wins, packed:
+    bar(T_rho^z) = T_rho^z and bar(T_w) = bar(T_{w s_i}) * T_{s_i}^-1 along
+    the canonical word, each step scaled by v^2 so that no division by v
+    arises."""
+    shift = 2 * width
     return _word_walk(
         wins,
-        lambda z: {tuple(range(1 + z, r + 1 + z)): dict(_ONE)},
-        lambda terms, i: _gen_inv(kernels.hecke_mul_gen_right(terms, i), terms),
+        lambda z: {tuple(range(1 + z, r + 1 + z)): 1},
+        lambda img, i: _packed_gen_inv(img, i, shift),
     )
+
+
+def _bar_walk(r: int, wins: Iterable[tuple[int, ...]]):
+    """(win, bar(T_win)) for each window in wins, as raw terms."""
+    lengths = {win: kernels.win_length(win) for win in wins}
+    width = kernels.packed_width(3 ** max(lengths.values(), default=0))
+    for win, img in _packed_bar_walk(r, lengths, width):
+        yield win, kernels.hecke_unpack(img, 2 * lengths[win], width)
 
 
 def t_basis_inverse(w: WindowPerm) -> HeckeElement:

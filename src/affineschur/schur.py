@@ -19,12 +19,13 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
-from affineschur.hecke import HeckeElement, KLTable, _right_walk, _word_walk
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
+from affineschur.hecke import HeckeElement, KLTable, _mul_terms, _packed_products
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
     _coset_split,
+    _is_double_coset_top,
     coset_decompose,
     double_coset,
     double_coset_rep,
@@ -131,9 +132,10 @@ def _phi_value_cached(r: int, lparts, mparts, dwin) -> HeckeElement:
     left = young_subgroup_of_key(lparts, r)
     right = young_subgroup_of_key(mparts, r)
     d = WindowPerm._unsafe(dwin)
-    return HeckeElement._raw(
-        r, {w.window: {0: 1} for w in double_coset(d, left, right)}
-    )
+    # every coefficient is 1, so the terms share one dict: a cached value
+    # costs a key per window, not a key and a dict (callers only read it)
+    one = {0: 1}
+    return HeckeElement._raw(r, {w.window: one for w in double_coset(d, left, right)})
 
 
 def phi_value(lam: Weight, mu: Weight, d: WindowPerm) -> HeckeElement:
@@ -375,13 +377,14 @@ def theta(lam: Weight, mu: Weight, d: WindowPerm, table: KLTable) -> SchurElemen
     dbar = double_coset_rep(d, left, right)
     dplus = longest_double_coset_elt(dbar, left, right)
     shift = right.longest_element().length() - dplus.length()
+    lgens, rgens = sorted(left.generators), sorted(right.generators)
     terms: dict[tuple, dict] = {}
     for u in _bruhat_lower(dplus):
-        z = double_coset_rep(u, left, right)
-        if longest_double_coset_elt(z, left, right) != u:
-            continue  # u is not the top of its own coset
+        if not _is_double_coset_top(u.window, lgens, rgens):
+            continue
         p = table.extended(u, dplus)
         if p:
+            z = double_coset_rep(u, left, right)
             terms[(lam.parts, mu.parts, z.window)] = dict(p.shift(shift).raw())
     return SchurElement._raw(lam.n, lam.r, terms)
 
@@ -488,10 +491,13 @@ def act_schur_left(s: SchurElement, x: QTensorElement) -> QTensorElement:
         tail = tails.get(m1)
         if tail is None:
             continue
-        acc = values.setdefault(l1, {})
-        # one walk per s-term: phi value * T_d for every d of the tail
-        for dwin, part in _right_walk(_phi_value_cached(r, l1, m1, d1)._terms, tail):
-            addmul_into(acc, part, kernels.lp_mul(c1, tail[dwin]))
+        # one walk per s-term: phi value * (c1 * tail)
+        scaled = {dwin: kernels.lp_mul(c1, c) for dwin, c in tail.items()}
+        part = _mul_terms(_phi_value_cached(r, l1, m1, d1)._terms, scaled)
+        if l1 in values:
+            addmul_into(values[l1], part)
+        else:
+            values[l1] = part
     return QTensorElement._raw(n, r, _right_factor_terms(values, r))
 
 
@@ -501,20 +507,15 @@ def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
     if x.r != h.r:
         raise ValueError("rank mismatch")
     n, r = x.n, x.r
-    tails = _tails_by_weight(x)
     # one walk over h's words carries every weight's tail at once
-    prods: dict[tuple, dict] = {lp: {} for lp in tails}
-    for wwin, parts in _word_walk(
-        h._terms,
-        lambda z: {lp: kernels.hecke_mul_rho_right(tail, z) for lp, tail in tails.items()},
-        lambda imgs, i: {lp: kernels.hecke_mul_gen_right(img, i) for lp, img in imgs.items()},
-    ):
-        for lp, part in parts.items():
-            addmul_into(prods[lp], part, h._terms[wwin])
-    out: dict[tuple, dict] = {}
+    prods, offset, width = _packed_products(_tails_by_weight(x), h._terms)
+    out: dict[tuple, int] = {}
     for lp, prod in prods.items():
         gens = sorted(young_subgroup_of_key(lp, r).generators)
-        for wwin, c in prod.items():
+        for wwin, p in prod.items():
+            if not p:
+                continue  # a key whose terms cancelled
             k, dwin = _coset_split(wwin, gens)
-            addmul_term(out, (lp, dwin), kernels.lp_shift(c, 2 * k))
-    return QTensorElement._raw(n, r, out)
+            key = (lp, dwin)
+            out[key] = out.get(key, 0) + (p << (2 * k * width))
+    return QTensorElement._raw(n, r, kernels.hecke_unpack(out, offset, width))

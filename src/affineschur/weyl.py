@@ -448,19 +448,33 @@ def double_coset(d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> 
 def longest_double_coset_elt(
     d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex
 ) -> WindowPerm:
-    """The unique maximal-length element of the double coset of d; raises if
-    the maximum is not unique (it always is for distinguished d)."""
-    best: list[WindowPerm] = []
-    best_len = -1
-    for w in double_coset(d, left, right):
-        lw = w.length()
-        if lw > best_len:
-            best, best_len = [w], lw
-        elif lw == best_len:
-            best.append(w)
-    if len(best) != 1:
-        raise ValueError("double coset has no unique longest element")
-    return best[0]
+    """The unique maximal-length element of the double coset of d, by greedy
+    ascent: while some generator of left is not a left descent, or some
+    generator of right not a right descent, multiply by it on that side.
+    Each step adds one to the length inside the finite coset, and it stops
+    at an element with no such ascent, which is the coset's top
+    (_is_double_coset_top)."""
+    lgens = sorted(left.generators)
+    rgens = sorted(right.generators)
+    win = d.window
+    while True:
+        i = next((i for i in lgens if kernels.win_apply(win, i) < kernels.win_apply(win, i + 1)), None)
+        if i is not None:
+            win = kernels.win_mul_s_left(win, i)
+            continue
+        i = next((i for i in rgens if not kernels.win_is_right_descent(win, i)), None)
+        if i is None:
+            return WindowPerm._unsafe(win)
+        win = kernels.win_mul_s_right(win, i)
+
+
+def _is_double_coset_top(win: tuple[int, ...], lgens: Sequence[int], rgens: Sequence[int]) -> bool:
+    """True iff w is the longest element of its (lgens, rgens) double coset:
+    every generator in lgens is a left descent of w and every generator in
+    rgens a right descent."""
+    return all(kernels.win_apply(win, i) > kernels.win_apply(win, i + 1) for i in lgens) and all(
+        kernels.win_is_right_descent(win, i) for i in rgens
+    )
 
 
 def young_subgroup_of_key(parts: Sequence[int], r: int) -> ParabolicIndex:

@@ -138,8 +138,6 @@ def kl_by_bar_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
     just the low-degree part of the known sum over z > y.  Solved downward
     from P_{w,w} = 1.
     """
-    from affineschur.hecke import t_basis_inverse
-
     if w.rho_power():
         raise ValueError("bar-involution oracle needs rho power 0")
     r = w.r
@@ -147,7 +145,7 @@ def kl_by_bar_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
     lower = {WindowPerm.identity(r)}
     for i in word:
         lower |= {u * WindowPerm.s(r, i) for u in lower}
-    bar_t = {z: t_basis_inverse(z.inverse()) for z in lower}
+    bar_t = {z: t_basis_inverse_by_words(z.inverse()) for z in lower}
     lw = w.length()
     out: dict[WindowPerm, Laurent] = {w: Laurent.one()}
     for y in sorted(lower, key=lambda z: (-z.length(), z.window)):
@@ -693,19 +691,31 @@ def presentation_rows(n: int, r: int, keyset, sample_keys) -> list[tuple]:
 
 def t_basis_inverse_by_words(w: WindowPerm):
     """T_w^-1: the generator inverses of w's reduced word in reverse order,
-    then T_rho^-z."""
+    then T_rho^-z, each inverse v^-2 T_s + (v^-2 - 1) from the scanning
+    generator step."""
     from affineschur.hecke import HeckeElement
 
     z, word = w.reduced_word()
-    h = HeckeElement.unit(w.r)
+    terms = {tuple(range(1, w.r + 1)): {0: 1}}
     for i in reversed(word):
-        h = h.mul_gen_inv_right(i)
-    return h.mul_rho_right(-z)
+        gen = hecke_mul_gen_right(terms, i)
+        inv: dict = {}
+        for key, c in gen.items():
+            lp_addmul_into(inv.setdefault(key, {}), c, {-2: 1})
+        for key, c in terms.items():
+            lp_addmul_into(inv.setdefault(key, {}), c, {-2: 1, 0: -1})
+        terms = {key: c for key, c in inv.items() if c}
+    return HeckeElement._raw(w.r, _rho_right(terms, -z))
+
+
+def _rho_right(terms: dict, z: int) -> dict:
+    """terms * T_rho^z: every window entry shifted by z."""
+    return {tuple(x + z for x in key): dict(c) for key, c in terms.items()}
 
 
 def hecke_mul_by_words(a, b):
-    """a * b, one full reduced-word sweep per term of b."""
-    from affineschur._backend import kernels
+    """a * b, one full reduced-word sweep per term of b, by the scanning
+    generator step."""
     from affineschur.hecke import HeckeElement
     from affineschur.laurent import addmul_into
 
@@ -714,9 +724,9 @@ def hecke_mul_by_words(a, b):
     total: dict[tuple[int, ...], dict[int, int]] = {}
     for wwin, c in b._terms.items():
         z, word = WindowPerm._unsafe(wwin).reduced_word()
-        part = kernels.hecke_mul_rho_right(a._terms, z)
+        part = _rho_right(a._terms, z)
         for i in word:
-            part = kernels.hecke_mul_gen_right(part, i)
+            part = hecke_mul_gen_right(part, i)
         addmul_into(total, part, c)
     return HeckeElement._raw(a.r, total)
 
@@ -816,14 +826,14 @@ def peel_strata(h, is_lead, image, span: str) -> dict:
 
 def extract_right_factor_by_peel(h, pi) -> dict:
     """Coordinates of h in the basis {x_pi T_d : d distinguished}."""
-    from affineschur.hecke import x_lambda
+    from affineschur.hecke import HeckeElement, x_lambda
     from affineschur.weyl import is_distinguished
 
     xl = x_lambda(pi)
     return peel_strata(
         h,
         lambda w: is_distinguished(WindowPerm._unsafe(w), pi),
-        lambda w: xl.mul_t_right(WindowPerm._unsafe(w))._terms,
+        lambda w: hecke_mul_by_words(xl, HeckeElement.t_basis(WindowPerm._unsafe(w)))._terms,
         "a combination of x*T_d terms",
     )
 
@@ -878,7 +888,7 @@ def schur_mul_by_peel(a, b):
         for (l1, m1, d1), c1 in a._terms.items():
             if m1 == l2:
                 base = _phi_value_cached(r, l1, m1, d1)
-                addmul_into(values.setdefault((l1, m2), {}), (base * right)._terms, c1)
+                addmul_into(values.setdefault((l1, m2), {}), hecke_mul_by_words(base, right)._terms, c1)
     out: dict = {}
     for (l1, m2), h in values.items():
         coords = expand_phi_by_peel(HeckeElement._raw(r, h), Weight(n, r, l1), Weight(n, r, m2))
@@ -890,6 +900,7 @@ def schur_mul_by_peel(a, b):
 def act_schur_left_by_terms(s, x):
     """s . x, one product phi value * T_d per pair of terms of s and x."""
     from affineschur._backend import kernels
+    from affineschur.hecke import HeckeElement
     from affineschur.laurent import addmul_into
     from affineschur.schur import QTensorElement, _phi_value_cached
 
@@ -902,14 +913,14 @@ def act_schur_left_by_terms(s, x):
         for (l1, m1, d1), c1 in s._terms.items():
             if m1 != l2:
                 continue
-            part = _phi_value_cached(r, l1, m1, d1).mul_t_right(d2)
+            part = hecke_mul_by_words(_phi_value_cached(r, l1, m1, d1), HeckeElement.t_basis(d2))
             addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
     return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
 
 def act_hecke_right_by_terms(x, h):
     """x . h, one product x_lambda T_d * h per term of x."""
-    from affineschur.hecke import x_lambda
+    from affineschur.hecke import HeckeElement, x_lambda
     from affineschur.laurent import addmul_into
     from affineschur.schur import QTensorElement
     from affineschur.weyl import young_subgroup_of_key
@@ -919,7 +930,8 @@ def act_hecke_right_by_terms(x, h):
     n, r = x.n, x.r
     values: dict[tuple, dict] = {}
     for (lp, dwin), c in x._terms.items():
-        part = x_lambda(young_subgroup_of_key(lp, r)).mul_t_right(WindowPerm._unsafe(dwin)) * h
+        xd = hecke_mul_by_words(x_lambda(young_subgroup_of_key(lp, r)), HeckeElement.t_basis(WindowPerm._unsafe(dwin)))
+        part = hecke_mul_by_words(xd, h)
         addmul_into(values.setdefault(lp, {}), part._terms, c)
     return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
@@ -1153,3 +1165,47 @@ def kl_table_by_bruhat(r: int):
             return acc
 
     return KLTableByBruhat(r)
+
+
+# ---------------------------------------------------------------------------
+# Coset tops by enumeration, which weyl and schur replaced by descent tests:
+# the longest element is found among every element of the double coset, and
+# theta keeps u when the enumerated top of u's coset is u itself.
+
+
+def longest_double_coset_elt_by_enumeration(d, left, right):
+    """The unique maximal-length element of the double coset of d, found by
+    listing the coset; raises if the maximum is not unique."""
+    from affineschur.weyl import double_coset
+
+    best: list = []
+    best_len = -1
+    for w in double_coset(d, left, right):
+        lw = w.length()
+        if lw > best_len:
+            best, best_len = [w], lw
+        elif lw == best_len:
+            best.append(w)
+    if len(best) != 1:
+        raise ValueError("double coset has no unique longest element")
+    return best[0]
+
+
+def theta_by_enumeration(lam, mu, d, table):
+    """schur.theta with every coset top found by listing the coset."""
+    from affineschur.schur import SchurElement, _bruhat_lower, young_parabolic
+    from affineschur.weyl import double_coset_rep
+
+    left, right = young_parabolic(lam), young_parabolic(mu)
+    dbar = double_coset_rep(d, left, right)
+    dplus = longest_double_coset_elt_by_enumeration(dbar, left, right)
+    shift = right.longest_element().length() - dplus.length()
+    terms: dict = {}
+    for u in _bruhat_lower(dplus):
+        z = double_coset_rep(u, left, right)
+        if longest_double_coset_elt_by_enumeration(z, left, right) != u:
+            continue  # u is not the top of its own coset
+        p = table.extended(u, dplus)
+        if p:
+            terms[(lam.parts, mu.parts, z.window)] = dict(p.shift(shift).raw())
+    return SchurElement._raw(lam.n, lam.r, terms)

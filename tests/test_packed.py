@@ -1,0 +1,158 @@
+"""Hecke walks on packed coefficients: the codec of _kernels_py, the width
+that bounds it, and every caller of the packed step matched key by key
+against the scanning oracles of oracles.py, with coefficients far beyond a
+machine word and words of length 12 and more at r = 5."""
+
+import random
+
+import pytest
+
+from affineschur import _kernels_py as kernels
+from affineschur import hecke, verify
+from affineschur.hecke import HeckeElement, KLTable, t_basis, t_basis_inverse
+from affineschur.laurent import Laurent
+from affineschur.schur import QTensorElement, Weight, act_hecke_right, act_schur_left, phi
+from affineschur.weyl import WindowPerm
+
+from oracles import (
+    act_hecke_right_by_terms,
+    act_schur_left_by_terms,
+    hecke_bar_by_words,
+    hecke_mul_by_words,
+    hecke_mul_gen_right,
+    kl_by_bar_involution,
+    t_basis_inverse_by_words,
+)
+
+BIG = 10**30 + 7
+R = 5
+
+
+def reduced(rng: random.Random, r: int, length: int, z: int = 0) -> WindowPerm:
+    """rho^z times a random element of the given length, built by ascents."""
+    w = WindowPerm.identity(r)
+    while w.length() < length:
+        ws = w * WindowPerm.s(r, rng.randint(1, r))
+        if ws.length() > w.length():
+            w = ws
+    return WindowPerm.rho(r, z) * w
+
+
+def big_coeff(rng: random.Random) -> Laurent:
+    exps = rng.sample(range(-4, 5), rng.randint(1, 3))
+    return Laurent({e: rng.choice((BIG, -BIG, 3, -1)) for e in exps})
+
+
+def big_element(rng: random.Random, r: int, nterms: int, lengths=(12, 14)) -> HeckeElement:
+    return HeckeElement(
+        r, {reduced(rng, r, rng.randint(*lengths), rng.randint(-1, 1)): big_coeff(rng) for _ in range(nterms)}
+    )
+
+
+# ---------------------------------------------------------------------------
+# the codec
+
+
+@pytest.mark.parametrize("width", [2, 7, 46, 64, 65])
+def test_codec_round_trips_at_the_edge_of_the_width(width):
+    edge = (1 << (width - 1)) - 1
+    assert kernels.packed_width(edge) == width
+    assert kernels.packed_width(edge + 1) == width + 1
+    for a in ({-3: edge, 0: -edge, 2: edge}, {-5: -edge - 1}, {4: edge, 5: -edge, 9: -edge}, {0: 1, 1: -1}):
+        for extra in (0, 1, 3):
+            offset = extra - min(a)
+            assert kernels.lp_unpack(kernels.lp_pack(a, offset, width), offset, width) == a
+    # one past the edge is read back as a different polynomial
+    over = {0: edge + 1}
+    assert kernels.lp_unpack(kernels.lp_pack(over, 0, width), 0, width) != over
+
+
+def test_unpack_drops_cancelled_keys():
+    width = 10
+    a, b = {-2: 7, 1: -300}, {-2: -7, 1: 300}
+    packed = {(1, 2, 3): kernels.lp_pack(a, 2, width) + kernels.lp_pack(b, 2, width),
+              (2, 1, 3): kernels.lp_pack(a, 2, width)}
+    assert kernels.hecke_unpack(packed, 2, width) == {(2, 1, 3): a}
+
+
+def test_a_step_that_cancels_a_key_drops_it():
+    # T_w T_s has (q - 1) at w when ws < w; (1 - q) T_ws T_s cancels it
+    w = (2, 1, 3)  # s_1, with w s_1 < w
+    c = {-1: BIG, 3: -2}
+    terms = {w: c, (1, 2, 3): kernels.lp_mul(c, {0: 1, 2: -1})}
+    got = kernels.hecke_mul_gen_right(terms, 1)
+    assert got == hecke_mul_gen_right(terms, 1) == {(1, 2, 3): kernels.lp_shift(c, 2)}
+
+
+@pytest.mark.parametrize("k", [2**64 + 1, -(2**64 + 1), 2**64 - 1, -(2**64 - 1)])
+def test_a_coefficient_equal_to_the_bound_survives(k):
+    # |K T_e|_1 * |1|_1 * 3^0 = |K|: the result coefficient is the bound itself
+    e = WindowPerm.identity(R)
+    a = t_basis(e).scale(k)
+    assert (a * t_basis(e))._terms == {e.window: {0: k}}
+    assert a.mul_t_right(e)._terms == {e.window: {0: k}}
+    assert a.bar()._terms == {e.window: {0: k}}
+    x = HeckeElement(R, {e: Laurent({-3: k, 2: -k})})
+    assert (x * t_basis(e)) == x == x.bar().bar()
+
+
+# ---------------------------------------------------------------------------
+# every caller against its oracle
+
+
+def test_product_and_mul_t_right_match_the_words_oracle():
+    rng = random.Random("packed-product")
+    for _ in range(3):
+        a, b = big_element(rng, R, 3), big_element(rng, R, 3)
+        assert (a * b)._terms == hecke_mul_by_words(a, b)._terms
+        w = reduced(rng, R, 13, 1)
+        assert a.mul_t_right(w)._terms == hecke_mul_by_words(a, t_basis(w))._terms
+
+
+def test_generator_steps_match_the_scanning_body():
+    rng = random.Random("packed-gen")
+    h = big_element(rng, R, 5)
+    for i in range(1, R + 1):
+        want = hecke_mul_gen_right(h._terms, i)
+        assert h.mul_gen_right(i)._terms == want
+        inv = h.mul_gen_inv_right(i)
+        assert inv.mul_gen_right(i) == h
+        assert inv._terms == hecke_mul_by_words(h, t_basis_inverse_by_words(WindowPerm.s(R, i)))._terms
+
+
+def test_bar_and_inverses_match_the_words_oracle():
+    rng = random.Random("packed-bar")
+    h = big_element(rng, R, 3, lengths=(12, 13))
+    assert h.bar()._terms == hecke_bar_by_words(h)._terms
+    ws = [reduced(rng, R, n, rng.randint(-1, 1)) for n in (12, 13, 14)]
+    bars = dict(hecke._bar_walk(R, (w.window for w in ws)))
+    for w in ws:
+        assert t_basis_inverse(w)._terms == t_basis_inverse_by_words(w)._terms
+        assert bars[w.window] == t_basis_inverse_by_words(w.inverse())._terms
+
+
+def test_kl_by_involution_matches_the_recursion_and_its_oracle():
+    rng = random.Random("packed-kl")
+    w = reduced(rng, 4, 9)
+    table = KLTable(4)
+    got = verify._kl_by_involution(w)
+    assert got == kl_by_bar_involution(w)
+    assert all(table.polynomial(y, w) == p for y, p in got.items())
+
+
+def _tensor(rng, n, r, weights, length):
+    x = QTensorElement.zero(n, r)
+    for lam in weights:
+        x = x + QTensorElement.basis(lam, reduced(rng, r, length, rng.randint(-1, 1))).scale(big_coeff(rng))
+    return x
+
+
+def test_schur_actions_match_the_per_term_oracles():
+    rng = random.Random("packed-schur")
+    n = R
+    lam, mu = Weight(n, R, (2, 1, 1, 1, 0)), Weight(n, R, (1, 1, 2, 0, 1))
+    x = _tensor(rng, n, R, [lam, mu, lam], 12)
+    h = big_element(rng, R, 2, lengths=(12, 13))
+    assert act_hecke_right(x, h) == act_hecke_right_by_terms(x, h)
+    s = phi(mu, lam, reduced(rng, R, 3)).scale(big_coeff(rng)) + phi(lam, lam, reduced(rng, R, 2, 1)).scale(-BIG)
+    assert act_schur_left(s, x) == act_schur_left_by_terms(s, x)

@@ -132,13 +132,13 @@ def test_product_makes_one_sweep_per_tree_node(r, words, monkeypatch):
     b = b.mul_rho_right(1) + b
     expected = hecke_mul_by_words(a, b)
     calls = []
-    sweep = hecke.kernels.hecke_mul_gen_right
+    sweep = hecke.kernels.hecke_packed_mul_gen_right
 
-    def counting(terms, i):
+    def counting(terms, i, shift):
         calls.append(i)
-        return sweep(terms, i)
+        return sweep(terms, i, shift)
 
-    monkeypatch.setattr(hecke.kernels, "hecke_mul_gen_right", counting)
+    monkeypatch.setattr(hecke.kernels, "hecke_packed_mul_gen_right", counting)
     assert a * b == expected
     nodes = _prefix_closure(b)
     per_letter = sum(len(w.reduced_word()[1]) for w in b.support())
