@@ -12,9 +12,12 @@ The bridge objects: tau turns Hecke elements into left operators on the
 top weight space, kappa turns Schur elements into operators on all of
 tensor space, theta_iso matches the q-tensor bimodule with tensor space,
 and hecke_right_action gives the right Hecke structure via the rewriting
-of elements into translation form.  theta_iso, the columns of its exact
-inverse and the duality sweep read one memo of basis-key images
-(_theta_image); like every cached image here, those are read only.
+of elements into translation form.  That rewrite is linear, so it is
+memoised per basis term: _basis_rows holds the rows of one T_w, keyed by
+its window and bounded at 2048 windows, and an element's rows are summed
+from those of its terms.  theta_iso, the columns of its exact inverse and
+the duality sweep read one memo of basis-key images (_theta_image).  Like
+every cached image here, those images and the memoised rows are read only.
 """
 
 from __future__ import annotations
@@ -539,15 +542,30 @@ def _act_sigma_terms(terms: dict, i: int, n: int, r: int) -> dict:
     return out
 
 
-def _bernstein_assoc(h: HeckeElement) -> tuple:
-    """h rewritten as (cvec, finite word, raw coeff) rows, ready to act."""
+@lru_cache(maxsize=2048)
+def _basis_rows(win: tuple) -> tuple:
+    """The translation form of one basis term T_w, keyed by its window:
+    ((cvec, finite word), raw coeff) rows.  Each row's finite tail is
+    checked before the tuple enters the memo, so a failed rewrite is never
+    stored.  Bounded at 2048 windows; the rows are read only."""
     rows = []
-    for (cvec, u), coeff in to_bernstein_basis(h).items():
+    for (cvec, u), coeff in to_bernstein_basis(HeckeElement._raw(len(win), {win: {0: 1}})).items():
         z, word = u.reduced_word()
         if z != 0:
             raise ValueError("translation form must have a finite tail")
-        rows.append((cvec, word, coeff.raw()))
+        rows.append(((cvec, word), coeff.raw()))
     return tuple(rows)
+
+
+def _bernstein_assoc(h: HeckeElement) -> tuple:
+    """h rewritten as (cvec, finite word, raw coeff) rows, ready to act: the
+    rewrite is linear, so the rows are sum_w c_w * _basis_rows(w), with
+    fresh coefficient dicts that the caller may keep or change."""
+    total: dict = {}
+    for win, c in h._terms.items():
+        for key, raw in _basis_rows(win):
+            addmul_term(total, key, raw, c)
+    return tuple((cvec, word, raw) for (cvec, word), raw in total.items())
 
 
 def _assoc_terms(terms: dict, assoc: tuple, n: int, r: int) -> dict:
@@ -592,7 +610,10 @@ class _RightMemo:
 
 def hecke_right_action(x: TensorVector, h: HeckeElement) -> TensorVector:
     """The right action of the whole Hecke algebra, through the rewriting
-    of h into translation-times-finite form.  Needs n >= r."""
+    of h into translation-times-finite form y^c T_u.  The rows of each basis
+    term T_w come from the read-only memo _basis_rows (keyed by w's window,
+    at most 2048 windows), so h is not rewritten again on every call.
+    Needs n >= r."""
     if x.n < x.r:
         raise ValueError(f"right action needs n >= r, got n={x.n}, r={x.r}")
     if h.r != x.r:

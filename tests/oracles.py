@@ -773,6 +773,21 @@ def to_bernstein_basis_by_words(h) -> dict:
     }
 
 
+def bernstein_assoc_by_rewrite(h) -> tuple:
+    """h rewritten as (cvec, finite word, raw coeff) rows by one rewrite of
+    the whole element, as quantum._bernstein_assoc did before it summed
+    memoised rows of the basis terms."""
+    from affineschur.hecke import to_bernstein_basis
+
+    rows = []
+    for (cvec, u), coeff in to_bernstein_basis(h).items():
+        z, word = u.reduced_word()
+        if z != 0:
+            raise ValueError("translation form must have a finite tail")
+        rows.append((cvec, word, coeff.raw()))
+    return tuple(rows)
+
+
 def from_bernstein_by_words(assoc, r: int):
     """Multiply a (c, u) association back out term by term, each product
     through hecke_mul_by_words."""

@@ -81,8 +81,26 @@ def test_kl_degree_bound_raises(monkeypatch):
         table.polynomial(WindowPerm.identity(3), WindowPerm.s(3, 1))
 
 
-def test_bernstein_rows_need_a_finite_tail(monkeypatch):
+@pytest.fixture
+def empty_row_memo():
+    """quantum's memo of Bernstein rows, emptied before and after the test:
+    a row cached by an earlier test would skip the rewrite under test, and
+    a row filled here must not reach a later one."""
+    quantum._basis_rows.cache_clear()
+    yield
+    quantum._basis_rows.cache_clear()
+
+
+def test_bernstein_rows_need_a_finite_tail(monkeypatch, empty_row_memo):
     rho = WindowPerm.rho(3)
     monkeypatch.setattr(quantum, "to_bernstein_basis", lambda h: {((0, 0, 0), rho): Laurent.one()})
     with pytest.raises(ValueError, match="finite tail"):
         quantum._bernstein_assoc(t_basis(rho))
+
+
+def test_a_row_without_a_finite_tail_is_never_stored(monkeypatch, empty_row_memo):
+    rho = WindowPerm.rho(3)
+    monkeypatch.setattr(quantum, "to_bernstein_basis", lambda h: {((0, 0, 0), rho): Laurent.one()})
+    with pytest.raises(ValueError, match="finite tail"):
+        quantum._bernstein_assoc(t_basis(rho))
+    assert quantum._basis_rows.cache_info().currsize == 0
