@@ -20,7 +20,7 @@ from affineschur.hecke import bernstein_y, bernstein_y_inverse, t_basis
 from affineschur.laurent import Laurent, addmul_term
 from affineschur.quantum import (
     _Q, _QM1, TensorVector, UElement, _act_terms, _act_word, _apply_letter, _assoc_terms,
-    _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_rho_terms, _tau_sigma_terms,
+    _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_letter_terms, _tau_rho_terms,
     _theta_columns, _word_images, antipode, counit, kappa, theta_iso,
 )
 from affineschur.schur import QTensorElement, Weight, act_hecke_right, act_schur_left, all_weights, omega, phi
@@ -405,12 +405,8 @@ def _tau_rows(n: int, r: int, basis: Sequence[WindowPerm], keys: Sequence[tuple]
     words = [w.reduced_word() for w in basis]
     suffixes = _suffixes(word for _, word in words)
     rows: list[dict] = [{} for _ in basis]
-
-    def apply(terms: dict, i: int) -> dict:
-        return _tau_sigma_terms(terms, n, i)
-
     for key in keys:
-        images = _word_images(suffixes, {key: {0: 1}}, apply)
+        images = _word_images(suffixes, {key: {0: 1}}, lambda terms, i: _tau_letter_terms(terms, n, r, i))
         for row, (z, word) in zip(rows, words):
             terms = images[word]
             for _ in range(abs(z)):

@@ -262,6 +262,13 @@ def _suite_params(name: str, args) -> dict:
         raise InputError(
             f"the {name} sweep would visit more than {SWEEP_KEY_BUDGET} keys; lower --window, --n or --r"
         )
+    # the duality rows are taken on the keys of weight omega, which need
+    # every residue 1..r mod n among -W..W (the default W = 2n has them all)
+    w = args.window
+    if name == "duality" and w is not None and {i % n for i in range(1, r + 1)} - {t % n for t in range(-w, w + 1)}:
+        raise InputError(
+            f"duality needs a key of weight omega, residues 1..r mod n in -W..W; got --n {n} --r {r} --window {w}"
+        )
     return params
 
 

@@ -22,7 +22,6 @@ every cached image here, those images and the memoised rows are read only.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -481,6 +480,17 @@ def _tau_rho_terms(terms: dict, n: int, r: int, inverse: bool) -> dict:
     return terms
 
 
+def _tau_letter_terms(terms: dict, n: int, r: int, i: int) -> dict:
+    """Raw terms under T_{s_i}, i in 1..r.  The finite letters are
+    v F_i E_i - 1; the affine letter s_r is rho s_1 rho^-1, since
+    v F_r E_r - 1 is node r of the n-cycle, which is s_r only when n = r."""
+    if i < r:
+        return _tau_sigma_terms(terms, n, i)
+    terms = _tau_rho_terms(terms, n, r, inverse=True)
+    terms = _tau_sigma_terms(terms, n, 1)
+    return _tau_rho_terms(terms, n, r, inverse=False)
+
+
 def tau(n: int, r: int, w: WindowPerm) -> TensorOperator:
     """The left operator of T_w on tensor space; Hecke relations hold on
     the top weight space.  Needs n >= r."""
@@ -496,7 +506,7 @@ def _tau_terms(terms: dict, n: int, r: int, z: int, word: tuple) -> dict:
     """Raw terms under T_w, w = rho^z s_word; returns terms itself when w is
     the identity."""
     for i in reversed(word):
-        terms = _tau_sigma_terms(terms, n, i)
+        terms = _tau_letter_terms(terms, n, r, i)
     for _ in range(abs(z)):
         terms = _tau_rho_terms(terms, n, r, inverse=z < 0)
     return terms
@@ -625,68 +635,15 @@ def hecke_right_action(x: TensorVector, h: HeckeElement) -> TensorVector:
 # kappa and the tensor-space isomorphism
 
 
-@lru_cache(maxsize=None)
-def _finite_image(n: int, r: int, lparts: tuple, dwin: tuple) -> TensorVector:
-    """The transported basis vector for x_lambda T_d: the normalization
-    sends the weakly increasing key of lambda to x_lambda exactly."""
-    lam = Weight(n, r, lparts)
-    vec = TensorVector.unit(n, lam.expanded())
-    _, word = WindowPerm._unsafe(dwin).reduced_word()
-    for i in word:
-        vec = finite_hecke_right_action(vec, i)
-    return vec
-
-
-@lru_cache(maxsize=None)
-def _finite_block(n: int, r: int, lparts: tuple) -> tuple:
-    """(distinguished windows, raw images, peel order) of the finite block
-    x_lambda T_d, d running over the finite distinguished elements."""
-    pi = young_parabolic(Weight(n, r, lparts))
-    block = tuple(
-        sorted(
-            (d.window for d in _finite_distinguished(r, pi.generators)),
-            key=lambda w: (kernels.win_length(w), w),
-        )
-    )
-    columns = tuple(_finite_image(n, r, lparts, dw)._terms for dw in block)
-    return block, columns, _peel_order(columns)
-
-
-@lru_cache(maxsize=None)
-def _finite_expansion(n: int, r: int, key: tuple) -> tuple:
-    """e_key as a combination of transported basis vectors x_lambda T_d,
-    lambda the weight of key and d finite; returns ((lparts, dwin, Laurent),
-    ...).  The images of the block are solved by the unit-triangular peel of
-    _peel_order / _peel: ValueError if they do not peel ("columns are not
-    unit-triangular") or if e_key leaves a residual ("target is not in the
-    span")."""
-    lam = Weight.of_key(key, n)
-    block, columns, order = _finite_block(n, r, lam.parts)
-    coords = _peel(columns, order, {key: {0: 1}})
-    return tuple((lam.parts, dw, Laurent._raw(c)) for dw, c in zip(block, coords) if c)
-
-
-@lru_cache(maxsize=None)
-def _finite_distinguished(r: int, gens: frozenset) -> tuple[WindowPerm, ...]:
-    from affineschur.weyl import is_distinguished, ParabolicIndex
-
-    pi = ParabolicIndex(r, gens)
-    out = [
-        w
-        for p in itertools.permutations(range(1, r + 1))
-        for w in [WindowPerm(p)]
-        if is_distinguished(w, pi)
-    ]
-    return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
-
-
 def _peel_order(columns: Sequence[dict]) -> tuple:
     """An order that peels the columns (raw term dicts) one at a time: each
     step takes a remaining column that owns a key no other remaining column
     has, with coefficient +-v^e there.  Returns (column, key, inverse of that
     coefficient) triples; raises ValueError if the columns do not peel
     completely.  Peeling only makes more keys private, so the choice made at
-    each step cannot block a later one."""
+    each step cannot block a later one.  The one exact solve of the module,
+    used by theta_iso_inverse alone: finite keys need none, since
+    _finite_term_image reads them off the transported block."""
     holders: dict[tuple, set[int]] = {}
     for j, col in enumerate(columns):
         for key in col:
@@ -750,15 +707,35 @@ def _poincare_of_conjugated(d: WindowPerm, left, right) -> Laurent:
 def _finite_term_image(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple, base: tuple) -> dict:
     """The raw image of a base key (entries in 1..n, weight mu) under
     phi^d_{lambda,mu} with d finite: the finite module structure transported
-    to tensor space.  Keyed by the base, never by a translated key, so the
-    table holds at most (finite phi-terms) x (base keys of weight mu)
-    images.  Read only: callers copy what they keep."""
+    to tensor space, read off the keys with no solve.
+
+    The transport sends x_lambda T_u (u finite, shortest in W_lambda u) to
+    the single term v^l(u) e_key, key being lambda's weakly increasing key
+    with its slots swapped along u's reduced word.  Every step of that walk
+    meets slots holding a < b, where the finite rule gives v * swap: a > b
+    would mean the word is not reduced, and a = b that u is not shortest in
+    its coset.  A bubble sort of the base key swaps only a > b pairs, so read
+    backwards it is such a walk: the reversed sort word is a reduced word of
+    the distinguished u with e_base = v^-l(u) x_mu T_u.  Distinct outputs
+    (lambda3, u3) of act_schur_left land on distinct keys.  Keyed by the
+    base, never by a translated key, so the table holds at most (finite
+    phi-terms) x (base keys of weight mu) images.  Read only: callers copy
+    what they keep."""
+    key, word = list(base), []
+    for top in range(r - 1, 0, -1):
+        for i in range(1, top + 1):
+            if key[i - 1] > key[i]:
+                key[i - 1], key[i] = key[i], key[i - 1]
+                word.append(i)
     g = phi(Weight(n, r, lparts), Weight(n, r, mparts), WindowPerm._unsafe(dwin))
+    x = QTensorElement.basis(Weight(n, r, mparts), WindowPerm.from_word(r, reversed(word)))
     terms: dict[tuple, dict[int, int]] = {}
-    for lp2, dw2, c in _finite_expansion(n, r, base):
-        moved = act_schur_left(g, QTensorElement.basis(Weight(n, r, lp2), WindowPerm._unsafe(dw2)))
-        for lam3, d3, c3 in moved.items():
-            addmul_into(terms, _finite_image(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
+    for lam3, d3, c3 in act_schur_left(g, x).items():
+        key = list(lam3.expanded())
+        _, word3 = d3.reduced_word()
+        for i in word3:
+            key[i - 1], key[i] = key[i], key[i - 1]
+        addmul_term(terms, tuple(key), kernels.lp_shift(c3.raw(), len(word3) - len(word)))
     return terms
 
 
@@ -905,7 +882,8 @@ def theta_iso_inverse(
     The images of those keys are unit-triangular: they peel one at a time,
     each step taking an image that owns a tensor key no other remaining image
     has, with coefficient +-v^e, so its coordinate is the residual there over
-    that unit.  The images and the peel order are built once per
+    that unit.  This is the module's only solve (kappa's finite terms are
+    read off the keys).  The images and the peel order are built once per
     (n, r, len_bound, rho_bound) and cached.  Raises ValueError if the images
     do not peel ("columns are not unit-triangular") or if y leaves a residual
     ("target is not in the span")."""

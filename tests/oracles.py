@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -951,6 +952,75 @@ def act_hecke_right_by_terms(x, h):
     return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
 
+# ---------------------------------------------------------------------------
+# The finite block x_lambda T_d transported to tensor space by walking the
+# finite rule along a reduced word of d, and finite keys expanded in it by
+# the unit-triangular peel over the whole block: the solve that the closed
+# form v^l(d) e_key replaced in quantum._finite_term_image.
+
+
+@lru_cache(maxsize=None)
+def finite_distinguished_by_enumeration(r: int, gens: frozenset) -> tuple:
+    """The finite distinguished elements of the parabolic on gens, listed
+    from all r! permutations and sorted by (length, window)."""
+    from affineschur.weyl import is_distinguished
+
+    pi = ParabolicIndex(r, gens)
+    out = [
+        w
+        for p in itertools.permutations(range(1, r + 1))
+        for w in [WindowPerm(p)]
+        if is_distinguished(w, pi)
+    ]
+    return tuple(sorted(out, key=lambda w: (w.length(), w.window)))
+
+
+@lru_cache(maxsize=None)
+def finite_image_by_walk(n: int, r: int, lparts: tuple, dwin: tuple):
+    """The transported basis vector for x_lambda T_d: the weakly increasing
+    key of lambda, walked through the finite rule along d's reduced word."""
+    from affineschur.quantum import TensorVector
+    from affineschur.schur import Weight
+
+    vec = TensorVector.unit(n, Weight(n, r, lparts).expanded())
+    _, word = WindowPerm._unsafe(dwin).reduced_word()
+    for i in word:
+        vec = finite_hecke_right_action(vec, i)
+    return vec
+
+
+@lru_cache(maxsize=None)
+def finite_block_by_walk(n: int, r: int, lparts: tuple) -> tuple:
+    """(distinguished windows, raw walked images, peel order) of the finite
+    block x_lambda T_d, d running over the finite distinguished elements."""
+    from affineschur._kernels_py import win_length
+    from affineschur.quantum import _peel_order
+    from affineschur.schur import Weight, young_parabolic
+
+    pi = young_parabolic(Weight(n, r, lparts))
+    block = tuple(
+        sorted(
+            (d.window for d in finite_distinguished_by_enumeration(r, pi.generators)),
+            key=lambda w: (win_length(w), w),
+        )
+    )
+    columns = tuple(finite_image_by_walk(n, r, lparts, dw)._terms for dw in block)
+    return block, columns, _peel_order(columns)
+
+
+@lru_cache(maxsize=None)
+def finite_expansion_by_peel(n: int, r: int, key: tuple) -> tuple:
+    """e_key as ((lparts, dwin, Laurent), ...) over the walked block of its
+    weight, solved by the unit-triangular peel."""
+    from affineschur.quantum import _peel
+    from affineschur.schur import Weight
+
+    lam = Weight.of_key(key, n)
+    block, columns, order = finite_block_by_walk(n, r, lam.parts)
+    coords = _peel(columns, order, {key: {0: 1}})
+    return tuple((lam.parts, dw, Laurent._raw(c)) for dw, c in zip(block, coords) if c)
+
+
 def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple):
     """One phi-term as a TensorOperator built afresh, with closures over
     phi, the Poincare factor, tau and the merge/split operators."""
@@ -959,8 +1029,6 @@ def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple):
     from affineschur.quantum import (
         TensorOperator,
         TensorVector,
-        _finite_expansion,
-        _finite_image,
         _poincare_of_conjugated,
         project_weight,
         tau,
@@ -980,14 +1048,14 @@ def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple):
             cvec = tuple((t - 1) // n for t in key)
             base = tuple(t - n * q for t, q in zip(key, cvec))
             terms: dict[tuple, dict[int, int]] = {}
-            for lp2, dw2, c in _finite_expansion(n, r, base):
+            for lp2, dw2, c in finite_expansion_by_peel(n, r, base):
                 if lp2 != mparts:
                     continue
                 moved = act_schur_left(
                     g, QTensorElement.basis(Weight(n, r, lp2), WindowPerm._unsafe(dw2))
                 )
                 for lam3, d3, c3 in moved.items():
-                    addmul_into(terms, _finite_image(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
+                    addmul_into(terms, finite_image_by_walk(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
             for t, ct in enumerate(cvec):
                 if ct and terms:
                     terms = kernels.tensor_shift_slot(terms, t, n * ct)

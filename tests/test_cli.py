@@ -285,6 +285,10 @@ def test_oversized_sweep_exits_two_before_any_work(argv, monkeypatch, capsys):
         (["verify", "hopf", "--n", "2", "--r", "1", "--window", "1"], "--n >= 3"),
         (["verify", "hopf", "--n", "1", "--r", "2", "--window", "1"], "--n >= 3"),
         (["quantum", "verify-hopf", "--n", "2"], "--n >= 3"),
+        # the window must hold a key of weight omega: residues 1..r mod n
+        (["verify", "duality", "--window", "0"], "key of weight omega"),
+        (["verify", "duality", "--n", "4", "--r", "3", "--window", "1"], "key of weight omega"),
+        (["quantum", "verify-duality", "--n", "5", "--r", "4", "--window", "1"], "key of weight omega"),
     ],
 )
 def test_out_of_domain_sweep_exits_two_before_any_work(argv, reason, monkeypatch, capsys):

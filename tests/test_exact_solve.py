@@ -1,9 +1,12 @@
 """The exact linear algebra behind the bridge maps: the unit-triangular peel
-that inverts theta_iso and expands finite keys, and the sparse mod-p rank
+that inverts theta_iso, the closed form that reads finite keys off the
+transported block x_lambda T_d with no solve, and the sparse mod-p rank
 behind the injectivity checks.
 
 The peel is checked key by key against the fraction-free Bareiss solve it
-replaced (tests/oracles.bareiss_solve), the rank against the numpy oracle.
+replaced (tests/oracles.bareiss_solve); the closed form against the Bareiss
+solve over the walked finite block (tests/oracles.finite_block_by_walk); the
+rank against the numpy oracle.
 """
 
 import itertools
@@ -13,12 +16,18 @@ import numpy as np
 import pytest
 
 from affineschur import _sweeps, quantum
-from affineschur.laurent import Laurent
+from affineschur.laurent import Laurent, addmul_into
 from affineschur.quantum import TensorVector, theta_iso, theta_iso_basis
-from affineschur.schur import QTensorElement, Weight, omega
-from affineschur.weyl import enumerate_up_to_length
+from affineschur.schur import QTensorElement, Weight, act_schur_left, all_weights, omega, phi, young_parabolic
+from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
-from oracles import bareiss_solve, modp_rank
+from oracles import (
+    bareiss_solve,
+    finite_block_by_walk,
+    finite_distinguished_by_enumeration,
+    finite_image_by_walk,
+    modp_rank,
+)
 
 P = 46337
 
@@ -48,15 +57,46 @@ def test_peel_matches_bareiss_on_theta_bases(rho_bound):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_peel_matches_bareiss_on_finite_blocks(n):
+    # on every finite key, the peel over the walked block agrees with the
+    # Bareiss solve, and the closed form of _finite_term_image equals the
+    # transport built from that solve, for phi^1_{mu,mu}, phi^{s_1}_{mu,mu}
+    # and phi^1_{lambda,mu} with lambda the first weight
     r = n
+    first, e = all_weights(n, r)[0], WindowPerm.identity(r)
     for key in itertools.product(range(1, n + 1), repeat=r):
-        lam = Weight.of_key(key, n)
-        block, columns, order = quantum._finite_block(n, r, lam.parts)
-        peeled = [Laurent(c) for c in quantum._peel(columns, order, {key: {0: 1}})]
-        assert peeled == bareiss_solve(_vectors(n, r, columns), TensorVector.unit(n, key))
-        assert quantum._finite_expansion(n, r, key) == tuple(
-            (lam.parts, dw, c) for dw, c in zip(block, peeled) if c
-        )
+        mu = Weight.of_key(key, n)
+        block, columns, order = finite_block_by_walk(n, r, mu.parts)
+        solved = bareiss_solve(_vectors(n, r, columns), TensorVector.unit(n, key))
+        assert [Laurent(c) for c in quantum._peel(columns, order, {key: {0: 1}})] == solved
+        for lam, d in ((mu, e), (mu, WindowPerm.s(r, 1)), (first, e)):
+            g = phi(lam, mu, d)
+            want: dict = {}
+            for dw, c in zip(block, solved):
+                if not c:
+                    continue
+                for lam3, d3, c3 in act_schur_left(g, QTensorElement.basis(mu, WindowPerm._unsafe(dw))).items():
+                    addmul_into(want, finite_image_by_walk(n, r, lam3.parts, d3.window)._terms, (c * c3).raw())
+            assert quantum._finite_term_image(n, r, lam.parts, mu.parts, d.window, key) == want, (key, lam, d)
+
+
+@pytest.mark.parametrize("n, r", [(3, 3), (4, 3), (4, 4), (5, 4)])
+def test_walked_finite_transport_is_one_term(n, r):
+    # x_lambda T_d, walked through the finite rule along d's reduced word,
+    # is exactly v^l(d) e_key, key being lambda's increasing key with its
+    # slots swapped along that word; over the distinguished d these keys
+    # are distinct and are all the keys of weight lambda in 1..n
+    for lam in all_weights(n, r):
+        pi = young_parabolic(lam)
+        keys = set()
+        for d in finite_distinguished_by_enumeration(r, pi.generators):
+            key = list(lam.expanded())
+            _, word = d.reduced_word()
+            for i in word:
+                key[i - 1], key[i] = key[i], key[i - 1]
+            image = finite_image_by_walk(n, r, lam.parts, d.window)
+            assert image._terms == {tuple(key): {d.length(): 1}}, (lam, d)
+            keys.add(tuple(key))
+        assert keys == {k for k in itertools.product(range(1, n + 1), repeat=r) if Weight.of_key(k, n) == lam}
 
 
 # -- the peel's failure paths -------------------------------------------------

@@ -209,10 +209,13 @@ def test_right_action_requires_enough_columns():
 # -- tau --------------------------------------------------------------------
 
 
-def test_tau_agrees_with_the_right_action_on_the_cyclic_vector():
-    base = e_omega(N, R)
-    for w in enumerate_up_to_length(R, 3, extended=True, rho_bound=1):
-        assert tau(N, R, w)(base) == hecke_right_action(base, t_basis(w)), w.window
+@pytest.mark.parametrize("n, r", [(3, 3), (4, 3), (5, 3), (5, 4)])
+def test_tau_agrees_with_the_right_action_on_the_cyclic_vector(n, r):
+    # for n > r the affine letter s_r is rho s_1 rho^-1: node r of the
+    # n-cycle, v F_r E_r - 1, is another operator there
+    base = e_omega(n, r)
+    for w in enumerate_up_to_length(r, 3, extended=True, rho_bound=1):
+        assert tau(n, r, w)(base) == hecke_right_action(base, t_basis(w)), w.window
 
 
 def test_tau_quadratic_on_the_top_weight_space():
