@@ -372,6 +372,8 @@ def hecke_mul_rho_left(terms, z):
 def tensor_act_E(terms, i, n):
     out = {}
     for key, c in terms.items():
+        if not c:
+            continue
         r = len(key)
         for t in range(r):
             if (key[t] - 1 - i) % n:
@@ -384,8 +386,18 @@ def tensor_act_E(terms, i, n):
                 elif m == 1:
                     wt -= 1
             nk = key[:t] + (key[t] - 1,) + key[t + 1:]
-            acc = out.setdefault(nk, {})
-            lp_add_into(acc, lp_shift(c, wt))
+            # out[nk] += v^wt * c in place; a key that cancels is dropped
+            acc = out.get(nk)
+            if acc is None:
+                out[nk] = {e + wt: x for e, x in c.items()} if wt else dict(c)
+                continue
+            for e, x in c.items():
+                e += wt
+                s = acc.get(e, 0) + x
+                if s:
+                    acc[e] = s
+                else:
+                    acc.pop(e, None)
             if not acc:
                 del out[nk]
     return out
@@ -394,6 +406,8 @@ def tensor_act_E(terms, i, n):
 def tensor_act_F(terms, i, n):
     out = {}
     for key, c in terms.items():
+        if not c:
+            continue
         r = len(key)
         for t in range(r):
             if (key[t] - i) % n:
@@ -406,19 +420,33 @@ def tensor_act_F(terms, i, n):
                 elif m == 1:
                     wt += 1
             nk = key[:t] + (key[t] + 1,) + key[t + 1:]
-            acc = out.setdefault(nk, {})
-            lp_add_into(acc, lp_shift(c, wt))
+            # out[nk] += v^wt * c in place; a key that cancels is dropped
+            acc = out.get(nk)
+            if acc is None:
+                out[nk] = {e + wt: x for e, x in c.items()} if wt else dict(c)
+                continue
+            for e, x in c.items():
+                e += wt
+                s = acc.get(e, 0) + x
+                if s:
+                    acc[e] = s
+                else:
+                    acc.pop(e, None)
             if not acc:
                 del out[nk]
     return out
 
 
 def tensor_act_K(terms, i, n, inv):
+    """K_i is diagonal: each key keeps its place, its coefficient shifted by
+    the number of its slots congruent to i, negated for the inverse."""
     out = {}
-    sign = -1 if inv else 1
     for key, c in terms.items():
-        wt = sum(1 for j in key if (j - i) % n == 0)
-        out[key] = lp_shift(c, sign * wt)
+        wt = 0
+        for j in key:
+            if not (j - i) % n:
+                wt += 1
+        out[key] = lp_shift(c, -wt if inv else wt)
     return out
 
 

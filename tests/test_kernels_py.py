@@ -1,6 +1,7 @@
 """The single-pass pure window and Hecke-generator kernels against the
-scanning bodies they replaced (oracles.py), and the KL table's own Bruhat
-test against the global bruhat_leq.
+scanning bodies they replaced, the tensor letter kernels against the bodies
+that added each term through a shifted copy (both in oracles.py), and the KL
+table's own Bruhat test against the global bruhat_leq.
 """
 
 import itertools
@@ -159,3 +160,58 @@ def test_kl_column_matches_the_bruhat_leq_table_and_leaves_the_cache_alone():
     assert column == {y: oracle.polynomial(WindowPerm(y), w) for y in column}
     assert len(column) > 300
     assert sum(p.degree > 0 for p in column.values()) > 10
+
+
+def small_tensor_terms(rng, keys):
+    """A few distinct keys, each with a random Laurent coefficient."""
+    return {key: rand_lp(rng) for key in rng.sample(keys, rng.randrange(1, 7))}
+
+
+@pytest.mark.parametrize("n, r", [(3, 3), (4, 3), (3, 4)])
+def test_letter_kernels_match_their_first_forms(n, r):
+    rng = random.Random(SEED + 10 * n + r)
+    keys = list(itertools.product(range(-2, 3), repeat=r))
+    for _ in range(200):
+        terms = small_tensor_terms(rng, keys)
+        for i in range(1, n + 1):
+            for got, want in (
+                (pure.tensor_act_E(terms, i, n), oracles.tensor_act_E(terms, i, n)),
+                (pure.tensor_act_F(terms, i, n), oracles.tensor_act_F(terms, i, n)),
+                (pure.tensor_act_K(terms, i, n, False), oracles.tensor_act_K(terms, i, n, False)),
+                (pure.tensor_act_K(terms, i, n, True), oracles.tensor_act_K(terms, i, n, True)),
+            ):
+                assert got == want
+                assert all(got.values())
+
+
+@pytest.mark.parametrize("name", ["tensor_act_E", "tensor_act_F"])
+def test_letter_kernels_drop_cancelled_keys(name):
+    # keys k1 and k2 = k1 - e_t + e_s that one letter sends to the same key
+    # nk: with k2's coefficient chosen against k1's, nk cancels wholly, or
+    # all but one term of it
+    n, r = 3, 3
+    kernel, first_form = getattr(pure, name), getattr(oracles, name)
+    rng = random.Random(SEED + len(name))
+    whole = part = 0
+    for k1 in itertools.product(range(-1, 3), repeat=r):
+        c1 = rand_lp(rng)
+        for t, s in itertools.permutations(range(r), 2):
+            k2 = list(k1)
+            k2[t] -= 1
+            k2[s] += 1
+            k2 = tuple(k2)
+            for i in range(1, n + 1):
+                o1, o2 = first_form({k1: c1}, i, n), first_form({k2: {0: 1}}, i, n)
+                for nk in set(o1) & set(o2):
+                    ((w2, _),) = o2[nk].items()
+                    c2 = {e - w2: -x for e, x in o1[nk].items()}
+                    cut = dict(list(c2.items())[1:])
+                    for cw2 in (c2, cut) if cut else (c2,):
+                        for terms in ({k1: c1, k2: cw2}, {k2: cw2, k1: c1}):
+                            got = kernel(terms, i, n)
+                            assert got == first_form(terms, i, n)
+                            assert all(got.values())
+                            assert (nk in got) == (cw2 is cut)
+                    whole += 1
+                    part += len(c2) > 1
+    assert whole > 100 and part > 50

@@ -5,8 +5,9 @@ commuting-actions, presentation and tau rank rows are rebuilt by the oracles
 in tests/oracles.py, which act on a fresh unit vector for every (operator,
 key) pair, and must come out identical: names, verdicts and witnesses.  A kernel
 corrupted on one key must make both versions fail the same checks with the
-same first witness.  The right T_{s_i} step is checked key by key against
-its first form.
+same first witness, and a Cartan term that v - v^-1 does not divide must
+fail its own row without ending the report.  The right T_{s_i} step is
+checked key by key against its first form.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from affineschur.hecke import t_basis
 from affineschur.laurent import Laurent
 from affineschur.quantum import TensorVector, hecke_right_action
 from affineschur.schur import Weight, omega
-from affineschur.verify import DEFAULT_SEED, sweep_key_count, sweep_keys
+from affineschur.verify import DEFAULT_SEED, run_hopf, sweep_key_count, sweep_keys
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
 from oracles import (
@@ -76,21 +77,33 @@ def test_tau_rows_match_the_oracle():
     assert [list(row) for row in got] == [list(row) for row in want]
 
 
-def _corrupt_E(monkeypatch, bad_key):
-    """E_1 also sends e_bad_key to itself: still linear, but wrong."""
-    clean = quantum.kernels.tensor_act_E
+def _corrupt(monkeypatch, kernel, bad_key, applies):
+    """The named tensor kernel also sends e_bad_key to itself whenever
+    applies(*args) holds for its arguments after the terms: still linear,
+    but wrong."""
+    clean = getattr(quantum.kernels, kernel)
 
-    def tensor_act_E(terms, i, n):
-        out = clean(terms, i, n)
+    def corrupted(terms, *args):
+        out = clean(terms, *args)
         c = terms.get(bad_key)
-        if i == 1 and c:
+        if c and applies(*args):
             acc = out.setdefault(bad_key, {})
             quantum.kernels.lp_add_into(acc, c)
             if not acc:
                 del out[bad_key]
         return out
 
-    monkeypatch.setattr(quantum.kernels, "tensor_act_E", tensor_act_E)
+    monkeypatch.setattr(quantum.kernels, kernel, corrupted)
+
+
+def _corrupt_E(monkeypatch, bad_key):
+    """E_1 also sends e_bad_key to itself."""
+    _corrupt(monkeypatch, "tensor_act_E", bad_key, lambda i, n: i == 1)
+
+
+def _corrupt_K(monkeypatch, bad_key):
+    """K_1 also sends e_bad_key to itself, K_1^-1 stays as it was."""
+    _corrupt(monkeypatch, "tensor_act_K", bad_key, lambda i, n, inverse: i == 1 and not inverse)
 
 
 def _failures(rows):
@@ -104,6 +117,54 @@ def test_corrupted_kernel_fails_the_same_relations(monkeypatch):
     fails = _failures(got)
     assert fails and all(name.endswith("-r2") for name, _ in fails)
     assert "def-rel-ke-twist-1-1-r2" in dict(fails)
+
+
+def test_relation_rows_match_the_oracle_at_n4():
+    """n = 4 has the ee-commute and ff-commute rows that n = 3 lacks."""
+    got = _relation_rows(4, 3, 1)
+    assert got == hopf_relation_rows(4, 3, range(-1, 2))
+    assert len(got) == 3 * 114 and all(ok for _, ok, _ in got)
+    assert "def-rel-ee-commute-1-3-r3" in {name for name, _, _ in got}
+
+
+def test_corrupted_K_fails_the_same_relations(monkeypatch):
+    """The corrupted K_1 breaks k-inverse-1, whose sides are single words
+    with v^0, and the E-F commutator's Cartan term."""
+    _corrupt_K(monkeypatch, (1, 0))
+    got = _relation_rows(N, 2, W)
+    assert got == hopf_relation_rows(N, 2, WINDOW)
+    fails = dict(_failures(got))
+    assert all(name.endswith("-r2") for name in fails)
+    assert {"def-rel-k-inverse-1-r2", "def-rel-ke-twist-1-1-r2", "def-rel-ef-commutator-1-1-r2"} <= set(fails)
+    assert fails["def-rel-k-inverse-1-r2"]["key"] == [1, 0]
+
+
+def test_corrupted_R_fails_the_same_relations(monkeypatch):
+    """R also sends e_(0, 1) to itself: r-inverse and the r-rotate rows,
+    single words on both sides, must fail as in the oracle."""
+    _corrupt(monkeypatch, "tensor_act_R", (0, 1), lambda inverse: not inverse)
+    got = _relation_rows(N, 2, W)
+    assert got == hopf_relation_rows(N, 2, WINDOW)
+    fails = [name for name, _ in _failures(got)]
+    assert "def-rel-r-inverse-r2" in fails and "def-rel-r-inverse-rev-r2" in fails
+    assert any(name.startswith("def-rel-r-rotate-") for name in fails)
+    assert all(name.startswith("def-rel-r-") and name.endswith("-r2") for name in fails)
+
+
+def test_an_undivided_cartan_term_fails_its_row_not_the_report(monkeypatch):
+    """With the corrupted K_1, K_1 K_2^-1 - K_1^-1 K_2 sends e_(1,) to
+    (v + 1 - v^-1) e_(1,), which v - v^-1 does not divide.  That relation
+    fails at (1,) with the undivided term as its rhs, and every other row of
+    the report keeps the oracle's verdict and witness."""
+    _corrupt_K(monkeypatch, (1,))
+    rep = run_hopf(n=N, r=2, window=W)
+    rows = {name: (ok, witness) for name, ok, witness in rep.checks}
+    assert rows["def-rel-ef-commutator-1-1-r1"] == (
+        False,
+        {"key": [1], "lhs": [[[1], {"0": 1}]], "rhs": [[[1], {"-1": -1, "0": 1, "1": 1}]]},
+    )
+    want = hopf_relation_rows(N, 2, WINDOW) + coassoc_rows(N, WINDOW) + hopf_counit_antipode_rows(N, WINDOW)
+    assert rep.checks == sorted(want, key=lambda c: c[0])
 
 
 def test_corrupted_kernel_fails_the_same_coassociativity(monkeypatch):
@@ -128,22 +189,8 @@ def test_counit_antipode_rows_match_the_oracle():
 
 
 def test_corrupted_kernel_fails_the_same_counit_antipode_rows(monkeypatch):
-    """K_1^-1 also sends e_(1,) to itself: still linear, but no longer the
-    inverse of K_1."""
-    bad_key = (1,)
-    clean = quantum.kernels.tensor_act_K
-
-    def tensor_act_K(terms, i, n, inverse):
-        out = clean(terms, i, n, inverse)
-        c = terms.get(bad_key)
-        if inverse and i == 1 and c:
-            acc = out.setdefault(bad_key, {})
-            quantum.kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[bad_key]
-        return out
-
-    monkeypatch.setattr(quantum.kernels, "tensor_act_K", tensor_act_K)
+    """K_1^-1 also sends e_(1,) to itself: no longer the inverse of K_1."""
+    _corrupt(monkeypatch, "tensor_act_K", (1,), lambda i, n, inverse: inverse and i == 1)
     got = sorted(_sweeps._counit_antipode_rows(N, W), key=lambda c: c[0])
     assert got == hopf_counit_antipode_rows(N, WINDOW)
     assert [name for name, _ in _failures(got)] == ["antipode-E3", "antipode-K1", "antipode-Kinv1"]
@@ -163,22 +210,9 @@ def test_presentation_rows_match_the_oracle():
 
 
 def test_corrupted_shift_fails_the_same_presentation_checks(monkeypatch):
-    """tensor_shift_slot also sends e_(1, 0, 2) to itself: linear, but no
-    longer a translation."""
-    bad_key = (1, 0, 2)
-    clean = quantum.kernels.tensor_shift_slot
-
-    def tensor_shift_slot(terms, t, amount):
-        out = clean(terms, t, amount)
-        c = terms.get(bad_key)
-        if c:
-            acc = out.setdefault(bad_key, {})
-            quantum.kernels.lp_add_into(acc, c)
-            if not acc:
-                del out[bad_key]
-        return out
-
-    monkeypatch.setattr(quantum.kernels, "tensor_shift_slot", tensor_shift_slot)
+    """tensor_shift_slot also sends e_(1, 0, 2) to itself: no longer a
+    translation."""
+    _corrupt(monkeypatch, "tensor_shift_slot", (1, 0, 2), lambda t, amount: True)
     keyset, sample = _presentation_inputs()
     got = _sweeps._presentation_rows(N, R, keyset, sample)
     assert got == presentation_rows(N, R, keyset, sample)
