@@ -292,38 +292,46 @@ def hecke_mul_gen_right(terms, i):
     lo = min((e for c in terms.values() for e in c), default=0)
     width = packed_width(3 * sum(abs(k) for c in terms.values() for k in c.values()))
     packed = hecke_pack(terms, -lo, width)
-    return hecke_unpack(hecke_packed_mul_gen_right(packed, i, 2 * width), -lo, width)
+    return hecke_unpack(hecke_packed_mul_gen_right(packed, i, 2 * width, {}), -lo, width)
 
 
-def hecke_packed_mul_gen_right(terms, i, shift):
+def hecke_packed_mul_gen_right(terms, i, shift, steps):
     """T_w T_s = T_{ws} if ws > w, else q T_{ws} + (q - 1) T_w, on packed
     coefficients: with v = 2^width and shift = 2 * width, q * p is p << shift.
-    One pass over each window builds ws and finds a, b as in
-    win_is_right_descent.  A term's image has l1 norm at most 3 times its
-    own, so the step at most triples the l1 norm.  A cancelled key may stay
-    with value 0; hecke_unpack drops it."""
+    steps[i][w] memoises the pair (ws, whether ws < w); on a miss one pass
+    over the window builds ws and finds a, b as in win_is_right_descent.  A
+    walk passes one steps dict to all of its steps, since most of its windows
+    recur.  A term's image has l1 norm at most 3 times its own, so the step
+    at most triples the l1 norm.  A cancelled key may stay with value 0;
+    hecke_unpack drops it."""
+    memo = steps.get(i)
+    if memo is None:
+        memo = steps[i] = {}
     out = {}
     get = out.get
     for w, p in terms.items():
-        r = len(w)
-        ws = list(w)
-        a = b = None
-        j = 0
-        for x in w:
-            m = (x - i) % r
-            if not m:
-                ws[j] = x + 1
-                if a is None:
-                    a = j - x
-            elif m == 1:
-                ws[j] = x - 1
-                if b is None:
-                    b = j - x
-            j += 1
-        if a is None or b is None:
-            raise ValueError("incomplete residue system in window")
-        ws = tuple(ws)
-        if a > b + 1:
+        hit = memo.get(w)
+        if hit is None:
+            r = len(w)
+            ws = list(w)
+            a = b = None
+            j = 0
+            for x in w:
+                m = (x - i) % r
+                if not m:
+                    ws[j] = x + 1
+                    if a is None:
+                        a = j - x
+                elif m == 1:
+                    ws[j] = x - 1
+                    if b is None:
+                        b = j - x
+                j += 1
+            if a is None or b is None:
+                raise ValueError("incomplete residue system in window")
+            hit = memo[w] = (tuple(ws), a > b + 1)
+        ws, down = hit
+        if down:
             qp = p << shift
             out[ws] = get(ws, 0) + qp
             out[w] = get(w, 0) + qp - p

@@ -165,10 +165,11 @@ def _packed_products(xs: Mapping, b: dict) -> tuple[dict, int, int]:
     shift = 2 * width
     packed = {key: kernels.hecke_pack(x, ox, width) for key, x in xs.items()}
     totals: dict = {key: {} for key in xs}
+    steps: dict = {}
     for wwin, imgs in _word_walk(
         b,
         lambda z: {key: {kernels.win_add(w, z): p for w, p in px.items()} for key, px in packed.items()},
-        lambda imgs, i: {key: kernels.hecke_packed_mul_gen_right(img, i, shift) for key, img in imgs.items()},
+        lambda imgs, i: {key: kernels.hecke_packed_mul_gen_right(img, i, shift, steps) for key, img in imgs.items()},
     ):
         cb = kernels.lp_pack(b[wwin], ob, width)
         for key, img in imgs.items():
@@ -312,10 +313,14 @@ class HeckeElement(LaurentCombination):
     # -- serialization -----------------------------------------------------
 
     def to_obj(self) -> dict:
+        """{"r": r, "terms": [{"window": ..., "coeff": Laurent.to_obj()}]},
+        the terms in the order of support()."""
+        terms = self._terms
         return {
             "r": self.r,
             "terms": [
-                {"window": list(w.window), "coeff": coeff.to_obj()} for w, coeff in self.items()
+                {"window": list(win), "coeff": {str(e): c for e, c in sorted(terms[win].items())}}
+                for win in sorted(terms, key=lambda win: (kernels.win_length(win), win))
             ],
         }
 
@@ -352,11 +357,11 @@ def specialize_group_algebra(h: HeckeElement) -> dict[WindowPerm, int]:
     return h.specialize_group_algebra()
 
 
-def _packed_gen_inv(img: dict, i: int, shift: int) -> dict:
+def _packed_gen_inv(img: dict, i: int, shift: int, steps: dict) -> dict:
     """v^2 * img * T_{s_i}^-1 = img * T_{s_i} + (1 - q) * img on packed
     coefficients.  Per term it is v^2 T_{ws} if ws < w, else
     T_{ws} + (1 - v^2) T_w, so it too at most triples the l1 norm."""
-    out = kernels.hecke_packed_mul_gen_right(img, i, shift)
+    out = kernels.hecke_packed_mul_gen_right(img, i, shift, steps)
     for w, p in img.items():
         s = out.get(w, 0) + p - (p << shift)
         if s:
@@ -372,10 +377,11 @@ def _packed_bar_walk(r: int, wins: Iterable[tuple[int, ...]], width: int):
     the canonical word, each step scaled by v^2 so that no division by v
     arises."""
     shift = 2 * width
+    steps: dict = {}
     return _word_walk(
         wins,
         lambda z: {tuple(range(1 + z, r + 1 + z)): 1},
-        lambda img, i: _packed_gen_inv(img, i, shift),
+        lambda img, i: _packed_gen_inv(img, i, shift, steps),
     )
 
 
@@ -408,8 +414,9 @@ class KLTable:
     Values are stored for pairs in the Coxeter part; the extension across
     rho powers is a Kronecker delta.  Bruhat tests use the table's own lower
     sets (the interval [e, w] of each w met), so they end with the table.
-    The single mutable structure of this module: confine a table to one
-    task, or guard fills externally.
+    The table also keeps the length of each window met and, per (v, s), the
+    mu-terms of the recursion (_mu_terms).  The single mutable structure of
+    this module: confine a table to one task, or guard fills externally.
     """
 
     def __init__(self, r: int):
@@ -417,6 +424,8 @@ class KLTable:
         self.r = r
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
         self._lower: dict[tuple[int, ...], frozenset] = {}
+        self._lengths: dict[tuple[int, ...], int] = {}
+        self._mus: dict[tuple[tuple[int, ...], int], list] = {}
 
     def polynomial(self, y: WindowPerm, w: WindowPerm) -> Laurent:
         """P_{y,w} for y, w in the Coxeter part (rho power 0)."""
@@ -438,6 +447,8 @@ class KLTable:
 
     def mu(self, y: WindowPerm, w: WindowPerm) -> int:
         """The coefficient of v^(l(w)-l(y)-1) in P_{y,w} (0 across rho powers)."""
+        if y.r != self.r or w.r != self.r:
+            raise ValueError("rank mismatch")
         zy, cy = y.rho_decompose()
         zw, cw = w.rho_decompose()
         if zy != zw:
@@ -456,7 +467,7 @@ class KLTable:
             return hit
         res = self._kl_compute(ywin, wwin)
         if res and ywin != wwin:
-            bound = kernels.win_length(wwin) - kernels.win_length(ywin) - 1
+            bound = self._length(wwin) - self._length(ywin) - 1
             if max(res) > bound:
                 raise ArithmeticError(f"degree bound violated at {ywin} <= {wwin}")
         self._memo[key] = res
@@ -479,20 +490,38 @@ class KLTable:
         sywin = kernels.win_mul_s_left(ywin, s)
         acc = dict(self._kl(sywin, vwin))
         kernels.lp_add_into(acc, kernels.lp_shift(self._kl(ywin, vwin), 2))
-        lv = kernels.win_length(vwin)
-        for zwin in self._lower_set(vwin):
-            if not kernels.win_apply(zwin, s) > kernels.win_apply(zwin, s + 1):
-                continue  # need s*z < z
-            mm = lv - kernels.win_length(zwin)
-            if mm <= 0 or mm % 2 == 0:
-                continue
-            mu = self._kl(zwin, vwin).get(mm - 1, 0)
-            if not mu:
-                continue
+        for zwin, shift, c in self._mu_terms(vwin, s):
             pyz = self._kl(ywin, zwin)
             if pyz:
-                kernels.lp_add_into(acc, kernels.lp_scale(kernels.lp_shift(pyz, mm + 1), -mu))
+                kernels.lp_add_into(acc, kernels.lp_scale(kernels.lp_shift(pyz, shift), c))
         return acc
+
+    def _mu_terms(self, vwin, s: int) -> list:
+        """[(z, mm + 1, -mu(z, v))] over z below v with s*z < z, odd
+        mm = l(v) - l(z) > 0 and mu(z, v) != 0: the correction terms of
+        every P_{y, s v} whose recursion goes through v."""
+        key = (vwin, s)
+        hit = self._mus.get(key)
+        if hit is None:
+            hit = []
+            lv = self._length(vwin)
+            for zwin in self._lower_set(vwin):
+                if not kernels.win_apply(zwin, s) > kernels.win_apply(zwin, s + 1):
+                    continue  # need s*z < z
+                mm = lv - self._length(zwin)
+                if mm <= 0 or mm % 2 == 0:
+                    continue
+                mu = self._kl(zwin, vwin).get(mm - 1, 0)
+                if mu:
+                    hit.append((zwin, mm + 1, -mu))
+            self._mus[key] = hit
+        return hit
+
+    def _length(self, win) -> int:
+        n = self._lengths.get(win)
+        if n is None:
+            n = self._lengths[win] = kernels.win_length(win)
+        return n
 
     def _lower_set(self, wwin) -> frozenset:
         """All windows below w in Bruhat order: subword products of one

@@ -1138,7 +1138,9 @@ def theta_iso_by_kappa(x):
 # ---------------------------------------------------------------------------
 # Scanning window kernels, replaced in _kernels_py by single passes
 # (one residue test per window entry, Shi's formula for the length).  The
-# old bodies, kept as the reference for tests/test_kernels_py.py.
+# old bodies, kept as the reference for tests/test_kernels_py.py; below them
+# the packed generator step without its memo and HeckeElement.to_obj through
+# items(), the references for tests/test_packed.py.
 
 
 _Q = {2: 1}          # q
@@ -1213,6 +1215,49 @@ def hecke_mul_gen_right(terms, i):
             if not acc:
                 del out[wsi]
     return out
+
+
+def hecke_packed_mul_gen_right(terms, i, shift):
+    """The packed right generator step as it was before it kept a memo of
+    (ws, descent) per letter and window: one pass over every window of every
+    call."""
+    out = {}
+    get = out.get
+    for w, p in terms.items():
+        r = len(w)
+        ws = list(w)
+        a = b = None
+        j = 0
+        for x in w:
+            m = (x - i) % r
+            if not m:
+                ws[j] = x + 1
+                if a is None:
+                    a = j - x
+            elif m == 1:
+                ws[j] = x - 1
+                if b is None:
+                    b = j - x
+            j += 1
+        if a is None or b is None:
+            raise ValueError("incomplete residue system in window")
+        ws = tuple(ws)
+        if a > b + 1:
+            qp = p << shift
+            out[ws] = get(ws, 0) + qp
+            out[w] = get(w, 0) + qp - p
+        else:
+            out[ws] = get(ws, 0) + p
+    return out
+
+
+def hecke_to_obj(h) -> dict:
+    """HeckeElement.to_obj as it was: each term read through items(), that
+    is wrapped in a WindowPerm and a Laurent, in the order of support()."""
+    return {
+        "r": h.r,
+        "terms": [{"window": list(w.window), "coeff": coeff.to_obj()} for w, coeff in h.items()],
+    }
 
 
 # The tensor letter kernels as they were before _kernels_py added each

@@ -1,7 +1,8 @@
 """The single-pass pure window and Hecke-generator kernels against the
 scanning bodies they replaced, the tensor letter kernels against the bodies
 that added each term through a shifted copy (both in oracles.py), and the KL
-table's own Bruhat test against the global bruhat_leq.
+table's own Bruhat test and mu lists against the global bruhat_leq and the
+old lower-set loop.
 """
 
 import itertools
@@ -150,16 +151,26 @@ def test_lower_sets_are_bruhat_intervals(r, length):
 
 
 def test_kl_column_matches_the_bruhat_leq_table_and_leaves_the_cache_alone():
-    rng = random.Random(SEED)
-    w = _long_element(rng, 4, 12)
-    table = KLTable(4)
-    size = weyl._bruhat_cox.cache_info().currsize
-    column = {y: table.polynomial(WindowPerm(y), w) for y in table._lower_set(w.window)}
-    assert weyl._bruhat_cox.cache_info().currsize == size
-    oracle = oracles.kl_table_by_bruhat(4)
-    assert column == {y: oracle.polynomial(WindowPerm(y), w) for y in column}
-    assert len(column) > 300
-    assert sum(p.degree > 0 for p in column.values()) > 10
+    # the oracle runs the recursion's old loop over the whole lower set of v;
+    # the table reads its mu-terms per (v, s) instead, and must fill exactly
+    # the same memo entries with the same polynomials
+    for r, least in ((3, 100), (4, 300), (5, 300)):
+        rng = random.Random(SEED)
+        w = _long_element(rng, r, 12)
+        table = KLTable(r)
+        size = weyl._bruhat_cox.cache_info().currsize
+        column = {y: table.polynomial(WindowPerm(y), w) for y in table._lower_set(w.window)}
+        assert weyl._bruhat_cox.cache_info().currsize == size
+        oracle = oracles.kl_table_by_bruhat(r)
+        assert column == {y: oracle.polynomial(WindowPerm(y), w) for y in column}
+        assert len(table._memo) == len(oracle._memo)
+        assert table._memo == oracle._memo
+        assert len(column) > least
+        assert sum(p.degree > 0 for p in column.values()) > 10
+        pairs = [(y, w.window) for y in column] + list(oracle._memo)
+        mus = [table.mu(WindowPerm(y), WindowPerm(x)) for y, x in pairs]
+        assert mus == [oracle.mu(WindowPerm(y), WindowPerm(x)) for y, x in pairs]
+        assert sum(map(bool, mus)) > 100
 
 
 def small_tensor_terms(rng, keys):

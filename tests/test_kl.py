@@ -120,3 +120,21 @@ def test_mu_against_oracle():
         expected = p.coeff(mm - 1) if mm > 0 else 0
         assert table.mu(y, w) == expected
     assert table.mu(WindowPerm.rho(5) * e, w) == 0
+
+
+def test_every_reader_checks_the_rank():
+    table = KLTable(3)
+    y, w = WindowPerm.identity(4), WindowPerm.from_word(4, [1, 2, 1])
+    for read in (table.polynomial, table.extended, table.mu):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            read(y, w)
+
+
+def test_a_degree_past_the_bound_raises():
+    # a raise, not an assert: the check holds under python -O too
+    class TooHigh(KLTable):
+        def _kl_compute(self, ywin, wwin):
+            return {0: 1} if ywin == wwin else {2 * self.r: 1}
+
+    with pytest.raises(ArithmeticError, match="degree bound violated"):
+        TooHigh(3).polynomial(WindowPerm.identity(3), WindowPerm.from_word(3, (1, 2, 1)))

@@ -1,8 +1,11 @@
 """Hecke walks on packed coefficients: the codec of _kernels_py, the width
-that bounds it, and every caller of the packed step matched key by key
-against the scanning oracles of oracles.py, with coefficients far beyond a
-machine word and words of length 12 and more at r = 5."""
+that bounds it, the packed step's per-letter memo, and every caller of the
+packed step matched key by key against the scanning oracles of oracles.py,
+with coefficients far beyond a machine word and words of length 12 and more
+at r = 5.  HeckeElement.to_obj is matched byte for byte against its first
+form."""
 
+import json
 import random
 
 import pytest
@@ -20,6 +23,8 @@ from oracles import (
     hecke_bar_by_words,
     hecke_mul_by_words,
     hecke_mul_gen_right,
+    hecke_packed_mul_gen_right,
+    hecke_to_obj,
     kl_by_bar_involution,
     t_basis_inverse_by_words,
 )
@@ -84,6 +89,37 @@ def test_a_step_that_cancels_a_key_drops_it():
     assert got == hecke_mul_gen_right(terms, 1) == {(1, 2, 3): kernels.lp_shift(c, 2)}
 
 
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_a_step_memo_shared_across_letters_matches_the_first_form(r):
+    # one memo for every call, as in a walk; windows recur under each letter
+    rng = random.Random(f"packed-steps:{r}")
+    pool = [reduced(rng, r, rng.randint(0, 9), rng.randint(-2, 2)).window for _ in range(30)]
+    steps: dict = {}
+    shift = 2 * 70
+    for _ in range(60):
+        terms = {w: rng.choice((1, -1)) * rng.getrandbits(200) for w in rng.sample(pool, rng.randint(1, 12))}
+        i = rng.randint(1, r)
+        assert kernels.hecke_packed_mul_gen_right(terms, i, shift, steps) == hecke_packed_mul_gen_right(terms, i, shift)
+    assert sorted(steps) == list(range(1, r + 1))
+    assert sum(map(len, steps.values())) > 2 * len(pool)
+
+
+def test_an_incomplete_residue_window_raises():
+    # a raise, not an assert, so it holds under python -O; a memo filled by
+    # other windows and letters does not hide it
+    steps: dict = {}
+    kernels.hecke_packed_mul_gen_right({(1, 2, 3): 1, (3, 1, 2): 5}, 1, 8, steps)
+    kernels.hecke_packed_mul_gen_right({(1, 2, 3): 1, (3, 1, 2): 5}, 2, 8, steps)
+    # (1, 1, 3) has no entry of residue 2, which s_1 and s_2 both move
+    for i in (1, 2):
+        with pytest.raises(ValueError, match="incomplete residue system"):
+            kernels.hecke_packed_mul_gen_right({(1, 2, 3): 1, (1, 1, 3): 2}, i, 8, steps)
+    with pytest.raises(ValueError, match="incomplete residue system"):
+        HeckeElement._raw(3, {(1, 1, 3): {0: 1}}).mul_gen_right(2)
+    with pytest.raises(ValueError, match="incomplete residue system"):
+        HeckeElement._raw(3, {(1, 1, 3): {0: 1}}) * t_basis(WindowPerm.s(3, 1))
+
+
 @pytest.mark.parametrize("k", [2**64 + 1, -(2**64 + 1), 2**64 - 1, -(2**64 - 1)])
 def test_a_coefficient_equal_to_the_bound_survives(k):
     # |K T_e|_1 * |1|_1 * 3^0 = |K|: the result coefficient is the bound itself
@@ -138,6 +174,36 @@ def test_kl_by_involution_matches_the_recursion_and_its_oracle():
     got = verify._kl_by_involution(w)
     assert got == kl_by_bar_involution(w)
     assert all(table.polynomial(y, w) == p for y, p in got.items())
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_walks_match_the_oracles_at_every_rank(r):
+    rng = random.Random(f"packed-walks:{r}")
+    a, b = big_element(rng, r, 3, lengths=(5, 8)), big_element(rng, r, 3, lengths=(5, 8))
+    assert (a * b)._terms == hecke_mul_by_words(a, b)._terms
+    assert a.bar()._terms == hecke_bar_by_words(a)._terms
+    lam = Weight(r, r, (2,) + (1,) * (r - 2) + (0,))
+    mu = Weight(r, r, (1,) * r)
+    x = _tensor(rng, r, r, [lam, mu], 5)
+    assert act_hecke_right(x, b) == act_hecke_right_by_terms(x, b)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_to_obj_prints_the_bytes_of_its_first_form(r):
+    rng = random.Random(f"packed-to-obj:{r}")
+    a, b = big_element(rng, r, 4, lengths=(2, 6)), big_element(rng, r, 3, lengths=(0, 4))
+    elems = [
+        a, b, a * b, a.bar(),
+        t_basis(WindowPerm.rho(r, -2)).scale(Laurent({-3: 1, 0: -5})),
+        HeckeElement.unit(r), HeckeElement.zero(r),
+    ]
+    assert any(w.rho_power() < 0 for w in (a * b).support())
+    assert any(e < 0 for _, c in (a * b).items() for e in c.raw())
+    for h in elems:
+        obj = h.to_obj()
+        assert json.dumps(obj) == json.dumps(hecke_to_obj(h))
+        assert json.dumps(obj, sort_keys=True) == json.dumps(hecke_to_obj(h), sort_keys=True)
+        assert HeckeElement.from_obj(obj) == h
 
 
 def _tensor(rng, n, r, weights, length):

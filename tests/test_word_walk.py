@@ -134,9 +134,9 @@ def test_product_makes_one_sweep_per_tree_node(r, words, monkeypatch):
     calls = []
     sweep = hecke.kernels.hecke_packed_mul_gen_right
 
-    def counting(terms, i, shift):
+    def counting(terms, i, shift, steps):
         calls.append(i)
-        return sweep(terms, i, shift)
+        return sweep(terms, i, shift, steps)
 
     monkeypatch.setattr(hecke.kernels, "hecke_packed_mul_gen_right", counting)
     assert a * b == expected
