@@ -16,16 +16,15 @@ through ``affineschur._backend``:
 The Hecke and tensor kernels hard-code q = v**2.  The window kernels and the
 right generator step make one pass over a window, with one residue test per
 entry; win_length is Shi's formula, a sum over the r(r-1)/2 pairs of entries.
-The right generator step has one body, hecke_packed_mul_gen_right;
-hecke_mul_gen_right is that body between hecke_pack and hecke_unpack.
+The right generator step has one body, hecke_packed_mul_gen_right, which
+the Hecke walks call.  hecke_mul_gen_right is that body between hecke_pack
+and hecke_unpack; no module of the package calls it, and it stays only as
+the timing entry of perfbench/kernels_bench.py.
 """
 
 from __future__ import annotations
 
 BACKEND = "pure-python"
-
-_Q = {2: 1}          # q
-_QM1 = {2: 1, 0: -1}  # q - 1
 
 
 # ---------------------------------------------------------------------------
@@ -338,39 +337,6 @@ def hecke_packed_mul_gen_right(terms, i, shift, steps):
         else:
             out[ws] = get(ws, 0) + p
     return out
-
-
-def hecke_mul_gen_left(terms, i):
-    out = {}
-    for w, c in terms.items():
-        siw = win_mul_s_left(w, i)
-        if win_apply(w, i) > win_apply(w, i + 1):
-            acc = out.setdefault(siw, {})
-            lp_addmul_into(acc, c, _Q)
-            if not acc:
-                del out[siw]
-            acc = out.setdefault(w, {})
-            lp_addmul_into(acc, c, _QM1)
-            if not acc:
-                del out[w]
-        else:
-            acc = out.setdefault(siw, {})
-            lp_add_into(acc, c)
-            if not acc:
-                del out[siw]
-    return out
-
-
-def hecke_mul_rho_right(terms, z):
-    if not z:
-        return {w: dict(c) for w, c in terms.items()}
-    return {win_add(w, z): dict(c) for w, c in terms.items()}
-
-
-def hecke_mul_rho_left(terms, z):
-    if not z:
-        return {w: dict(c) for w, c in terms.items()}
-    return {win_rot(w, z): dict(c) for w, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------

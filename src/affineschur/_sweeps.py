@@ -25,7 +25,7 @@ from affineschur.laurent import Laurent, addmul_term
 from affineschur.quantum import (
     _Q, _QM1, TensorVector, UElement, _act_terms, _act_word, _apply_letter, _assoc_terms,
     _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_letter_terms, _tau_rho_terms,
-    _theta_columns, _word_images, antipode, counit, kappa, theta_iso,
+    _theta_system, _word_images, antipode, counit, kappa, theta_iso,
 )
 from affineschur.schur import QTensorElement, Weight, act_hecke_right, act_schur_left, all_weights, omega, phi
 from affineschur.verify import sweep_keys
@@ -392,11 +392,12 @@ def verify_affine_duality(
     checks.extend(_presentation_rows(n, r, keyset, sample_keys))
 
     # bimodule identification: intertwining plus injectivity on the window;
-    # a basis key (lambda, d) is written (lambda.parts, d.window)
-    tkeys, columns = _theta_columns(n, r, L, 1)
+    # a basis key (lambda, d) is written (lambda.parts, d.window), and d is
+    # distinguished, so the key's basis element is x_lambda T_d itself
+    tkeys, columns, _ = _theta_system(n, r, L, 1)
     rank = _modp_rank([_eval_row(col, p) for col in columns], p)
     checks.append(_rank_row("theta-injective", rank, len(tkeys)))
-    images = {(lam.parts, d.window): (QTensorElement.basis(lam, d), col) for (lam, d), col in zip(tkeys, columns)}
+    images = {key: (QTensorElement._raw(n, r, {key: {0: 1}}), col) for key, col in zip(tkeys, columns)}
     hsub = [t_basis(WindowPerm.s(r, i)) for i in range(1, r)] + [t_basis(WindowPerm.rho(r))]
     hright = [(h, _bernstein_assoc(h)) for h in hsub]
 

@@ -4,7 +4,8 @@ Elements travel as JSON on stdin and stdout in the same shapes the
 library's ``to_obj``/``from_obj`` pairs use, so any output can be piped
 straight back in.  Verification verbs emit a report whose bytes depend
 only on the flags and seed; timing goes to stderr.  Exit codes: 0 all
-good, 1 at least one failed check, 2 malformed input.
+good, 1 at least one failed check or an error in the computation, 2
+malformed input.
 """
 
 from __future__ import annotations
@@ -52,7 +53,21 @@ _FLAG_READERS = {
 
 
 class InputError(ValueError):
-    """Bad JSON or a value out of domain; maps to exit code 2."""
+    """Bad JSON or a value out of domain; maps to exit code 2.  Any other
+    ValueError or ArithmeticError comes from the computation and exits 1."""
+
+
+def _decode(read, *args):
+    """read(*args) on payload values; a ValueError or TypeError is malformed input."""
+    try:
+        return read(*args)
+    except (ValueError, TypeError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _require(ok: bool, why: str) -> None:
+    if not ok:
+        raise InputError(why)
 
 
 def _refuse_unread(name: str, args) -> None:
@@ -79,10 +94,15 @@ def _emit(obj, args, text: str | None = None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _as_list(payload, what: str, least: int = 2) -> list:
-    if not isinstance(payload, list) or len(payload) < least:
-        raise InputError(f"{what} expects a JSON array of at least {least} elements")
-    return payload
+def _product(payload, what: str, read, shape):
+    """The product of a JSON array of at least two elements of one shape."""
+    _require(isinstance(payload, list) and len(payload) >= 2, f"{what} expects a JSON array of at least 2 elements")
+    parts = [_decode(read, o) for o in payload]
+    _require(len({shape(p) for p in parts}) == 1, f"{what} needs elements of one shape")
+    out = parts[0]
+    for p in parts[1:]:
+        out = out * p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +112,19 @@ def _as_list(payload, what: str, least: int = 2) -> list:
 def _cmd_weyl(args) -> int:
     payload = _read_payload(args)
     if args.verb == "compose":
-        parts = [WindowPerm.from_obj(o) for o in _as_list(payload, "weyl compose")]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out * p
+        out = _product(payload, "weyl compose", WindowPerm.from_obj, lambda w: w.r)
         _emit(out.to_obj(), args, repr(out))
         return 0
     if args.verb == "coset":
         if not isinstance(payload, dict) or "w" not in payload or "members" not in payload:
             raise InputError('weyl coset expects {"w": …, "members": […], "shift": 0}')
-        w = WindowPerm.from_obj(payload["w"])
-        pi = ParabolicIndex(w.r, payload["members"], int(payload.get("shift", 0)))
+        w = _decode(WindowPerm.from_obj, payload["w"])
+        pi = _decode(lambda: ParabolicIndex(w.r, payload["members"], int(payload.get("shift", 0))))
         u, d = coset_decompose(w, pi)
         obj = {"u": u.to_obj(), "d": d.to_obj()}
         _emit(obj, args, f"u = {u!r}\nd = {d!r}")
         return 0
-    w = WindowPerm.from_obj(payload)
+    w = _decode(WindowPerm.from_obj, payload)
     if args.verb == "length":
         obj = {"length": w.length(), "rho_power": w.rho_power()}
         _emit(obj, args, f"length {w.length()}, shift part {w.rho_power()}")
@@ -121,23 +138,18 @@ def _cmd_weyl(args) -> int:
 def _cmd_hecke(args) -> int:
     payload = _read_payload(args)
     if args.verb == "mul":
-        parts = [HeckeElement.from_obj(o) for o in _as_list(payload, "hecke mul")]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out * p
+        out = _product(payload, "hecke mul", HeckeElement.from_obj, lambda h: h.r)
         _emit(out.to_obj(), args, repr(out))
         return 0
     if args.verb == "xlambda":
-        pi = ParabolicIndex.from_obj(payload)
+        pi = _decode(ParabolicIndex.from_obj, payload)
         out = x_lambda(pi)
         _emit(out.to_obj(), args, repr(out))
         return 0
     if not isinstance(payload, dict) or "y" not in payload or "w" not in payload:
         raise InputError('hecke kl expects {"y": …, "w": …}')
-    y = WindowPerm.from_obj(payload["y"])
-    w = WindowPerm.from_obj(payload["w"])
-    if y.r != w.r:
-        raise InputError("y and w have different periods")
+    y, w = _decode(lambda: (WindowPerm.from_obj(payload["y"]), WindowPerm.from_obj(payload["w"])))
+    _require(y.r == w.r, "y and w have different periods")
     table = KLTable(y.r)
     p = kl_extended(table, y, w)
     obj = {"polynomial": p.to_obj()}
@@ -154,20 +166,16 @@ def _cmd_schur(args) -> int:
         return _run_reports([run_suite("schur-core", **_suite_params("schur-core", args))], args)
     payload = _read_payload(args)
     if args.verb == "mul":
-        parts = [SchurElement.from_obj(o) for o in _as_list(payload, "schur mul")]
-        out = parts[0]
-        for p in parts[1:]:
-            out = out * p
+        out = _product(payload, "schur mul", SchurElement.from_obj, lambda s: (s.n, s.r))
         _emit(out.to_obj(), args, repr(out))
         return 0
     # phi and theta share the input shape
     need = {"n", "r", "lambda", "mu", "d"}
     if not isinstance(payload, dict) or not need <= set(payload):
         raise InputError(f'schur {args.verb} expects keys {sorted(need)}')
-    n, r = int(payload["n"]), int(payload["r"])
-    lam = Weight(n, r, payload["lambda"])
-    mu = Weight(n, r, payload["mu"])
-    d = WindowPerm.from_obj({"r": r, **dict(payload["d"])})
+    n, r = _decode(lambda: (int(payload["n"]), int(payload["r"])))
+    lam, mu = _decode(lambda: (Weight(n, r, payload["lambda"]), Weight(n, r, payload["mu"])))
+    d = _decode(lambda: WindowPerm.from_obj({"r": r, **dict(payload["d"])}))
     if args.verb == "phi":
         out = phi(lam, mu, d)
     else:
@@ -187,23 +195,26 @@ def _cmd_quantum(args) -> int:
     if args.verb == "act":
         if not isinstance(payload, dict) or "element" not in payload or "vector" not in payload:
             raise InputError('quantum act expects {"element": …, "vector": …}')
-        u = UElement.from_obj(payload["element"])
-        x = TensorVector.from_obj(payload["vector"])
+        u, x = _decode(lambda: (UElement.from_obj(payload["element"]), TensorVector.from_obj(payload["vector"])))
+        _require(u.n == x.n, "quantum act needs an element and a vector of one n")
         out = act_tensor(u, x)
         _emit(out.to_obj(), args, repr(out))
         return 0
     if args.verb == "tau":
         if not isinstance(payload, dict) or "w" not in payload or "vector" not in payload:
             raise InputError('quantum tau expects {"w": …, "vector": …}')
-        w = WindowPerm.from_obj(payload["w"])
-        x = TensorVector.from_obj(payload["vector"])
+        w, x = _decode(lambda: (WindowPerm.from_obj(payload["w"]), TensorVector.from_obj(payload["vector"])))
+        _require(x.n >= x.r == w.r, "quantum tau needs n >= r and a window of period r")
         out = tau(x.n, x.r, w)(x)
         _emit(out.to_obj(), args, repr(out))
         return 0
     # kappa: report the normalization exponents for every weight the
     # element touches, and apply the operator when a vector is supplied
     body = payload.get("element", payload) if isinstance(payload, dict) else payload
-    s = SchurElement.from_obj(body)
+    s = _decode(SchurElement.from_obj, body)
+    x = _decode(TensorVector.from_obj, payload["vector"]) if isinstance(payload, dict) and "vector" in payload else None
+    _require(s.n >= s.r, f"quantum kappa needs n >= r, got n={s.n}, r={s.r}")
+    _require(x is None or (x.n, x.r) == (s.n, s.r), "quantum kappa needs a vector of the element's n and r")
     weights = sorted({lam.parts for lam, _, _, _ in s.items()} | {mu.parts for _, mu, _, _ in s.items()})
     table = []
     for parts in weights:
@@ -211,8 +222,7 @@ def _cmd_quantum(args) -> int:
         table.append({"lambda": list(parts), "f": f, "g": g})
     obj: dict = {"exponents": table}
     lines = [f"lambda {row['lambda']}: f = {row['f']}, g = {row['g']}" for row in table]
-    if isinstance(payload, dict) and "vector" in payload:
-        x = TensorVector.from_obj(payload["vector"])
+    if x is not None:
         out = kappa(s)(x)
         obj["result"] = out.to_obj()
         lines.append(repr(out))
@@ -364,9 +374,9 @@ def run(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except (ValueError, ArithmeticError) as exc:  # the computation failed: a crashed check
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
 
 
 def main() -> None:

@@ -55,7 +55,6 @@ __all__ = [
     "bernstein_y",
     "bernstein_y_inverse",
     "to_bernstein_basis",
-    "from_bernstein",
     "commute_gen_past_translations",
 ]
 
@@ -226,34 +225,6 @@ class HeckeElement(LaurentCombination):
         return cls._raw(w.r, {w.window: {0: 1}})
 
     # -- products ----------------------------------------------------------
-
-    def mul_gen_right(self, i: int) -> "HeckeElement":
-        """Right multiplication by T_{s_i}; i is taken mod r into 1..r."""
-        i = (i - 1) % self.r + 1
-        return HeckeElement._raw(self.r, kernels.hecke_mul_gen_right(self._terms, i))
-
-    def mul_gen_left(self, i: int) -> "HeckeElement":
-        i = (i - 1) % self.r + 1
-        return HeckeElement._raw(self.r, kernels.hecke_mul_gen_left(self._terms, i))
-
-    def mul_rho_right(self, z: int) -> "HeckeElement":
-        return HeckeElement._raw(self.r, kernels.hecke_mul_rho_right(self._terms, z))
-
-    def mul_rho_left(self, z: int) -> "HeckeElement":
-        return HeckeElement._raw(self.r, kernels.hecke_mul_rho_left(self._terms, z))
-
-    def mul_gen_inv_right(self, i: int) -> "HeckeElement":
-        """Right multiplication by T_{s_i}^-1 = v^-2 T_{s_i} - (1 - v^-2)."""
-        i = (i - 1) % self.r + 1
-        return HeckeElement._raw(self.r, _gen_inv(kernels.hecke_mul_gen_right(self._terms, i), self._terms))
-
-    def mul_gen_inv_left(self, i: int) -> "HeckeElement":
-        i = (i - 1) % self.r + 1
-        return HeckeElement._raw(self.r, _gen_inv(kernels.hecke_mul_gen_left(self._terms, i), self._terms))
-
-    def mul_t_right(self, w: WindowPerm) -> "HeckeElement":
-        """Right multiplication by the basis term T_w."""
-        return HeckeElement._raw(self.r, _mul_terms(self._terms, {w.window: _ONE}))
 
     def __mul__(self, other: "HeckeElement | Laurent | int") -> "HeckeElement":
         if isinstance(other, (Laurent, int)):
@@ -565,8 +536,10 @@ def _translation_family(r: int) -> tuple[dict[int, HeckeElement], dict[int, Heck
     y = {r: HeckeElement.t_basis(zr).scale(Laurent.v(-(r - 1)))}
     yinv = {r: t_basis_inverse(zr).scale(Laurent.v(r - 1))}
     for i in range(r - 1, 0, -1):
-        y[i] = y[i + 1].mul_gen_inv_left(i).mul_gen_inv_right(i).scale(Laurent.v(2))
-        yinv[i] = yinv[i + 1].mul_gen_left(i).mul_gen_right(i).scale(Laurent.v(-2))
+        si = WindowPerm.s(r, i)
+        t, tinv = t_basis(si), t_basis_inverse(si)
+        y[i] = (tinv * y[i + 1] * tinv).scale(Laurent.v(2))
+        yinv[i] = (t * yinv[i + 1] * t).scale(Laurent.v(-2))
     return y, yinv
 
 
@@ -723,8 +696,7 @@ def to_bernstein_basis(h: HeckeElement) -> dict[tuple[tuple[int, ...], WindowPer
     """Rewrite h in the basis of y-monomials times finite-permutation terms.
 
     Keys are (c, u): the translation exponent vector and the finite part;
-    the value is the coefficient of y_1^c_1 ... y_r^c_r T_u.  Round-trips
-    through from_bernstein.
+    the value is the coefficient of y_1^c_1 ... y_r^c_r T_u.
     """
     r = h.r
     unit_key = ((0,) * r, tuple(range(1, r + 1)))
@@ -749,24 +721,3 @@ def to_bernstein_basis(h: HeckeElement) -> dict[tuple[tuple[int, ...], WindowPer
     return {
         (cvec, WindowPerm._unsafe(u)): Laurent(c) for (cvec, u), c in total.items()
     }
-
-
-def from_bernstein(
-    assoc: Mapping[tuple[Iterable[int], WindowPerm], Laurent], r: int
-) -> HeckeElement:
-    """Multiply a (c, u) association back out into the standard basis: one
-    product y^c * (sum of coeff * T_u) per translation vector c."""
-    tails: dict[tuple[int, ...], dict] = {}
-    for (cvec, u), coeff in assoc.items():
-        addmul_term(tails.setdefault(tuple(cvec), {}), u.window, coeff.raw())
-    total: dict = {}
-    for cvec, tail in tails.items():
-        h = HeckeElement.unit(r)
-        for j, cj in enumerate(cvec, start=1):
-            if not cj:
-                continue
-            factor = bernstein_y(r, j) if cj > 0 else bernstein_y_inverse(r, j)
-            for _ in range(abs(cj)):
-                h = h * factor
-        addmul_into(total, (h * HeckeElement._raw(r, tail))._terms)
-    return HeckeElement._raw(r, total)

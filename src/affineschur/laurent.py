@@ -185,13 +185,6 @@ class Laurent:
         """Largest v-exponent; raises on zero."""
         return max(self._terms)
 
-    def q_degree(self) -> int:
-        """Largest q-exponent for polynomials in q = v^2; raises if odd
-        exponents are present."""
-        if any(e % 2 for e in self._terms):
-            raise ValueError(f"not a polynomial in q: {self}")
-        return max(self._terms) // 2
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = _coerce(other)

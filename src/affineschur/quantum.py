@@ -58,7 +58,6 @@ __all__ = [
     "project_weight",
     "e_omega",
     "tau",
-    "finite_hecke_right_action",
     "hecke_right_action",
     "theta_iso",
     "theta_iso_basis",
@@ -516,17 +515,6 @@ def _tau_terms(terms: dict, n: int, r: int, z: int, word: tuple) -> dict:
 # The right Hecke action
 
 
-def finite_hecke_right_action(x: TensorVector, i: int) -> TensorVector:
-    """Right T_{s_i} on keys within 1..n (the finite tensor module)."""
-    n, r = x.n, x.r
-    if not 1 <= i <= r - 1:
-        raise ValueError(f"generator index {i} out of range 1..{r - 1}")
-    for key in x._terms:
-        if any(not 1 <= t <= n for t in key):
-            raise ValueError(f"key {key} leaves the range 1..{n}")
-    return TensorVector._raw(n, r, _act_sigma_terms(x._terms, i, n, r))
-
-
 def _act_sigma_terms(terms: dict, i: int, n: int, r: int) -> dict:
     """Right T_{s_i} on raw terms over arbitrary keys.  Slots i, i+1 of a
     key are a base pair (a, b) in 1..n under a translation part, which
@@ -856,21 +844,15 @@ def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tupl
 
 
 @lru_cache(maxsize=None)
-def _theta_columns(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
-    """(basis keys, raw theta_iso images) of the q-tensor basis inside the
-    truncation window, shared by theta_iso_inverse and the duality sweep.
-    The images are the very dicts of the _theta_image table, so a key in
-    several truncations is stored once; they are read only, never mutated."""
-    keys = tuple(theta_iso_basis(n, r, len_bound, rho_bound))
-    return keys, tuple(_theta_image(n, r, lam.parts, d.window) for lam, d in keys)
-
-
-@lru_cache(maxsize=None)
 def _theta_system(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
     """(q-tensor term keys, raw theta_iso images, peel order) of the basis
-    inside the truncation window; the peel order is built on first use."""
-    keys, columns = _theta_columns(n, r, len_bound, rho_bound)
-    return tuple((lam.parts, d.window) for lam, d in keys), columns, _peel_order(columns)
+    inside the truncation window, shared by theta_iso_inverse and the
+    duality sweep; a key is (lambda.parts, d.window).  The images are the
+    very dicts of the _theta_image table, so a key in several truncations
+    is stored once; they are read only, never mutated."""
+    keys = tuple((lam.parts, d.window) for lam, d in theta_iso_basis(n, r, len_bound, rho_bound))
+    columns = tuple(_theta_image(n, r, *key) for key in keys)
+    return keys, columns, _peel_order(columns)
 
 
 def theta_iso_inverse(

@@ -352,20 +352,6 @@ def is_finite_type(e: SchurElement) -> bool:
     return all(all(1 <= t <= e.r for t in dwin) for (_, _, dwin) in e._terms)
 
 
-def _bruhat_lower(w: WindowPerm) -> list[WindowPerm]:
-    """Everything below w: rho power fixed, subword products of the Coxeter
-    part's reduced word."""
-    z, cox = w.rho_decompose()
-    _, word = cox.reduced_word()
-    cur = {tuple(range(1, w.r + 1))}
-    for i in word:
-        cur |= {kernels.win_mul_s_right(u, i) for u in cur}
-    return [
-        WindowPerm._unsafe(kernels.win_rot(u, z)) if z else WindowPerm._unsafe(u)
-        for u in cur
-    ]
-
-
 def theta(lam: Weight, mu: Weight, d: WindowPerm, table: KLTable) -> SchurElement:
     """The KL-type basis element: a triangular combination of phi^z over the
     double cosets whose longest element sits below the longest element of
@@ -378,8 +364,12 @@ def theta(lam: Weight, mu: Weight, d: WindowPerm, table: KLTable) -> SchurElemen
     dplus = longest_double_coset_elt(dbar, left, right)
     shift = right.longest_element().length() - dplus.length()
     lgens, rgens = sorted(left.generators), sorted(right.generators)
+    # the Bruhat interval below d+: the table's lower set of d+'s Coxeter
+    # part, moved by d+'s rho power
+    zplus, cox = dplus.rho_decompose()
     terms: dict[tuple, dict] = {}
-    for u in _bruhat_lower(dplus):
+    for cwin in table._lower_set(cox.window):
+        u = WindowPerm._unsafe(kernels.win_rot(cwin, zplus))
         if not _is_double_coset_top(u.window, lgens, rgens):
             continue
         p = table.extended(u, dplus)

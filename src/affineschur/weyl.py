@@ -144,10 +144,6 @@ class WindowPerm:
 
     # -- canonical factorizations -----------------------------------------
 
-    def in_coxeter_part(self) -> bool:
-        r = self.r
-        return sum(self.window) == r * (r + 1) // 2
-
     def rho_power(self) -> int:
         r = self.r
         return (sum(self.window) - r * (r + 1) // 2) // r
@@ -175,23 +171,6 @@ class WindowPerm:
         if win != tuple(range(1, r + 1)):
             raise AssertionError("descent stripping failed to reach the identity")
         return z, tuple(reversed(letters))
-
-    def semidirect_decompose(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Split into a finite permutation and a translation vector.
-
-        Returns (perm, shifts): perm is the window of the finite part (the
-        residues of self's window), and shifts[j-1] counts how many times the
-        residue class j is translated by r, so that
-        ``window[s-1] = perm[s-1] + r * shifts[perm[s-1] - 1]``.
-        """
-        r = self.r
-        perm = []
-        shifts = [0] * r
-        for val in self.window:
-            j = (val - 1) % r + 1
-            perm.append(j)
-            shifts[j - 1] = (val - j) // r
-        return tuple(perm), tuple(shifts)
 
     # -- plumbing ----------------------------------------------------------
 

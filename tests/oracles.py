@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from affineschur._kernels_py import lp_add_into, lp_addmul_into, lp_shift, win_apply
+from affineschur._kernels_py import lp_add_into, lp_addmul_into, lp_shift, win_apply, win_mul_s_left, win_rot
 from affineschur.laurent import Laurent
 from affineschur.weyl import ParabolicIndex, WindowPerm
 
@@ -98,18 +98,19 @@ def brute_coset_factorizations(
 
 def hecke_mul_left_expansion(a, b):
     """Product oracle that expands the LEFT factor into its rho power and
-    reduced word and applies left multiplications, the mirror image of the
-    library's right-factor expansion."""
+    reduced word and applies left multiplications (hecke_mul_gen_left, then
+    rho^z on the left), the mirror image of the library's right-factor
+    expansion."""
     from affineschur.hecke import HeckeElement
 
     total = HeckeElement.zero(a.r)
     for w, c in a.items():
         z, word = w.reduced_word()
-        part = b
+        part = b._terms
         for i in reversed(word):
-            part = part.mul_gen_left(i)
-        part = part.mul_rho_left(z)
-        total = total + part.scale(c)
+            part = hecke_mul_gen_left(part, i)
+        part = {win_rot(x, z): cx for x, cx in part.items()}
+        total = total + HeckeElement._raw(a.r, part).scale(c)
     return total
 
 
@@ -1138,9 +1139,10 @@ def theta_iso_by_kappa(x):
 # ---------------------------------------------------------------------------
 # Scanning window kernels, replaced in _kernels_py by single passes
 # (one residue test per window entry, Shi's formula for the length).  The
-# old bodies, kept as the reference for tests/test_kernels_py.py; below them
-# the packed generator step without its memo and HeckeElement.to_obj through
-# items(), the references for tests/test_packed.py.
+# old bodies, kept as the reference for tests/test_kernels_py.py; the left
+# generator step of hecke_mul_left_expansion; below them the packed
+# generator step without its memo and HeckeElement.to_obj through items(),
+# the references for tests/test_packed.py.
 
 
 _Q = {2: 1}          # q
@@ -1214,6 +1216,30 @@ def hecke_mul_gen_right(terms, i):
             lp_add_into(acc, c)
             if not acc:
                 del out[wsi]
+    return out
+
+
+def hecke_mul_gen_left(terms, i):
+    """T_{s_i} T_w = T_{s_i w} if s_i w > w, else q T_{s_i w} + (q - 1) T_w,
+    on Laurent coefficients; the left step that left src/ with the
+    single-generator product methods."""
+    out = {}
+    for w, c in terms.items():
+        siw = win_mul_s_left(w, i)
+        if win_apply(w, i) > win_apply(w, i + 1):
+            acc = out.setdefault(siw, {})
+            lp_addmul_into(acc, c, _Q)
+            if not acc:
+                del out[siw]
+            acc = out.setdefault(w, {})
+            lp_addmul_into(acc, c, _QM1)
+            if not acc:
+                del out[w]
+        else:
+            acc = out.setdefault(siw, {})
+            lp_add_into(acc, c)
+            if not acc:
+                del out[siw]
     return out
 
 
@@ -1386,16 +1412,20 @@ def longest_double_coset_elt_by_enumeration(d, left, right):
 
 
 def theta_by_enumeration(lam, mu, d, table):
-    """schur.theta with every coset top found by listing the coset."""
-    from affineschur.schur import SchurElement, _bruhat_lower, young_parabolic
-    from affineschur.weyl import double_coset_rep
+    """schur.theta with every coset top found by listing the coset, and the
+    Bruhat interval below d+ found by testing bruhat_leq on every element of
+    length <= l(d+), not read off the table's lower sets."""
+    from affineschur.schur import SchurElement, young_parabolic
+    from affineschur.weyl import bruhat_leq, double_coset_rep, enumerate_up_to_length
 
     left, right = young_parabolic(lam), young_parabolic(mu)
     dbar = double_coset_rep(d, left, right)
     dplus = longest_double_coset_elt_by_enumeration(dbar, left, right)
     shift = right.longest_element().length() - dplus.length()
+    rho = WindowPerm.rho(lam.r, dplus.rho_power())
+    below = [rho * c for c in enumerate_up_to_length(lam.r, dplus.length()) if bruhat_leq(rho * c, dplus)]
     terms: dict = {}
-    for u in _bruhat_lower(dplus):
+    for u in below:
         z = double_coset_rep(u, left, right)
         if longest_double_coset_elt_by_enumeration(z, left, right) != u:
             continue  # u is not the top of its own coset

@@ -16,13 +16,14 @@ from affineschur.hecke import (
     bernstein_y,
     bernstein_y_inverse,
     commute_gen_past_translations,
-    from_bernstein,
     t_basis,
     t_basis_inverse,
     to_bernstein_basis,
 )
 from affineschur.laurent import Laurent
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
+
+from oracles import from_bernstein_by_words
 
 V2 = Laurent.v(2)
 
@@ -135,7 +136,7 @@ def test_rewrite_of_rho():
     r = 3
     rho = t_basis(WindowPerm.rho(r))
     b = to_bernstein_basis(rho)
-    assert from_bernstein(b, r) == rho
+    assert from_bernstein_by_words(b, r) == rho
     flat = {(c, u.window): coeff for (c, u), coeff in b.items()}
     vm2 = Laurent.v(-2)
     assert flat == {
@@ -159,7 +160,7 @@ def test_rewrite_round_trips():
             h = h + t_basis(w).scale(Laurent({rng.randrange(-2, 3): rng.choice([-2, 1, 3])}))
         corpus.append(h)
     for h in corpus:
-        assert from_bernstein(to_bernstein_basis(h), r) == h
+        assert from_bernstein_by_words(to_bernstein_basis(h), r) == h
 
 
 def test_rewrite_is_linear():

@@ -458,3 +458,60 @@ def test_weyl_length_refuses_unread_flags_and_answers_without_them(monkeypatch, 
     code, out, _ = invoke(["weyl", "length", "--json"], stdin=payload, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert json.loads(out) == {"length": 1, "rho_power": 0}
+
+
+# -- exit 2 is for input alone: an error in the computation exits 1 ---------
+
+KAPPA_PAYLOAD = {
+    "n": 3,
+    "r": 3,
+    "terms": [{"lambda": [2, 1, 0], "mu": [2, 1, 0], "d": {"window": [1, 2, 3]}, "coeff": {"0": 1}}],
+}
+THETA_PAYLOAD = {"n": 3, "r": 3, "lambda": [2, 1, 0], "mu": [1, 1, 1], "d": {"window": [1, 2, 3]}}
+
+
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+@pytest.mark.parametrize(
+    "argv, module, name, payload",
+    [
+        (["quantum", "kappa"], "quantum", "kappa_exponents", KAPPA_PAYLOAD),
+        (["schur", "theta"], "schur", "theta", THETA_PAYLOAD),
+    ],
+)
+def test_an_error_in_the_computation_exits_one(error, argv, module, name, payload, monkeypatch, capsys):
+    import importlib
+
+    def broken(*args, **kw):
+        raise error("the computation failed")
+
+    monkeypatch.setattr(importlib.import_module(f"affineschur.{module}"), name, broken)
+    code, out, err = invoke(argv + ["--json"], stdin=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {error.__name__}: the computation failed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, payload, reason",
+    [
+        (["hecke", "mul"], [t_basis(WindowPerm.s(3, 1)).to_obj(), t_basis(WindowPerm.s(4, 1)).to_obj()], "one shape"),
+        (["quantum", "act"], {"element": {"n": 3, "terms": []}, "vector": {"n": 4, "r": 2, "terms": []}}, "one n"),
+        # a TypeError while decoding is malformed input too
+        (["quantum", "act"], {"element": {"n": 3, "terms": 5}, "vector": {"n": 3, "r": 2, "terms": []}}, "int"),
+        (["quantum", "tau"], {"w": {"window": [1, 2, 3]}, "vector": {"n": 2, "r": 3, "terms": []}}, "n >= r"),
+        (["quantum", "kappa"], {"n": 2, "r": 3, "terms": []}, "n >= r"),
+        (["quantum", "kappa"], {"element": KAPPA_PAYLOAD, "vector": {"n": 4, "r": 3, "terms": []}}, "n and r"),
+        (["schur", "theta"], {**THETA_PAYLOAD, "mu": [1, 1]}, "expected 3 parts"),
+    ],
+)
+def test_malformed_or_out_of_domain_payloads_exit_two_before_any_work(argv, payload, reason, monkeypatch, capsys):
+    import affineschur.quantum as quantum
+    import affineschur.schur as schur
+
+    def refuse(*args, **kw):
+        raise AssertionError("the computation must not start")
+
+    for module, name in ((quantum, "kappa_exponents"), (quantum, "tau"), (quantum, "act_tensor"), (schur, "theta")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = invoke(argv + ["--json"], stdin=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err

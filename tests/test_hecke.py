@@ -187,8 +187,8 @@ def test_x_lambda_absorbs_parabolic():
         pi = ParabolicIndex(R, members, shift=shift)
         x = x_lambda(pi)
         for i in sorted(pi.generators):
-            assert x.mul_gen_right(i) == x.scale(Q)
-            assert x.mul_gen_left(i) == x.scale(Q)
+            assert x * gen(i) == x.scale(Q)
+            assert gen(i) * x == x.scale(Q)
 
 
 # -- linear independence of the left regular representation ----------------

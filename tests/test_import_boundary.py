@@ -4,10 +4,14 @@ The command line front end must start without compiling the mathematics
 (quantum, schur), the sweeps or the process pool, since `affineschur verify
 --help` and every payload verb pay for each module they load; the
 mathematics must not depend on the checks that verify it; and the package
-runs on its one kernel module, the one the benchmark stamps.
+runs on its one kernel module, the one the benchmark stamps.  Every name a
+module exports in __all__ exists, so `from ... import *` survives a
+deletion.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -58,3 +62,14 @@ def test_the_kernels_are_the_pure_module():
 
     assert affineschur.BACKEND == "pure-python"
     assert _backend.kernels is _kernels_py
+
+
+MODULES = ["affineschur"] + [f"affineschur.{m.name}" for m in pkgutil.iter_modules(affineschur.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, missing
+    exec(f"from {module} import *", {})

@@ -84,7 +84,9 @@ def test_degree_bound():
             p = table.polynomial(y, w)
             if p.is_zero() or y == w:
                 continue
-            assert 2 * p.q_degree() <= w.length() - y.length() - 1
+            # a polynomial in q = v^2 of q-degree <= (l(w) - l(y) - 1) / 2
+            assert all(e % 2 == 0 for e in p.raw())
+            assert p.degree <= w.length() - y.length() - 1
 
 
 def test_extended_delta():

@@ -94,9 +94,3 @@ def test_json_roundtrip():
     assert Laurent.from_obj(a.to_obj()) == a
     with pytest.raises(ValueError):
         Laurent.from_obj({"x": 1})
-
-
-def test_q_degree():
-    assert (Laurent.q(2) + 1).q_degree() == 2
-    with pytest.raises(ValueError):
-        Laurent.v().q_degree()

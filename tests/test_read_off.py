@@ -149,7 +149,7 @@ def _bad_inputs() -> list[tuple[str, object, HeckeElement]]:
     stray = (WindowPerm.s(3, 1) * other).window
     out = []
     for name, read, good in (
-        ("right factor", lambda h: _extract_right_factor(h, pi), x_lambda(pi).mul_t_right(d)),
+        ("right factor", lambda h: _extract_right_factor(h, pi), x_lambda(pi) * t_basis(d)),
         ("phi", lambda h: _expand_phi(h, _LAM, _MU), phi_value(_LAM, _MU, d)),
     ):
         tail = next(w for w in good._terms if w != d.window)
@@ -173,9 +173,9 @@ def test_bad_inputs_are_well_formed():
     stray = WindowPerm.s(3, 1) * other
     assert not is_distinguished(stray, pi)
     assert double_coset_rep(stray, pi, pm) == other
-    assert _extract_right_factor(x_lambda(pi).mul_t_right(d), pi) == {d.window: Laurent.one()}
+    assert _extract_right_factor(x_lambda(pi) * t_basis(d), pi) == {d.window: Laurent.one()}
     assert _expand_phi(phi_value(_LAM, _MU, d), _LAM, _MU) == {d.window: Laurent.one()}
-    assert len(x_lambda(pi).mul_t_right(d)) == 2 and len(phi_value(_LAM, _MU, d)) > 2
+    assert len(x_lambda(pi) * t_basis(d)) == 2 and len(phi_value(_LAM, _MU, d)) > 2
     assert len(_bad_inputs()) == 6
 
 

@@ -244,9 +244,11 @@ def test_right_generator_step_matches_its_first_form(n, r, half):
 
 
 def test_duality_shares_the_cached_theta_images():
-    keys, columns = quantum._theta_columns(N, R, 1, 0)
+    keys, columns, _ = quantum._theta_system(N, R, 1, 0)
     assert quantum._theta_system(N, R, 1, 0)[1] is columns
-    assert [(lam.parts, d.window) for lam, d in keys] == list(quantum._theta_system(N, R, 1, 0)[0])
+    assert keys == tuple((lam.parts, d.window) for lam, d in quantum.theta_iso_basis(N, R, 1, 0))
+    for key, col in zip(keys, columns):
+        assert col is quantum._theta_image(N, R, *key)
 
 
 @pytest.mark.parametrize("key", [(2, 0, -1), (4, -3, 4), (7, 1, 1)])

@@ -25,11 +25,10 @@ from affineschur.quantum import (
     UElement,
     _finite_term_image,
     _term_terms,
-    _theta_columns,
+    _theta_system,
     _theta_image,
     act_tensor,
     e_omega,
-    finite_hecke_right_action,
     hecke_right_action,
     kappa,
     kappa_exponents,
@@ -71,10 +70,15 @@ def finite_keys():
 # -- the finite rule and its constraint suite -------------------------------
 
 
+def finite_right(x, i):
+    """Right T_{s_i}, which keeps keys within 1..n there (the finite rule)."""
+    return hecke_right_action(x, t_basis(WindowPerm.s(R, i)))
+
+
 def test_finite_rule_examples():
-    assert finite_hecke_right_action(unit(1, 1, 3), 1) == unit(1, 1, 3).scale(Q)
-    assert finite_hecke_right_action(unit(1, 2, 3), 1) == unit(2, 1, 3).scale(V(1))
-    got = finite_hecke_right_action(unit(2, 1, 3), 1)
+    assert finite_right(unit(1, 1, 3), 1) == unit(1, 1, 3).scale(Q)
+    assert finite_right(unit(1, 2, 3), 1) == unit(2, 1, 3).scale(V(1))
+    got = finite_right(unit(2, 1, 3), 1)
     assert got == unit(1, 2, 3).scale(V(1)) + unit(2, 1, 3).scale(Q - 1)
 
 
@@ -83,8 +87,8 @@ def test_finite_rule_quadratic_relation():
     for key in finite_keys():
         for i in (1, 2):
             x = unit(*key)
-            tx = finite_hecke_right_action(x, i)
-            ttx = finite_hecke_right_action(tx, i)
+            tx = finite_right(x, i)
+            ttx = finite_right(tx, i)
             assert ttx == tx.scale(Q - 1) + x.scale(Q)
 
 
@@ -94,19 +98,10 @@ def test_finite_rule_braid_relation():
 
         def act(v, *letters):
             for i in letters:
-                v = finite_hecke_right_action(v, i)
+                v = finite_right(v, i)
             return v
 
         assert act(x, 1, 2, 1) == act(x, 2, 1, 2)
-
-
-def test_finite_rule_rejects_bad_input():
-    with pytest.raises(ValueError):
-        finite_hecke_right_action(unit(0, 2, 3), 1)
-    with pytest.raises(ValueError):
-        finite_hecke_right_action(unit(1, 2, 4), 2)
-    with pytest.raises(ValueError):
-        finite_hecke_right_action(unit(1, 2, 3), 3)
 
 
 # -- the affine right action ------------------------------------------------
@@ -344,12 +339,12 @@ def test_theta_images_are_not_shared_with_callers():
 
 
 def test_theta_columns_share_one_image_per_key():
-    keys1, cols1 = _theta_columns(N, R, 1, 1)
-    keys2, cols2 = _theta_columns(N, R, 2, 1)
-    where = {(lam.parts, d.window): k for k, (lam, d) in enumerate(keys2)}
+    keys1, cols1, _ = _theta_system(N, R, 1, 1)
+    keys2, cols2, _ = _theta_system(N, R, 2, 1)
+    where = {key: k for k, key in enumerate(keys2)}
     assert len(keys1) < len(keys2)
-    for j, (lam, d) in enumerate(keys1):
-        assert cols1[j] is cols2[where[lam.parts, d.window]]
+    for j, key in enumerate(keys1):
+        assert cols1[j] is cols2[where[key]]
 
 
 def test_theta_inverse_round_trip():
