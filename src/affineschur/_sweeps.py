@@ -24,7 +24,7 @@ from affineschur.hecke import bernstein_y, bernstein_y_inverse, t_basis
 from affineschur.laurent import Laurent, addmul_term
 from affineschur.quantum import (
     _Q, _QM1, TensorVector, UElement, _act_terms, _act_word, _apply_letter, _assoc_terms,
-    _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_letter_terms, _tau_rho_terms,
+    _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_letter_terms, _tau_terms,
     _theta_system, _word_images, antipode, counit, kappa, theta_iso,
 )
 from affineschur.schur import QTensorElement, Weight, act_hecke_right, act_schur_left, all_weights, omega, phi
@@ -421,7 +421,7 @@ def verify_affine_duality(
     checks.append(_row("theta-intertwines-left", _first_failure(list(images)[::step], left_pairs)))
 
     # kappa respects sampled products; a key is (lambda, mu, nu, tensor key)
-    pool = enumerate_up_to_length(r, 2, rho_bound=1)
+    pool = enumerate_up_to_length(r, 2)
     lamlist = all_weights(n, r)
     witness = None
     for _ in range(samples):
@@ -453,10 +453,7 @@ def _tau_rows(n: int, r: int, basis: Sequence[WindowPerm], keys: Sequence[tuple]
     for key in keys:
         images = _word_images(suffixes, {key: {0: 1}}, lambda terms, i: _tau_letter_terms(terms, n, r, i))
         for row, (z, word) in zip(rows, words):
-            terms = images[word]
-            for _ in range(abs(z)):
-                terms = _tau_rho_terms(terms, n, r, inverse=z < 0)
-            for k2, val in _eval_row(terms, p).items():
+            for k2, val in _eval_row(_tau_terms(images[word], n, r, z, ()), p).items():
                 row[(key, k2)] = val
     return rows
 

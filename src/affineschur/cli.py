@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from affineschur.hecke import HeckeElement, KLTable, kl_extended, x_lambda
+from affineschur.hecke import HeckeElement, KLTable, x_lambda
 from affineschur.verify import DEFAULT_SEED, SUITES, SWEEP_KEY_BUDGET, SuiteReport, sweep_key_count
 from affineschur.verify import run_all, run_suite
 from affineschur.weyl import ParabolicIndex, WindowPerm, coset_decompose
@@ -151,7 +151,7 @@ def _cmd_hecke(args) -> int:
     y, w = _decode(lambda: (WindowPerm.from_obj(payload["y"]), WindowPerm.from_obj(payload["w"])))
     _require(y.r == w.r, "y and w have different periods")
     table = KLTable(y.r)
-    p = kl_extended(table, y, w)
+    p = table.extended(y, w)
     obj = {"polynomial": p.to_obj()}
     if not y.rho_power() and not w.rho_power():
         obj["mu"] = table.mu(y, w)

@@ -36,7 +36,7 @@ v^2 - 1
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from affineschur._backend import kernels
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
@@ -46,12 +46,8 @@ __all__ = [
     "HeckeElement",
     "t_basis",
     "t_basis_inverse",
-    "mul",
     "x_lambda",
-    "specialize_group_algebra",
     "KLTable",
-    "kl_polynomial",
-    "kl_extended",
     "bernstein_y",
     "bernstein_y_inverse",
     "to_bernstein_basis",
@@ -195,6 +191,9 @@ class HeckeElement(LaurentCombination):
     __slots__ = ("r",)
     _SHAPE = ("r",)
     _MISMATCH = "period mismatch"
+    _NOUN = "Hecke element"
+    _FIELDS = ("window",)
+    _order = staticmethod(lambda win: (kernels.win_length(win), win))
 
     def __init__(self, r: int, terms: Mapping[WindowPerm, Laurent] | None = None):
         self._check_shape(r)
@@ -266,50 +265,28 @@ class HeckeElement(LaurentCombination):
         return Laurent(self._terms.get(w.window, {}))
 
     def support(self) -> list[WindowPerm]:
-        wins = sorted(self._terms, key=lambda win: (kernels.win_length(win), win))
-        return [WindowPerm._unsafe(win) for win in wins]
+        return [WindowPerm._unsafe(win) for win in self._keys()]
 
     def items(self) -> list[tuple[WindowPerm, Laurent]]:
-        return [(w, self.coeff(w)) for w in self.support()]
+        return [(WindowPerm._unsafe(win), Laurent(self._terms[win])) for win in self._keys()]
 
     def __hash__(self) -> int:
         return hash((self.r, frozenset((w, frozenset(c.items())) for w, c in self._terms.items())))
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return f"HeckeElement.zero({self.r})"
-        parts = [f"({coeff})*T{list(w.window)}" for w, coeff in self.items()]
-        return " + ".join(parts)
+    # -- the key codec: a window, shortest first ---------------------------
 
-    # -- serialization -----------------------------------------------------
+    @staticmethod
+    def _key_obj(win: tuple) -> dict:
+        return {"window": list(win)}
 
-    def to_obj(self) -> dict:
-        """{"r": r, "terms": [{"window": ..., "coeff": Laurent.to_obj()}]},
-        the terms in the order of support()."""
-        terms = self._terms
-        return {
-            "r": self.r,
-            "terms": [
-                {"window": list(win), "coeff": {str(e): c for e, c in sorted(terms[win].items())}}
-                for win in sorted(terms, key=lambda win: (kernels.win_length(win), win))
-            ],
-        }
+    @staticmethod
+    def _key_str(win: tuple) -> str:
+        return f"T{list(win)}"
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "HeckeElement":
-        if not isinstance(obj, Mapping) or "r" not in obj or "terms" not in obj:
-            raise ValueError(f"malformed Hecke element: {obj!r}")
-        r = int(obj["r"])
-        terms = obj["terms"]
-        if not isinstance(terms, Sequence) or isinstance(terms, (str, bytes)):
-            raise ValueError(f"malformed term list: {terms!r}")
-        total: dict[tuple[int, ...], dict[int, int]] = {}
-        for entry in terms:
-            if not isinstance(entry, Mapping) or "window" not in entry or "coeff" not in entry:
-                raise ValueError(f"malformed Hecke term: {entry!r}")
-            w = WindowPerm.from_obj({"r": r, "window": entry["window"]})
-            addmul_into(total, {w.window: Laurent.from_obj(entry["coeff"]).raw()})
-        return cls._raw(r, total)
+    def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
+        (r,) = shape
+        return {WindowPerm.from_obj({"r": r, "window": entry["window"]}).window: {0: 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +295,6 @@ class HeckeElement(LaurentCombination):
 
 def t_basis(w: WindowPerm) -> HeckeElement:
     return HeckeElement.t_basis(w)
-
-
-def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    return a * b
-
-
-def specialize_group_algebra(h: HeckeElement) -> dict[WindowPerm, int]:
-    return h.specialize_group_algebra()
 
 
 def _packed_gen_inv(img: dict, i: int, shift: int, steps: dict) -> dict:
@@ -506,14 +475,6 @@ class KLTable:
             hit = frozenset(cur)
             self._lower[wwin] = hit
         return hit
-
-
-def kl_polynomial(table: KLTable, y: WindowPerm, w: WindowPerm) -> Laurent:
-    return table.polynomial(y, w)
-
-
-def kl_extended(table: KLTable, y: WindowPerm, w: WindowPerm) -> Laurent:
-    return table.extended(y, w)
 
 
 # ---------------------------------------------------------------------------

@@ -299,13 +299,16 @@ _MINUS_ONE = {0: -1}
 
 
 class LaurentCombination:
-    """A finite Z[v, v^-1]-combination of basis keys: the linear structure
-    shared by the Hecke, Schur, q-tensor, algebra and tensor-space elements.
+    """A finite Z[v, v^-1]-combination of basis keys: the linear structure,
+    JSON shape, term order and repr shared by the Hecke, Schur, q-tensor,
+    algebra and tensor-space elements.
 
     The terms are a dict {key: raw Laurent dict} with no zero coefficients.
     A subclass names in _SHAPE the attributes that fix its module (elements
-    combine only when those agree, else ValueError(_MISMATCH)), and adds its
-    own product, term order, repr and serialization.  Elements compare equal
+    combine only when those agree, else ValueError(_MISMATCH)) and gives its
+    key codec: _order sorts the keys, _key_obj and _key_str write one key as
+    the JSON fields _FIELDS and as repr text, and _entry_terms reads one JSON
+    term back as the raw terms of its basis element.  Elements compare equal
     by class, shape and terms, and are unhashable unless the subclass
     defines __hash__.
     """
@@ -313,6 +316,9 @@ class LaurentCombination:
     __slots__ = ("_terms",)
     _SHAPE: tuple[str, ...] = ()
     _MISMATCH = "shape mismatch"
+    _NOUN = "element"
+    _FIELDS: tuple[str, ...] = ()
+    _order = None
 
     @classmethod
     def _raw(cls, *args):
@@ -326,7 +332,9 @@ class LaurentCombination:
 
     @classmethod
     def _check_shape(cls, *shape) -> None:
-        """Raise ValueError for a shape the subclass does not support."""
+        """Raise ValueError unless every shape value is at least 1."""
+        if any(x < 1 for x in shape):
+            raise ValueError(f"{' and '.join(cls._SHAPE)} must be positive, got {shape}")
 
     @classmethod
     def zero(cls, *shape):
@@ -381,3 +389,45 @@ class LaurentCombination:
         if type(other) is not type(self):
             return NotImplemented
         return self._shape() == other._shape() and self._terms == other._terms
+
+    def _keys(self) -> list:
+        """The keys in the subclass's term order."""
+        return sorted(self._terms, key=self._order)
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return f"{type(self).__name__}.zero({', '.join(str(x) for x in self._shape())})"
+        terms = self._terms
+        return " + ".join(f"({Laurent._raw(terms[k])})*{self._key_str(k)}" for k in self._keys())
+
+    # -- serialization -----------------------------------------------------
+
+    def to_obj(self) -> dict:
+        """{shape fields..., "terms": [{key fields..., "coeff":
+        Laurent.to_obj()}]}, the terms in the subclass's order."""
+        terms = self._terms
+        obj = dict(zip(self._SHAPE, self._shape()))
+        obj["terms"] = [
+            {**self._key_obj(k), "coeff": {str(e): c for e, c in sorted(terms[k].items())}}
+            for k in self._keys()
+        ]
+        return obj
+
+    @classmethod
+    def from_obj(cls, obj: Mapping):
+        """The inverse of to_obj.  Equal keys add up, and each term is read
+        as its basis element, so a non-normal key is normalized."""
+        if not isinstance(obj, Mapping) or not all(name in obj for name in cls._SHAPE + ("terms",)):
+            raise ValueError(f"malformed {cls._NOUN}: {obj!r}")
+        shape = tuple(int(obj[name]) for name in cls._SHAPE)
+        cls._check_shape(*shape)
+        entries = obj["terms"]
+        if not isinstance(entries, list):
+            raise ValueError(f"malformed term list: expected a JSON array, got {type(entries).__name__}")
+        fields = cls._FIELDS + ("coeff",)
+        total: dict = {}
+        for entry in entries:
+            if not isinstance(entry, Mapping) or not all(f in entry for f in fields):
+                raise ValueError(f"malformed {cls._NOUN} term: {entry!r}")
+            addmul_into(total, cls._entry_terms(shape, entry), Laurent.from_obj(entry["coeff"]).raw())
+        return cls._raw(*shape, total)

@@ -114,9 +114,13 @@ class GeneratorWord:
         return hash((self.n, self.letters))
 
     def __repr__(self) -> str:
-        if not self.letters:
-            return "1"
-        return "*".join(k if k in ("R", "Rinv") else f"{k}{i}" for k, i in self.letters)
+        return _word_str(self.letters)
+
+
+def _word_str(letters: tuple) -> str:
+    if not letters:
+        return "1"
+    return "*".join(k if k in ("R", "Rinv") else f"{k}{i}" for k, i in letters)
 
 
 class UElement(LaurentCombination):
@@ -125,8 +129,12 @@ class UElement(LaurentCombination):
     __slots__ = ("n",)
     _SHAPE = ("n",)
     _MISMATCH = "alphabet mismatch"
+    _NOUN = "algebra element"
+    _FIELDS = ("word",)
+    _order = staticmethod(lambda letters: (len(letters), letters))
 
     def __init__(self, n: int, terms: Mapping[GeneratorWord, Laurent] | None = None):
+        self._check_shape(n)
         self.n = int(n)
         raw: dict[tuple, dict[int, int]] = {}
         if terms:
@@ -180,37 +188,20 @@ class UElement(LaurentCombination):
         return UElement._raw(self.n, out)
 
     def items(self) -> list[tuple[GeneratorWord, Laurent]]:
-        out = []
-        for letters in sorted(self._terms, key=lambda w: (len(w), w)):
-            out.append((GeneratorWord(self.n, letters), Laurent(self._terms[letters])))
-        return out
+        return [(GeneratorWord(self.n, letters), Laurent(self._terms[letters])) for letters in self._keys()]
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return f"UElement({self.n})"
-        return " + ".join(f"({c})*{w}" for w, c in self.items())
+    # -- the key codec: a word, shortest first -----------------------------
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"word": [[k, i] for k, i in w.letters], "coeff": c.to_obj()}
-                for w, c in self.items()
-            ],
-        }
+    @staticmethod
+    def _key_obj(letters: tuple) -> dict:
+        return {"word": [[k, i] for k, i in letters]}
+
+    _key_str = staticmethod(_word_str)
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "UElement":
-        if not isinstance(obj, Mapping) or "n" not in obj or "terms" not in obj:
-            raise ValueError(f"malformed algebra element: {obj!r}")
-        n = int(obj["n"])
-        total: dict[tuple, dict[int, int]] = {}
-        for entry in obj["terms"]:
-            if not isinstance(entry, Mapping) or not {"word", "coeff"} <= set(entry):
-                raise ValueError(f"malformed term: {entry!r}")
-            word = GeneratorWord(n, [(k, int(i)) for k, i in entry["word"]])
-            addmul_into(total, {word.letters: Laurent.from_obj(entry["coeff"]).raw()})
-        return cls._raw(n, total)
+    def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
+        (n,) = shape
+        return {GeneratorWord(n, [(k, int(i)) for k, i in entry["word"]]).letters: {0: 1}}
 
 
 class TensorVector(LaurentCombination):
@@ -219,10 +210,11 @@ class TensorVector(LaurentCombination):
 
     __slots__ = ("n", "r")
     _SHAPE = ("n", "r")
+    _NOUN = "tensor vector"
+    _FIELDS = ("key",)
 
     def __init__(self, n: int, r: int, terms: Mapping[Sequence[int], Laurent] | None = None):
-        if n < 1 or r < 1:
-            raise ValueError("n and r must be positive")
+        self._check_shape(n, r)
         self.n = int(n)
         self.r = int(r)
         raw: dict[tuple, dict[int, int]] = {}
@@ -244,42 +236,27 @@ class TensorVector(LaurentCombination):
         return Laurent(self._terms.get(tuple(key), {}))
 
     def items(self) -> list[tuple[tuple[int, ...], Laurent]]:
-        return [(k, Laurent(self._terms[k])) for k in sorted(self._terms)]
+        return [(k, Laurent(self._terms[k])) for k in self._keys()]
 
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms)
+        return self._keys()
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return f"TensorVector.zero({self.n}, {self.r})"
-        return " + ".join(f"({c})*e{list(k)}" for k, c in self.items())
+    # -- the key codec: an r-tuple, in lexicographic order -----------------
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "terms": [{"key": list(k), "coeff": c.to_obj()} for k, c in self.items()],
-        }
+    @staticmethod
+    def _key_obj(key: tuple) -> dict:
+        return {"key": list(key)}
+
+    @staticmethod
+    def _key_str(key: tuple) -> str:
+        return f"e{list(key)}"
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "TensorVector":
-        if (
-            not isinstance(obj, Mapping)
-            or "n" not in obj
-            or "r" not in obj
-            or "terms" not in obj
-        ):
-            raise ValueError(f"malformed tensor vector: {obj!r}")
-        n, r = int(obj["n"]), int(obj["r"])
-        total: dict[tuple, dict[int, int]] = {}
-        for entry in obj["terms"]:
-            if not isinstance(entry, Mapping) or not {"key", "coeff"} <= set(entry):
-                raise ValueError(f"malformed tensor term: {entry!r}")
-            key = tuple(int(t) for t in entry["key"])
-            if len(key) != r:
-                raise ValueError(f"key {key} does not have length r={r}")
-            addmul_into(total, {key: Laurent.from_obj(entry["coeff"]).raw()})
-        return cls._raw(n, r, total)
+    def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
+        key = tuple(int(t) for t in entry["key"])
+        if len(key) != shape[1]:
+            raise ValueError(f"key {key} does not have length r={shape[1]}")
+        return {key: {0: 1}}
 
 
 def e_omega(n: int, r: int) -> TensorVector:

@@ -221,8 +221,17 @@ class SchurElement(LaurentCombination):
 
     __slots__ = ("n", "r")
     _SHAPE = ("n", "r")
+    _NOUN = "Schur element"
+    _FIELDS = ("lambda", "mu", "d")
+    _order = staticmethod(lambda k: (k[0], k[1], kernels.win_length(k[2]), k[2]))
+
+    @classmethod
+    def _check_shape(cls, n: int, r: int) -> None:
+        super()._check_shape(n, r)
+        HeckeElement._check_shape(r)
 
     def __init__(self, n: int, r: int):
+        self._check_shape(n, r)
         self.n = int(n)
         self.r = int(r)
         self._terms: dict[tuple, dict[int, int]] = {}
@@ -244,63 +253,27 @@ class SchurElement(LaurentCombination):
         return Laurent(self._terms.get((lam.parts, mu.parts, d.window), {}))
 
     def items(self) -> list[tuple[Weight, Weight, WindowPerm, Laurent]]:
-        out = []
-        for key in sorted(
-            self._terms, key=lambda k: (k[0], k[1], kernels.win_length(k[2]), k[2])
-        ):
-            lp, mp, dw = key
-            out.append(
-                (
-                    Weight(self.n, self.r, lp),
-                    Weight(self.n, self.r, mp),
-                    WindowPerm._unsafe(dw),
-                    Laurent(self._terms[key]),
-                )
-            )
-        return out
+        n, r = self.n, self.r
+        return [
+            (Weight(n, r, lp), Weight(n, r, mp), WindowPerm._unsafe(dw), Laurent(self._terms[(lp, mp, dw)]))
+            for lp, mp, dw in self._keys()
+        ]
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return f"SchurElement.zero({self.n}, {self.r})"
-        bits = []
-        for lam, mu, d, c in self.items():
-            bits.append(f"({c})*phi[{list(lam.parts)},{list(mu.parts)},{list(d.window)}]")
-        return " + ".join(bits)
+    # -- the key codec: (lambda, mu, d), by weights then shortest d --------
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "terms": [
-                {
-                    "lambda": list(lam.parts),
-                    "mu": list(mu.parts),
-                    "d": {"window": list(d.window)},
-                    "coeff": c.to_obj(),
-                }
-                for lam, mu, d, c in self.items()
-            ],
-        }
+    @staticmethod
+    def _key_obj(key: tuple) -> dict:
+        return {"lambda": list(key[0]), "mu": list(key[1]), "d": {"window": list(key[2])}}
+
+    @staticmethod
+    def _key_str(key: tuple) -> str:
+        return f"phi[{list(key[0])},{list(key[1])},{list(key[2])}]"
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "SchurElement":
-        if (
-            not isinstance(obj, Mapping)
-            or "n" not in obj
-            or "r" not in obj
-            or "terms" not in obj
-        ):
-            raise ValueError(f"malformed Schur element: {obj!r}")
-        n, r = int(obj["n"]), int(obj["r"])
-        total: dict[tuple, dict[int, int]] = {}
-        for entry in obj["terms"]:
-            if not isinstance(entry, Mapping) or not {"lambda", "mu", "d", "coeff"} <= set(entry):
-                raise ValueError(f"malformed Schur term: {entry!r}")
-            lam = Weight(n, r, entry["lambda"])
-            mu = Weight(n, r, entry["mu"])
-            d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
-            addmul_into(total, phi(lam, mu, d)._terms, Laurent.from_obj(entry["coeff"]).raw())
-        return cls._raw(n, r, total)
+    def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
+        n, r = shape
+        d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
+        return phi(Weight(n, r, entry["lambda"]), Weight(n, r, entry["mu"]), d)._terms
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
@@ -389,8 +362,17 @@ class QTensorElement(LaurentCombination):
 
     __slots__ = ("n", "r")
     _SHAPE = ("n", "r")
+    _NOUN = "q-tensor element"
+    _FIELDS = ("lambda", "d")
+    _order = staticmethod(lambda k: (k[0], kernels.win_length(k[1]), k[1]))
+
+    @classmethod
+    def _check_shape(cls, n: int, r: int) -> None:
+        super()._check_shape(n, r)
+        HeckeElement._check_shape(r)
 
     def __init__(self, n: int, r: int):
+        self._check_shape(n, r)
         self.n = int(n)
         self.r = int(r)
         self._terms: dict[tuple, dict[int, int]] = {}
@@ -407,49 +389,24 @@ class QTensorElement(LaurentCombination):
         return Laurent(self._terms.get((lam.parts, d.window), {}))
 
     def items(self) -> list[tuple[Weight, WindowPerm, Laurent]]:
-        out = []
-        for key in sorted(self._terms, key=lambda k: (k[0], kernels.win_length(k[1]), k[1])):
-            lp, dw = key
-            out.append(
-                (Weight(self.n, self.r, lp), WindowPerm._unsafe(dw), Laurent(self._terms[key]))
-            )
-        return out
+        n, r = self.n, self.r
+        return [(Weight(n, r, lp), WindowPerm._unsafe(dw), Laurent(self._terms[(lp, dw)])) for lp, dw in self._keys()]
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return f"QTensorElement.zero({self.n}, {self.r})"
-        return " + ".join(
-            f"({c})*x{list(lam.parts)}T{list(d.window)}" for lam, d, c in self.items()
-        )
+    # -- the key codec: (lambda, d), by weight then shortest d -------------
 
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "terms": [
-                {"lambda": list(lam.parts), "d": {"window": list(d.window)}, "coeff": c.to_obj()}
-                for lam, d, c in self.items()
-            ],
-        }
+    @staticmethod
+    def _key_obj(key: tuple) -> dict:
+        return {"lambda": list(key[0]), "d": {"window": list(key[1])}}
+
+    @staticmethod
+    def _key_str(key: tuple) -> str:
+        return f"x{list(key[0])}T{list(key[1])}"
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "QTensorElement":
-        if (
-            not isinstance(obj, Mapping)
-            or "n" not in obj
-            or "r" not in obj
-            or "terms" not in obj
-        ):
-            raise ValueError(f"malformed q-tensor element: {obj!r}")
-        n, r = int(obj["n"]), int(obj["r"])
-        total: dict[tuple, dict[int, int]] = {}
-        for entry in obj["terms"]:
-            if not isinstance(entry, Mapping) or not {"lambda", "d", "coeff"} <= set(entry):
-                raise ValueError(f"malformed q-tensor term: {entry!r}")
-            lam = Weight(n, r, entry["lambda"])
-            d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
-            addmul_into(total, cls.basis(lam, d)._terms, Laurent.from_obj(entry["coeff"]).raw())
-        return cls._raw(n, r, total)
+    def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
+        n, r = shape
+        d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
+        return cls.basis(Weight(n, r, entry["lambda"]), d)._terms
 
 
 def _right_factor_terms(values: dict[tuple, dict], r: int) -> dict[tuple, dict]:

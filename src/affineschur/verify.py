@@ -37,7 +37,6 @@ from affineschur.hecke import (
     bernstein_y,
     bernstein_y_inverse,
     t_basis,
-    x_lambda,
 )
 from affineschur.laurent import Laurent, addmul_into
 from affineschur.weyl import (
@@ -441,7 +440,6 @@ def run_kl(r: int = 5, block: Iterable[int] = (1, 2, 3), **_) -> SuiteReport:
 def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED, samples: int = 50, **_) -> SuiteReport:
     from affineschur.schur import (
         SchurElement,
-        Weight,
         all_weights,
         embed_hecke,
         omega,

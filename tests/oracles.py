@@ -1286,6 +1286,123 @@ def hecke_to_obj(h) -> dict:
     }
 
 
+# The JSON shape and repr of each element class as the class wrote them
+# itself, before LaurentCombination took both over: every term is read back
+# through that class's items() of the time, sorted by its own key, and the
+# repr of a zero UElement was UElement(n).  The references for
+# tests/test_combination.py.
+
+
+def _length(win: tuple) -> int:
+    return WindowPerm._unsafe(win).length()
+
+
+def hecke_repr(h) -> str:
+    if not h._terms:
+        return f"HeckeElement.zero({h.r})"
+    wins = sorted(h._terms, key=lambda win: (_length(win), win))
+    return " + ".join(f"({Laurent(h._terms[win])})*T{list(win)}" for win in wins)
+
+
+def _schur_items(s) -> list:
+    from affineschur.schur import Weight
+
+    out = []
+    for key in sorted(s._terms, key=lambda k: (k[0], k[1], _length(k[2]), k[2])):
+        lp, mp, dw = key
+        out.append((Weight(s.n, s.r, lp), Weight(s.n, s.r, mp), WindowPerm._unsafe(dw), Laurent(s._terms[key])))
+    return out
+
+
+def schur_to_obj(s) -> dict:
+    return {
+        "n": s.n,
+        "r": s.r,
+        "terms": [
+            {
+                "lambda": list(lam.parts),
+                "mu": list(mu.parts),
+                "d": {"window": list(d.window)},
+                "coeff": c.to_obj(),
+            }
+            for lam, mu, d, c in _schur_items(s)
+        ],
+    }
+
+
+def schur_repr(s) -> str:
+    if not s._terms:
+        return f"SchurElement.zero({s.n}, {s.r})"
+    bits = []
+    for lam, mu, d, c in _schur_items(s):
+        bits.append(f"({c})*phi[{list(lam.parts)},{list(mu.parts)},{list(d.window)}]")
+    return " + ".join(bits)
+
+
+def _qtensor_items(x) -> list:
+    from affineschur.schur import Weight
+
+    out = []
+    for key in sorted(x._terms, key=lambda k: (k[0], _length(k[1]), k[1])):
+        lp, dw = key
+        out.append((Weight(x.n, x.r, lp), WindowPerm._unsafe(dw), Laurent(x._terms[key])))
+    return out
+
+
+def qtensor_to_obj(x) -> dict:
+    return {
+        "n": x.n,
+        "r": x.r,
+        "terms": [
+            {"lambda": list(lam.parts), "d": {"window": list(d.window)}, "coeff": c.to_obj()}
+            for lam, d, c in _qtensor_items(x)
+        ],
+    }
+
+
+def qtensor_repr(x) -> str:
+    if not x._terms:
+        return f"QTensorElement.zero({x.n}, {x.r})"
+    return " + ".join(f"({c})*x{list(lam.parts)}T{list(d.window)}" for lam, d, c in _qtensor_items(x))
+
+
+def _word_repr(letters: tuple) -> str:
+    if not letters:
+        return "1"
+    return "*".join(k if k in ("R", "Rinv") else f"{k}{i}" for k, i in letters)
+
+
+def _uelement_items(u) -> list:
+    return [(letters, Laurent(u._terms[letters])) for letters in sorted(u._terms, key=lambda w: (len(w), w))]
+
+
+def uelement_to_obj(u) -> dict:
+    return {
+        "n": u.n,
+        "terms": [{"word": [[k, i] for k, i in w], "coeff": c.to_obj()} for w, c in _uelement_items(u)],
+    }
+
+
+def uelement_repr(u) -> str:
+    if not u._terms:
+        return f"UElement({u.n})"
+    return " + ".join(f"({c})*{_word_repr(w)}" for w, c in _uelement_items(u))
+
+
+def tensor_to_obj(x) -> dict:
+    return {
+        "n": x.n,
+        "r": x.r,
+        "terms": [{"key": list(k), "coeff": Laurent(x._terms[k]).to_obj()} for k in sorted(x._terms)],
+    }
+
+
+def tensor_repr(x) -> str:
+    if not x._terms:
+        return f"TensorVector.zero({x.n}, {x.r})"
+    return " + ".join(f"({Laurent(x._terms[k])})*e{list(k)}" for k in sorted(x._terms))
+
+
 # The tensor letter kernels as they were before _kernels_py added each
 # v^wt-shifted coefficient in place: every output term goes through a fresh
 # lp_shift copy and lp_add_into, and K counts its slots with a generator.

@@ -501,6 +501,10 @@ def test_an_error_in_the_computation_exits_one(error, argv, module, name, payloa
         (["quantum", "kappa"], {"n": 2, "r": 3, "terms": []}, "n >= r"),
         (["quantum", "kappa"], {"element": KAPPA_PAYLOAD, "vector": {"n": 4, "r": 3, "terms": []}}, "n and r"),
         (["schur", "theta"], {**THETA_PAYLOAD, "mu": [1, 1]}, "expected 3 parts"),
+        # every element class refuses a shape outside its domain
+        (["quantum", "act"], {"element": {"n": 0, "terms": []}, "vector": {"n": 0, "r": 2, "terms": []}}, "must be positive"),
+        (["schur", "mul"], [{"n": 3, "r": 0, "terms": []}] * 2, "must be positive"),
+        (["schur", "mul"], [{"n": 3, "r": 2, "terms": []}] * 2, "need r >= 3"),
     ],
 )
 def test_malformed_or_out_of_domain_payloads_exit_two_before_any_work(argv, payload, reason, monkeypatch, capsys):
@@ -510,7 +514,9 @@ def test_malformed_or_out_of_domain_payloads_exit_two_before_any_work(argv, payl
     def refuse(*args, **kw):
         raise AssertionError("the computation must not start")
 
-    for module, name in ((quantum, "kappa_exponents"), (quantum, "tau"), (quantum, "act_tensor"), (schur, "theta")):
+    for module, name in (
+        (quantum, "kappa_exponents"), (quantum, "tau"), (quantum, "act_tensor"), (schur, "theta"), (schur, "schur_mul"),
+    ):
         monkeypatch.setattr(module, name, refuse)
     code, out, err = invoke(argv + ["--json"], stdin=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
     assert (code, out) == (2, "")

@@ -1,15 +1,18 @@
-"""The linear structure shared by the five element classes, and the one
-merge helper behind it."""
+"""The linear structure, JSON shape, term order and repr shared by the five
+element classes, and the one merge helper behind them."""
 
+import json
 import random
 
 import pytest
 
 from affineschur.hecke import HeckeElement, t_basis
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
-from affineschur.quantum import TensorVector, UElement
-from affineschur.schur import QTensorElement, SchurElement, Weight, phi
-from affineschur.weyl import WindowPerm
+from affineschur.quantum import GeneratorWord, TensorVector, UElement
+from affineschur.schur import QTensorElement, SchurElement, Weight, all_weights, phi
+from affineschur.weyl import WindowPerm, enumerate_up_to_length
+
+import oracles
 
 V = Laurent.v
 
@@ -147,3 +150,114 @@ def test_addmul_into_never_leaves_an_empty_coefficient():
         assert terms == before
         cancelled += bool(had - set(out))
     assert cancelled
+
+
+# -- the JSON shape, term order and repr come from the base -----------------
+
+
+def _seeded_lp(rng):
+    """A nonzero Laurent coefficient, often with negative exponents."""
+    while True:
+        c = Laurent({rng.randrange(-4, 4): rng.choice([-3, -1, 1, 2]) for _ in range(rng.randrange(1, 4))})
+        if c:
+            return c
+
+
+def _seeded_sum(rng, zero, basis, count):
+    x = zero
+    for _ in range(count):
+        x = x + basis(rng).scale(_seeded_lp(rng))
+    return x
+
+
+def _windows(r):
+    return enumerate_up_to_length(r, 3, extended=True, rho_bound=2)
+
+
+def _seeded_hecke(rng):
+    pool = _windows(3)
+    return _seeded_sum(rng, HeckeElement.zero(3), lambda rng: t_basis(rng.choice(pool)), rng.randrange(1, 6))
+
+
+def _seeded_schur(rng):
+    pool, lams = _windows(3), all_weights(3, 3)
+    basis = lambda rng: phi(rng.choice(lams), rng.choice(lams), rng.choice(pool))
+    return _seeded_sum(rng, SchurElement.zero(3, 3), basis, rng.randrange(1, 4))
+
+
+def _seeded_qtensor(rng):
+    pool, lams = _windows(3), all_weights(3, 3)
+    basis = lambda rng: QTensorElement.basis(rng.choice(lams), rng.choice(pool))
+    return _seeded_sum(rng, QTensorElement.zero(3, 3), basis, rng.randrange(1, 6))
+
+
+def _seeded_uelement(rng):
+    def word(rng):
+        letters = [(rng.choice(["E", "F", "K", "Kinv", "R", "Rinv"]), rng.randint(1, 3)) for _ in range(rng.randrange(4))]
+        return UElement.from_word(GeneratorWord(3, letters))
+
+    return _seeded_sum(rng, UElement.zero(3), word, rng.randrange(1, 6))
+
+
+def _seeded_tensor(rng):
+    key = lambda rng: TensorVector.unit(3, [rng.randint(-4, 6) for _ in range(2)])
+    return _seeded_sum(rng, TensorVector.zero(3, 2), key, rng.randrange(1, 6))
+
+
+SEEDED = {
+    "hecke": (_seeded_hecke, oracles.hecke_to_obj, oracles.hecke_repr),
+    "schur": (_seeded_schur, oracles.schur_to_obj, oracles.schur_repr),
+    "qtensor": (_seeded_qtensor, oracles.qtensor_to_obj, oracles.qtensor_repr),
+    "uelement": (_seeded_uelement, oracles.uelement_to_obj, oracles.uelement_repr),
+    "tensor": (_seeded_tensor, oracles.tensor_to_obj, oracles.tensor_repr),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_json_and_repr_match_their_first_forms(name):
+    make, to_obj, first_repr = SEEDED[name]
+    rng = random.Random(f"element-codec:{name}")
+    elems = [make(rng) for _ in range(12)]
+    elems.append(elems[0] - elems[0])
+    elems.append(MAKERS[name]()[0])
+    assert any(e < 0 for x in elems for c in x._terms.values() for e in c)
+    if name in ("hecke", "schur", "qtensor"):
+        # every key of these classes ends in a window
+        assert any(WindowPerm._unsafe(k if name == "hecke" else k[-1]).rho_power() for x in elems for k in x._terms)
+    for x in elems:
+        obj = x.to_obj()
+        assert json.dumps(obj, sort_keys=True) == json.dumps(to_obj(x), sort_keys=True)
+        assert json.dumps(obj) == json.dumps(to_obj(x))
+        assert type(x).from_obj(obj) == x
+        assert type(x).from_obj(json.loads(json.dumps(obj))) == x
+        # the one change: a zero UElement now reads UElement.zero(n), like the other four
+        want = f"UElement.zero({x.n})" if name == "uelement" and not x else first_repr(x)
+        assert repr(x) == want
+
+
+@pytest.mark.parametrize("terms", [5, "[]", {"0": 1}, None])
+def test_a_term_list_that_is_not_a_json_array_is_refused(pair, terms):
+    x, _ = pair
+    with pytest.raises(ValueError, match=f"got {type(terms).__name__}"):
+        type(x).from_obj({**x.to_obj(), "terms": terms})
+
+
+BAD_SHAPES = {
+    HeckeElement: [(0,), (2,), (-1,)],
+    SchurElement: [(0, 3), (3, 0), (3, 2)],
+    QTensorElement: [(0, 3), (3, 0), (3, 2)],
+    UElement: [(0,), (-2,)],
+    TensorVector: [(0, 2), (3, 0)],
+}
+
+
+def test_out_of_domain_shapes_are_refused(pair):
+    x, _ = pair
+    cls = type(x)
+    for shape in BAD_SHAPES[cls]:
+        with pytest.raises(ValueError):
+            cls.zero(*shape)
+        with pytest.raises(ValueError):
+            cls(*shape)
+        with pytest.raises(ValueError):
+            cls.from_obj({**dict(zip(cls._SHAPE, shape)), "terms": []})

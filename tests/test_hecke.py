@@ -11,7 +11,6 @@ import pytest
 
 from affineschur.hecke import (
     HeckeElement,
-    specialize_group_algebra,
     t_basis,
     t_basis_inverse,
     x_lambda,
@@ -127,10 +126,10 @@ def test_specialization_examples():
     e = WindowPerm.identity(R)
     s1 = WindowPerm.s(R, 1)
     h = HeckeElement.unit(R).scale(Q) + gen(1).scale(Q - 1)
-    assert specialize_group_algebra(h) == {e: 1}
-    assert specialize_group_algebra(t_basis(s1)) == {s1: 1}
+    assert h.specialize_group_algebra() == {e: 1}
+    assert t_basis(s1).specialize_group_algebra() == {s1: 1}
     conj = t_basis(WindowPerm.rho(R)) * gen(2) * t_basis_inverse(WindowPerm.rho(R))
-    assert specialize_group_algebra(conj) == {s1: 1}
+    assert conj.specialize_group_algebra() == {s1: 1}
 
 
 def test_specialization_is_multiplicative():
@@ -138,9 +137,9 @@ def test_specialization_is_multiplicative():
     for _ in range(20):
         a = random_element(rng, nterms=2)
         b = random_element(rng, nterms=2)
-        lhs = specialize_group_algebra(a * b)
+        lhs = (a * b).specialize_group_algebra()
         rhs = group_algebra_convolve(
-            specialize_group_algebra(a), specialize_group_algebra(b)
+            a.specialize_group_algebra(), b.specialize_group_algebra()
         )
         assert lhs == rhs
 

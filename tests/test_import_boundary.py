@@ -6,11 +6,14 @@ The command line front end must start without compiling the mathematics
 mathematics must not depend on the checks that verify it; and the package
 runs on its one kernel module, the one the benchmark stamps.  Every name a
 module exports in __all__ exists, so `from ... import *` survives a
-deletion.
+deletion, and every name a module imports is read, so a deletion leaves no
+stale import behind.
 """
 
+import ast
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -73,3 +76,58 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, missing
     exec(f"from {module} import *", {})
+
+
+def _annotation_names(node) -> set:
+    """Names read in a quoted annotation such as "HeckeElement | int"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _names_read(scope) -> set:
+    read = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        for field in ("annotation", "returns"):
+            read |= _annotation_names(getattr(node, field, None))
+    return read
+
+
+def _imports(node, scope, out: list) -> list:
+    """(scope, import) pairs below node, where scope is the innermost
+    function around the import, or the module."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            out.append((scope, child))
+        inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        _imports(child, inner, out)
+    return out
+
+
+def _unused_imports(tree) -> list:
+    """(line, name) for each name an import binds and its scope never reads.
+    Names in __all__ count as read at module level."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for scope, node in _imports(tree, tree, []):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        read = _names_read(scope) | (exported if scope is tree else set())
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append((node.lineno, name))
+    return unused
+
+
+SOURCES = sorted(pathlib.Path(affineschur.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    assert not _unused_imports(ast.parse(path.read_text(), filename=str(path)))

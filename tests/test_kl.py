@@ -7,7 +7,7 @@ affine samples) is the correctness argument.
 
 import pytest
 
-from affineschur.hecke import KLTable, kl_extended, kl_polynomial
+from affineschur.hecke import KLTable
 from affineschur.laurent import Laurent
 from affineschur.weyl import ParabolicIndex, WindowPerm, bruhat_leq, enumerate_up_to_length
 
@@ -26,7 +26,7 @@ def test_trivial_values():
     w = WindowPerm.from_word(3, (1, 2, 1))
     assert table.polynomial(w, w) == Laurent.one()
     assert table.polynomial(WindowPerm.s(3, 1), WindowPerm.s(3, 2)).is_zero()
-    assert kl_polynomial(table, WindowPerm.identity(3), w) == Laurent.one()
+    assert table.polynomial(WindowPerm.identity(3), w) == Laurent.one()
 
 
 def test_polynomial_rejects_rho_shifts():
@@ -94,10 +94,10 @@ def test_extended_delta():
     y = WindowPerm.s(5, 2)
     w = WindowPerm.from_word(5, (2, 1, 3, 2))
     rho = WindowPerm.rho(5)
-    assert kl_extended(table, rho * y, y).is_zero()
-    assert kl_extended(table, rho * rho * w, rho * rho * w) == Laurent.one()
-    assert kl_extended(table, rho * y, rho * w) == ONE_PLUS_Q
-    assert kl_extended(table, y, w) == table.polynomial(y, w)
+    assert table.extended(rho * y, y).is_zero()
+    assert table.extended(rho * rho * w, rho * rho * w) == Laurent.one()
+    assert table.extended(rho * y, rho * w) == ONE_PLUS_Q
+    assert table.extended(y, w) == table.polynomial(y, w)
 
 
 def test_affine_samples_match_oracle():
