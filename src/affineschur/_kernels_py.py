@@ -16,6 +16,9 @@ through ``affineschur._backend``:
 The Hecke and tensor kernels hard-code q = v**2.  The window kernels and the
 right generator step make one pass over a window, with one residue test per
 entry; win_length is Shi's formula, a sum over the r(r-1)/2 pairs of entries.
+win_is_left_descent compares two neighbouring entries, and every left-descent
+test of the package goes through it.  E_i and F_i share one body,
+_tensor_move, which moves a slot down (E) or up (F) by one.
 The right generator step has one body, hecke_packed_mul_gen_right, which
 the Hecke walks call.  hecke_mul_gen_right is that body between hecke_pack
 and hecke_unpack; no module of the package calls it, and it stays only as
@@ -262,6 +265,14 @@ def win_mul_s_left(w, i):
     return tuple(out)
 
 
+def win_is_left_descent(w, i):
+    """True iff (i)w > (i+1)w, i.e. s_i * w is shorter than w; i in 1..r."""
+    r = len(w)
+    if i == r:
+        return w[r - 1] > w[0] + r
+    return w[i - 1] > w[i]
+
+
 def win_is_right_descent(w, i):
     """True iff (i)w^-1 > (i+1)w^-1, i.e. w * s_i is shorter than w."""
     r = len(w)
@@ -344,56 +355,36 @@ def hecke_packed_mul_gen_right(terms, i, shift, steps):
 
 
 def tensor_act_E(terms, i, n):
-    out = {}
-    for key, c in terms.items():
-        if not c:
-            continue
-        r = len(key)
-        for t in range(r):
-            if (key[t] - 1 - i) % n:
-                continue
-            wt = 0
-            for u in range(t + 1, r):
-                m = (key[u] - i) % n
-                if m == 0:
-                    wt += 1
-                elif m == 1:
-                    wt -= 1
-            nk = key[:t] + (key[t] - 1,) + key[t + 1:]
-            # out[nk] += v^wt * c in place; a key that cancels is dropped
-            acc = out.get(nk)
-            if acc is None:
-                out[nk] = {e + wt: x for e, x in c.items()} if wt else dict(c)
-                continue
-            for e, x in c.items():
-                e += wt
-                s = acc.get(e, 0) + x
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-            if not acc:
-                del out[nk]
-    return out
+    return _tensor_move(terms, i, n, -1)
 
 
 def tensor_act_F(terms, i, n):
+    return _tensor_move(terms, i, n, 1)
+
+
+def _tensor_move(terms, i, n, step):
+    """The one body of E_i (step -1) and F_i (step +1): each slot of residue
+    i+1 (for E) or i (for F) moves by step, weighted by v^wt, where the
+    slots of residues i and i+1 after it (for E) or before it (for F) count
+    -step and +step each."""
+    before = step > 0
+    moves = i if before else i + 1
     out = {}
     for key, c in terms.items():
         if not c:
             continue
         r = len(key)
         for t in range(r):
-            if (key[t] - i) % n:
+            if (key[t] - moves) % n:
                 continue
             wt = 0
-            for u in range(t):
+            for u in range(t) if before else range(t + 1, r):
                 m = (key[u] - i) % n
                 if m == 0:
-                    wt -= 1
+                    wt -= step
                 elif m == 1:
-                    wt += 1
-            nk = key[:t] + (key[t] + 1,) + key[t + 1:]
+                    wt += step
+            nk = key[:t] + (key[t] + step,) + key[t + 1:]
             # out[nk] += v^wt * c in place; a key that cancels is dropped
             acc = out.get(nk)
             if acc is None:

@@ -15,6 +15,7 @@ import json
 import sys
 
 from affineschur.hecke import HeckeElement, KLTable, x_lambda
+from affineschur.laurent import payload_int
 from affineschur.verify import DEFAULT_SEED, SUITES, SWEEP_KEY_BUDGET, SuiteReport, sweep_key_count
 from affineschur.verify import run_all, run_suite
 from affineschur.weyl import ParabolicIndex, WindowPerm, coset_decompose
@@ -119,7 +120,9 @@ def _cmd_weyl(args) -> int:
         if not isinstance(payload, dict) or "w" not in payload or "members" not in payload:
             raise InputError('weyl coset expects {"w": …, "members": […], "shift": 0}')
         w = _decode(WindowPerm.from_obj, payload["w"])
-        pi = _decode(lambda: ParabolicIndex(w.r, payload["members"], int(payload.get("shift", 0))))
+        pi = _decode(
+            ParabolicIndex.from_obj, {"r": w.r, "members": payload["members"], "shift": payload.get("shift", 0)}
+        )
         u, d = coset_decompose(w, pi)
         obj = {"u": u.to_obj(), "d": d.to_obj()}
         _emit(obj, args, f"u = {u!r}\nd = {d!r}")
@@ -173,8 +176,8 @@ def _cmd_schur(args) -> int:
     need = {"n", "r", "lambda", "mu", "d"}
     if not isinstance(payload, dict) or not need <= set(payload):
         raise InputError(f'schur {args.verb} expects keys {sorted(need)}')
-    n, r = _decode(lambda: (int(payload["n"]), int(payload["r"])))
-    lam, mu = _decode(lambda: (Weight(n, r, payload["lambda"]), Weight(n, r, payload["mu"])))
+    n, r = _decode(lambda: (payload_int(payload["n"]), payload_int(payload["r"])))
+    lam, mu = _decode(lambda: (Weight.from_obj(n, r, payload["lambda"]), Weight.from_obj(n, r, payload["mu"])))
     d = _decode(lambda: WindowPerm.from_obj({"r": r, **dict(payload["d"])}))
     if args.verb == "phi":
         out = phi(lam, mu, d)

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 
 from affineschur._backend import kernels
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
-from affineschur.weyl import ParabolicIndex, WindowPerm
+from affineschur.weyl import ParabolicIndex, WindowPerm, check_rank
 
 __all__ = [
     "HeckeElement",
@@ -207,10 +207,7 @@ class HeckeElement(LaurentCombination):
                     raw[w.window] = dict(c.raw())
         self._terms = raw
 
-    @classmethod
-    def _check_shape(cls, r: int) -> None:
-        if r < 3:
-            raise ValueError(f"rank r={r} not supported; need r >= 3")
+    _check_shape = staticmethod(check_rank)
 
     # -- constructors ------------------------------------------------------
 
@@ -218,10 +215,6 @@ class HeckeElement(LaurentCombination):
     def unit(cls, r: int) -> "HeckeElement":
         cls._check_shape(r)
         return cls._raw(r, {tuple(range(1, r + 1)): {0: 1}})
-
-    @classmethod
-    def t_basis(cls, w: WindowPerm) -> "HeckeElement":
-        return cls._raw(w.r, {w.window: {0: 1}})
 
     # -- products ----------------------------------------------------------
 
@@ -289,12 +282,9 @@ class HeckeElement(LaurentCombination):
         return {WindowPerm.from_obj({"r": r, "window": entry["window"]}).window: {0: 1}}
 
 
-# ---------------------------------------------------------------------------
-# Free-function aliases matching the operation names used across the package
-
-
 def t_basis(w: WindowPerm) -> HeckeElement:
-    return HeckeElement.t_basis(w)
+    """The basis term T_w."""
+    return HeckeElement._raw(w.r, {w.window: {0: 1}})
 
 
 def _packed_gen_inv(img: dict, i: int, shift: int, steps: dict) -> dict:
@@ -418,12 +408,8 @@ class KLTable:
             return {0: 1}
         if ywin not in self._lower_set(wwin):
             return {}
-        r = self.r
-        s = next(
-            i for i in range(1, r + 1)
-            if kernels.win_apply(wwin, i) > kernels.win_apply(wwin, i + 1)
-        )
-        if not kernels.win_apply(ywin, s) > kernels.win_apply(ywin, s + 1):
+        s = next(i for i in range(1, self.r + 1) if kernels.win_is_left_descent(wwin, i))
+        if not kernels.win_is_left_descent(ywin, s):
             # s*y > y: P_{y,w} = P_{sy,w}
             return dict(self._kl(kernels.win_mul_s_left(ywin, s), wwin))
         vwin = kernels.win_mul_s_left(wwin, s)
@@ -446,7 +432,7 @@ class KLTable:
             hit = []
             lv = self._length(vwin)
             for zwin in self._lower_set(vwin):
-                if not kernels.win_apply(zwin, s) > kernels.win_apply(zwin, s + 1):
+                if not kernels.win_is_left_descent(zwin, s):
                     continue  # need s*z < z
                 mm = lv - self._length(zwin)
                 if mm <= 0 or mm % 2 == 0:
@@ -494,7 +480,7 @@ def _translation_family(r: int) -> tuple[dict[int, HeckeElement], dict[int, Heck
     base = list(range(1, r + 1))
     base[r - 1] += r
     zr = WindowPerm(tuple(base))
-    y = {r: HeckeElement.t_basis(zr).scale(Laurent.v(-(r - 1)))}
+    y = {r: t_basis(zr).scale(Laurent.v(-(r - 1)))}
     yinv = {r: t_basis_inverse(zr).scale(Laurent.v(r - 1))}
     for i in range(r - 1, 0, -1):
         si = WindowPerm.s(r, i)

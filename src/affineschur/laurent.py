@@ -25,7 +25,22 @@ from typing import Iterator, Mapping
 
 from affineschur._backend import kernels
 
-__all__ = ["Laurent", "LaurentCombination", "addmul_into", "addmul_term", "quantum_integer"]
+__all__ = ["Laurent", "LaurentCombination", "addmul_into", "addmul_term", "payload_int", "quantum_integer"]
+
+
+def payload_int(x, key: bool = False) -> int:
+    """x read as an integer of a JSON payload: an int that is not a bool or,
+    for an exponent (a JSON object key, so a string), a decimal string.  Any
+    other value, a float or a numeric string included, is a ValueError.
+    Every from_obj reads its numbers through here; library constructors
+    coerce with int() instead."""
+    if type(x) is int:
+        return x
+    if key and isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
 
 
 class Laurent:
@@ -222,8 +237,8 @@ class Laurent:
         if not isinstance(obj, Mapping):
             raise ValueError("Laurent JSON object must be a mapping")
         try:
-            return cls({int(e): int(c) for e, c in obj.items()})
-        except (TypeError, ValueError) as exc:
+            return cls({payload_int(e, key=True): payload_int(c) for e, c in obj.items()})
+        except ValueError as exc:
             raise ValueError(f"malformed Laurent coefficients: {obj!r}") from exc
 
     def raw(self) -> dict:
@@ -419,7 +434,7 @@ class LaurentCombination:
         as its basis element, so a non-normal key is normalized."""
         if not isinstance(obj, Mapping) or not all(name in obj for name in cls._SHAPE + ("terms",)):
             raise ValueError(f"malformed {cls._NOUN}: {obj!r}")
-        shape = tuple(int(obj[name]) for name in cls._SHAPE)
+        shape = tuple(payload_int(obj[name]) for name in cls._SHAPE)
         cls._check_shape(*shape)
         entries = obj["terms"]
         if not isinstance(entries, list):

@@ -32,7 +32,7 @@ from affineschur.hecke import (
     t_basis,
     to_bernstein_basis,
 )
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into, addmul_term, payload_int
 from affineschur.schur import (
     QTensorElement,
     SchurElement,
@@ -201,7 +201,7 @@ class UElement(LaurentCombination):
     @classmethod
     def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
         (n,) = shape
-        return {GeneratorWord(n, [(k, int(i)) for k, i in entry["word"]]).letters: {0: 1}}
+        return {GeneratorWord(n, [(k, payload_int(i)) for k, i in entry["word"]]).letters: {0: 1}}
 
 
 class TensorVector(LaurentCombination):
@@ -253,7 +253,7 @@ class TensorVector(LaurentCombination):
 
     @classmethod
     def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
-        key = tuple(int(t) for t in entry["key"])
+        key = tuple(payload_int(t) for t in entry["key"])
         if len(key) != shape[1]:
             raise ValueError(f"key {key} does not have length r={shape[1]}")
         return {key: {0: 1}}

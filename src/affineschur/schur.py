@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
 from affineschur.hecke import HeckeElement, KLTable, _mul_terms, _packed_products
-from affineschur.laurent import Laurent, LaurentCombination, addmul_into
+from affineschur.laurent import Laurent, LaurentCombination, addmul_into, payload_int
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
@@ -69,6 +69,11 @@ class Weight:
         self.n = n
         self.r = r
         self.parts = parts
+
+    @classmethod
+    def from_obj(cls, n: int, r: int, parts) -> "Weight":
+        """The weight of a JSON payload's parts, each read by payload_int."""
+        return cls(n, r, [payload_int(p) for p in parts])
 
     def expanded(self) -> tuple[int, ...]:
         """The weakly increasing r-tuple listing i with multiplicity parts[i-1]."""
@@ -193,7 +198,7 @@ def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, La
     us = [u.window for u in pi.elements()]
     return _read_cells(
         h,
-        lambda w: all(kernels.win_apply(w, i) < kernels.win_apply(w, i + 1) for i in gens),
+        lambda w: not any(kernels.win_is_left_descent(w, i) for i in gens),
         lambda d: (kernels.win_compose(u, d) for u in us),
         "a combination of x*T_d terms",
     )
@@ -205,7 +210,7 @@ def _expand_phi(h: HeckeElement, lam: Weight, mu: Weight) -> dict[tuple, Laurent
     lgens, rgens = sorted(young_parabolic(lam).generators), sorted(young_parabolic(mu).generators)
     return _read_cells(
         h,
-        lambda w: all(kernels.win_apply(w, i) < kernels.win_apply(w, i + 1) for i in lgens)
+        lambda w: not any(kernels.win_is_left_descent(w, i) for i in lgens)
         and not any(kernels.win_is_right_descent(w, i) for i in rgens),
         lambda d: _phi_value_cached(lam.r, lam.parts, mu.parts, d)._terms,
         "in the double-coset span",
@@ -273,7 +278,7 @@ class SchurElement(LaurentCombination):
     def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
         n, r = shape
         d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
-        return phi(Weight(n, r, entry["lambda"]), Weight(n, r, entry["mu"]), d)._terms
+        return phi(Weight.from_obj(n, r, entry["lambda"]), Weight.from_obj(n, r, entry["mu"]), d)._terms
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
@@ -406,7 +411,7 @@ class QTensorElement(LaurentCombination):
     def _entry_terms(cls, shape: tuple, entry: Mapping) -> dict:
         n, r = shape
         d = WindowPerm.from_obj({"r": r, **dict(entry["d"])})
-        return cls.basis(Weight(n, r, entry["lambda"]), d)._terms
+        return cls.basis(Weight.from_obj(n, r, entry["lambda"]), d)._terms
 
 
 def _right_factor_terms(values: dict[tuple, dict], r: int) -> dict[tuple, dict]:

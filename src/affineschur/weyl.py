@@ -13,7 +13,12 @@ uniquely as ``rho^z * w`` with ``w`` in the Coxeter subgroup.
 Length is the crossing count ``#{(i, j): 1 <= i <= r, i < j, (i)w > (j)w}``,
 which vanishes on powers of rho.  Descents come from window comparisons:
 ``s_i * w`` is shorter than ``w`` iff ``(i)w > (i+1)w``, and ``w * s_i`` is
-shorter iff the same holds for ``w^-1``.
+shorter iff the same holds for ``w^-1``.  Every descent test of the package
+is one of the two window kernels win_is_left_descent and win_is_right_descent.
+
+check_rank is the one test of the rank: r >= MIN_RANK.  _closure is the one
+breadth first search over simple reflections, from the identity; it lists
+both the elements up to a length and the finite parabolic subgroups.
 
 >>> w = WindowPerm((4, 2, 3))
 >>> w.length()
@@ -29,6 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from affineschur._backend import kernels
+from affineschur.laurent import payload_int
 
 __all__ = [
     "WindowPerm",
@@ -45,6 +51,12 @@ __all__ = [
 MIN_RANK = 3
 
 
+def check_rank(r: int) -> None:
+    """Refuse a rank the package does not support; the one test of r."""
+    if r < MIN_RANK:
+        raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
+
+
 class WindowPerm:
     """One element of the extended affine symmetric group on r strands."""
 
@@ -53,8 +65,7 @@ class WindowPerm:
     def __init__(self, window: Sequence[int]):
         window = tuple(int(t) for t in window)
         r = len(window)
-        if r < MIN_RANK:
-            raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
+        check_rank(r)
         if sorted(t % r for t in window) != list(range(r)):
             raise ValueError(f"window {window} is not a complete residue system mod {r}")
         self.window = window
@@ -71,15 +82,13 @@ class WindowPerm:
 
     @classmethod
     def identity(cls, r: int) -> "WindowPerm":
-        if r < MIN_RANK:
-            raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
+        check_rank(r)
         return cls._unsafe(tuple(range(1, r + 1)))
 
     @classmethod
     def s(cls, r: int, i: int) -> "WindowPerm":
         """The simple reflection s_i, swapping the residue classes of i, i+1."""
-        if r < MIN_RANK:
-            raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
+        check_rank(r)
         i = (i - 1) % r + 1
         win = list(range(1, r + 1))
         if i == r:
@@ -93,8 +102,7 @@ class WindowPerm:
     @classmethod
     def rho(cls, r: int, z: int = 1) -> "WindowPerm":
         """The shift t -> t + z (the extending element for z = 1)."""
-        if r < MIN_RANK:
-            raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
+        check_rank(r)
         return cls._unsafe(tuple(range(1 + z, r + 1 + z)))
 
     @classmethod
@@ -133,9 +141,7 @@ class WindowPerm:
     def left_descents(self) -> frozenset[int]:
         """Generators i with s_i * w shorter than w."""
         win = self.window
-        return frozenset(
-            i for i in range(1, self.r + 1) if kernels.win_apply(win, i) > kernels.win_apply(win, i + 1)
-        )
+        return frozenset(i for i in range(1, self.r + 1) if kernels.win_is_left_descent(win, i))
 
     def right_descents(self) -> frozenset[int]:
         """Generators i with w * s_i shorter than w."""
@@ -195,8 +201,8 @@ class WindowPerm:
         window = obj["window"]
         if not isinstance(window, Sequence) or isinstance(window, (str, bytes)):
             raise ValueError(f"malformed window: {window!r}")
-        w = cls(window)
-        if "r" in obj and int(obj["r"]) != w.r:
+        w = cls([payload_int(t) for t in window])
+        if "r" in obj and payload_int(obj["r"]) != w.r:
             raise ValueError(f"window length {w.r} does not match declared r={obj['r']}")
         return w
 
@@ -232,9 +238,9 @@ def _bruhat_cox(ywin: tuple[int, ...], wwin: tuple[int, ...]) -> bool:
         return ly == 0
     # first letter of a fixed reduced expression is a left descent of w
     r = len(wwin)
-    i = next(i for i in range(1, r + 1) if kernels.win_apply(wwin, i) > kernels.win_apply(wwin, i + 1))
+    i = next(i for i in range(1, r + 1) if kernels.win_is_left_descent(wwin, i))
     swwin = kernels.win_mul_s_left(wwin, i)
-    if kernels.win_apply(ywin, i) > kernels.win_apply(ywin, i + 1):
+    if kernels.win_is_left_descent(ywin, i):
         return _bruhat_cox(kernels.win_mul_s_left(ywin, i), swwin)
     return _bruhat_cox(ywin, swwin)
 
@@ -243,29 +249,40 @@ def _bruhat_cox(ywin: tuple[int, ...], wwin: tuple[int, ...]) -> bool:
 # Enumeration
 
 
-def enumerate_up_to_length(
-    r: int, length: int, extended: bool = False, rho_bound: int = 0
-) -> list[WindowPerm]:
-    """All Coxeter-part elements of length <= length, via breadth first
-    search over the simple reflections; with ``extended`` the list is crossed
-    with rho powers in [-rho_bound, rho_bound]."""
-    if r < MIN_RANK:
-        raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
-    gens = [WindowPerm.s(r, i).window for i in range(1, r + 1)]
-    seen = {tuple(range(1, r + 1))}
-    frontier = list(seen)
-    out = list(seen)
-    for _ in range(length):
+def _closure(r: int, gens: Iterable[int], depth: int | None = None) -> list[tuple[int, ...]]:
+    """The windows of the products of at most depth simple reflections s_i,
+    i in gens (any number for None), by breadth first search from the
+    identity: each level multiplies the last one's windows on the right by
+    each s_i in turn, and the windows come back in the order found."""
+    steps = [WindowPerm.s(r, i).window for i in gens]
+    frontier = [tuple(range(1, r + 1))]
+    out = list(frontier)
+    seen = set(frontier)
+    level = 0
+    while frontier and (depth is None or level < depth):
         nxt = []
         for win in frontier:
-            for g in gens:
+            for g in steps:
                 prod = kernels.win_compose(win, g)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
-        frontier = nxt
         out.extend(nxt)
-    elements = [WindowPerm._unsafe(win) for win in out]
+        frontier = nxt
+        level += 1
+    return out
+
+
+def enumerate_up_to_length(
+    r: int, length: int, extended: bool = False, rho_bound: int = 0
+) -> list[WindowPerm]:
+    """All Coxeter-part elements of length <= length, in the order _closure
+    finds them; with ``extended`` the list is crossed with rho powers in
+    [-rho_bound, rho_bound], and a rho_bound without it is refused."""
+    check_rank(r)
+    if rho_bound and not extended:
+        raise ValueError(f"rho_bound={rho_bound} needs extended=True")
+    elements = [WindowPerm._unsafe(win) for win in _closure(r, range(1, r + 1), length)]
     if not extended:
         return elements
     result = []
@@ -290,8 +307,7 @@ class ParabolicIndex:
     __slots__ = ("r", "members", "shift", "_elements")
 
     def __init__(self, r: int, members: Iterable[int], shift: int = 0):
-        if r < MIN_RANK:
-            raise ValueError(f"rank r={r} not supported; need r >= {MIN_RANK}")
+        check_rank(r)
         members = frozenset((int(i) - 1) % r + 1 for i in members)
         if len(members) >= r:
             raise ValueError("parabolic index must be a proper subset of the generators")
@@ -311,32 +327,14 @@ class ParabolicIndex:
     def elements(self) -> tuple[WindowPerm, ...]:
         """The full (finite) parabolic subgroup, by closure under generation."""
         if self._elements is None:
-            gens = [WindowPerm.s(self.r, i).window for i in sorted(self.generators)]
-            seen = {tuple(range(1, self.r + 1))}
-            frontier = list(seen)
-            while frontier:
-                nxt = []
-                for win in frontier:
-                    for g in gens:
-                        prod = kernels.win_compose(win, g)
-                        if prod not in seen:
-                            seen.add(prod)
-                            nxt.append(prod)
-                frontier = nxt
-            self._elements = tuple(
-                WindowPerm._unsafe(w) for w in sorted(seen, key=lambda w: (kernels.win_length(w), w))
-            )
+            wins = sorted(_closure(self.r, sorted(self.generators)), key=lambda w: (kernels.win_length(w), w))
+            self._elements = tuple(WindowPerm._unsafe(w) for w in wins)
         return self._elements
 
     def longest_element(self) -> WindowPerm:
-        """The unique maximal-length element, found by greedy ascent."""
-        gens = sorted(self.generators)
-        w = WindowPerm.identity(self.r)
-        while True:
-            i = next((i for i in gens if i not in w.right_descents()), None)
-            if i is None:
-                return w
-            w = w * WindowPerm.s(self.r, i)
+        """The unique maximal-length element: the top of the double coset of
+        the identity with nothing on the left."""
+        return longest_double_coset_elt(WindowPerm.identity(self.r), ParabolicIndex(self.r, ()), self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParabolicIndex):
@@ -357,7 +355,8 @@ class ParabolicIndex:
     def from_obj(cls, obj: Mapping) -> "ParabolicIndex":
         if not isinstance(obj, Mapping) or "members" not in obj or "r" not in obj:
             raise ValueError(f"malformed parabolic index: {obj!r}")
-        return cls(int(obj["r"]), obj["members"], int(obj.get("shift", 0)))
+        members = [payload_int(i) for i in obj["members"]]
+        return cls(payload_int(obj["r"]), members, payload_int(obj.get("shift", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def is_distinguished(w: WindowPerm, pi: ParabolicIndex) -> bool:
     """True iff w is the shortest element of its coset (parabolic on the
     left), equivalently (i)w < (i+1)w for every generator index i of pi."""
     win = w.window
-    return all(kernels.win_apply(win, i) < kernels.win_apply(win, i + 1) for i in pi.generators)
+    return not any(kernels.win_is_left_descent(win, i) for i in pi.generators)
 
 
 def coset_decompose(w: WindowPerm, pi: ParabolicIndex) -> tuple[WindowPerm, WindowPerm]:
@@ -385,9 +384,7 @@ def _coset_split(win: tuple[int, ...], gens: Sequence[int]) -> tuple[int, tuple[
     left descent in gens until none is left."""
     k = 0
     while True:
-        i = next(
-            (i for i in gens if kernels.win_apply(win, i) > kernels.win_apply(win, i + 1)), None
-        )
+        i = next((i for i in gens if kernels.win_is_left_descent(win, i)), None)
         if i is None:
             return k, win
         k += 1
@@ -404,7 +401,7 @@ def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex)
     while changed:
         changed = False
         for i in lgens:
-            while kernels.win_apply(win, i) > kernels.win_apply(win, i + 1):
+            while kernels.win_is_left_descent(win, i):
                 win = kernels.win_mul_s_left(win, i)
                 changed = True
         for i in rgens:
@@ -437,7 +434,7 @@ def longest_double_coset_elt(
     rgens = sorted(right.generators)
     win = d.window
     while True:
-        i = next((i for i in lgens if kernels.win_apply(win, i) < kernels.win_apply(win, i + 1)), None)
+        i = next((i for i in lgens if not kernels.win_is_left_descent(win, i)), None)
         if i is not None:
             win = kernels.win_mul_s_left(win, i)
             continue
@@ -451,7 +448,7 @@ def _is_double_coset_top(win: tuple[int, ...], lgens: Sequence[int], rgens: Sequ
     """True iff w is the longest element of its (lgens, rgens) double coset:
     every generator in lgens is a left descent of w and every generator in
     rgens a right descent."""
-    return all(kernels.win_apply(win, i) > kernels.win_apply(win, i + 1) for i in lgens) and all(
+    return all(kernels.win_is_left_descent(win, i) for i in lgens) and all(
         kernels.win_is_right_descent(win, i) for i in rgens
     )
 

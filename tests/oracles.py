@@ -801,7 +801,7 @@ def bernstein_assoc_by_rewrite(h) -> tuple:
 def from_bernstein_by_words(assoc, r: int):
     """Multiply a (c, u) association back out term by term, each product
     through hecke_mul_by_words."""
-    from affineschur.hecke import HeckeElement, bernstein_y, bernstein_y_inverse
+    from affineschur.hecke import HeckeElement, bernstein_y, bernstein_y_inverse, t_basis
     from affineschur.laurent import addmul_into
 
     total: dict = {}
@@ -813,7 +813,7 @@ def from_bernstein_by_words(assoc, r: int):
             factor = bernstein_y(r, j) if cj > 0 else bernstein_y_inverse(r, j)
             for _ in range(abs(cj)):
                 h = hecke_mul_by_words(h, factor)
-        addmul_into(total, hecke_mul_by_words(h, HeckeElement.t_basis(u))._terms, coeff.raw())
+        addmul_into(total, hecke_mul_by_words(h, t_basis(u))._terms, coeff.raw())
     return HeckeElement._raw(r, total)
 
 
@@ -851,14 +851,14 @@ def peel_strata(h, is_lead, image, span: str) -> dict:
 
 def extract_right_factor_by_peel(h, pi) -> dict:
     """Coordinates of h in the basis {x_pi T_d : d distinguished}."""
-    from affineschur.hecke import HeckeElement, x_lambda
+    from affineschur.hecke import t_basis, x_lambda
     from affineschur.weyl import is_distinguished
 
     xl = x_lambda(pi)
     return peel_strata(
         h,
         lambda w: is_distinguished(WindowPerm._unsafe(w), pi),
-        lambda w: hecke_mul_by_words(xl, HeckeElement.t_basis(WindowPerm._unsafe(w)))._terms,
+        lambda w: hecke_mul_by_words(xl, t_basis(WindowPerm._unsafe(w)))._terms,
         "a combination of x*T_d terms",
     )
 
@@ -925,7 +925,7 @@ def schur_mul_by_peel(a, b):
 def act_schur_left_by_terms(s, x):
     """s . x, one product phi value * T_d per pair of terms of s and x."""
     from affineschur._backend import kernels
-    from affineschur.hecke import HeckeElement
+    from affineschur.hecke import t_basis
     from affineschur.laurent import addmul_into
     from affineschur.schur import QTensorElement, _phi_value_cached
 
@@ -938,14 +938,14 @@ def act_schur_left_by_terms(s, x):
         for (l1, m1, d1), c1 in s._terms.items():
             if m1 != l2:
                 continue
-            part = hecke_mul_by_words(_phi_value_cached(r, l1, m1, d1), HeckeElement.t_basis(d2))
+            part = hecke_mul_by_words(_phi_value_cached(r, l1, m1, d1), t_basis(d2))
             addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
     return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
 
 def act_hecke_right_by_terms(x, h):
     """x . h, one product x_lambda T_d * h per term of x."""
-    from affineschur.hecke import HeckeElement, x_lambda
+    from affineschur.hecke import t_basis, x_lambda
     from affineschur.laurent import addmul_into
     from affineschur.schur import QTensorElement
     from affineschur.weyl import young_subgroup_of_key
@@ -955,7 +955,7 @@ def act_hecke_right_by_terms(x, h):
     n, r = x.n, x.r
     values: dict[tuple, dict] = {}
     for (lp, dwin), c in x._terms.items():
-        xd = hecke_mul_by_words(x_lambda(young_subgroup_of_key(lp, r)), HeckeElement.t_basis(WindowPerm._unsafe(dwin)))
+        xd = hecke_mul_by_words(x_lambda(young_subgroup_of_key(lp, r)), t_basis(WindowPerm._unsafe(dwin)))
         part = hecke_mul_by_words(xd, h)
         addmul_into(values.setdefault(lp, {}), part._terms, c)
     return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
@@ -1196,6 +1196,12 @@ def win_mul_s_right(w, i):
 def win_is_right_descent(w, i):
     """True iff (i)w^-1 > (i+1)w^-1, i.e. w * s_i is shorter than w."""
     return win_pos(w, i) > win_pos(w, i + 1)
+
+
+def win_is_left_descent(w, i):
+    """True iff (i)w > (i+1)w, i.e. s_i * w is shorter than w: the test that
+    weyl, hecke and schur wrote out inline."""
+    return win_apply(w, i) > win_apply(w, i + 1)
 
 
 def hecke_mul_gen_right(terms, i):
@@ -1550,3 +1556,61 @@ def theta_by_enumeration(lam, mu, d, table):
         if p:
             terms[(lam.parts, mu.parts, z.window)] = dict(p.shift(shift).raw())
     return SchurElement._raw(lam.n, lam.r, terms)
+
+
+# ---------------------------------------------------------------------------
+# The breadth first searches of weyl before they became one (weyl._closure):
+# enumerate_up_to_length and ParabolicIndex.elements each searched on their
+# own, and ParabolicIndex.longest_element climbed by right ascents with its
+# own loop.  The references for tests/test_weyl.py; they compose and sort
+# with the scanning kernels above.
+
+
+def enumerate_up_to_length_first_form(r, length, extended=False, rho_bound=0):
+    gens = [WindowPerm.s(r, i).window for i in range(1, r + 1)]
+    seen = {tuple(range(1, r + 1))}
+    frontier = list(seen)
+    out = list(seen)
+    for _ in range(length):
+        nxt = []
+        for win in frontier:
+            for g in gens:
+                prod = win_compose(win, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+        out.extend(nxt)
+    elements = [WindowPerm._unsafe(win) for win in out]
+    if not extended:
+        return elements
+    result = []
+    for z in range(-rho_bound, rho_bound + 1):
+        result.extend(WindowPerm._unsafe(win_rot(w.window, z)) for w in elements)
+    return result
+
+
+def parabolic_elements_first_form(pi):
+    gens = [WindowPerm.s(pi.r, i).window for i in sorted(pi.generators)]
+    seen = {tuple(range(1, pi.r + 1))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for win in frontier:
+            for g in gens:
+                prod = win_compose(win, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple(WindowPerm._unsafe(w) for w in sorted(seen, key=lambda w: (win_length(w), w)))
+
+
+def parabolic_longest_element_first_form(pi):
+    gens = sorted(pi.generators)
+    w = WindowPerm.identity(pi.r)
+    while True:
+        i = next((i for i in gens if i not in w.right_descents()), None)
+        if i is None:
+            return w
+        w = w * WindowPerm.s(pi.r, i)

@@ -521,3 +521,52 @@ def test_malformed_or_out_of_domain_payloads_exit_two_before_any_work(argv, payl
     code, out, err = invoke(argv + ["--json"], stdin=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and reason in err
+
+
+def _hecke_pair(r=3, window=(2, 1, 3), coeff=None):
+    term = {"window": list(window), "coeff": coeff or {"0": 1}}
+    return [{"r": r, "terms": [term]}] * 2
+
+
+def _act(n=3, index=1, key=(1, 2, 3)):
+    return {
+        "element": {"n": n, "terms": [{"word": [["E", index]], "coeff": {"0": 1}}]},
+        "vector": {"n": n, "r": 3, "terms": [{"key": list(key), "coeff": {"0": 1}}]},
+    }
+
+
+def _coset(members=(1,), shift=0):
+    return {"w": {"window": [4, 2, 3]}, "members": list(members), "shift": shift}
+
+
+# a float, a bool and a numeric string for each kind of payload number; the
+# exponent is a JSON object key, so a string, and its bad forms are strings
+# that int() reads but that are not decimal integers (Laurent.from_obj's own
+# test covers float and bool keys)
+NOT_INTS = {
+    "shape r": [(["hecke", "mul"], _hecke_pair(r=3.9)), (["hecke", "mul"], _hecke_pair(r="3"))],
+    "shape n": [(["quantum", "act"], _act(n=True))],
+    "window entry": [(["weyl", "length"], {"window": w}) for w in ([2.7, 1, 3], [True, 2, 3], ["2", 1, 3])],
+    "declared window r": [(["weyl", "length"], {"r": r, "window": [2, 1, 3]}) for r in (3.0, "3")],
+    "exponent": [(["hecke", "mul"], _hecke_pair(coeff={e: 1})) for e in ("0_0", " 0", "+0")],
+    "coefficient": [(["hecke", "mul"], _hecke_pair(coeff={"0": c})) for c in (1.5, True, "1")],
+    "letter index": [(["quantum", "act"], _act(index=i)) for i in (1.0, True, "1")],
+    "tensor key slot": [(["quantum", "act"], _act(key=(k, 2, 3))) for k in (1.0, True, "1")],
+    "schur n": [(["schur", "phi"], {**THETA_PAYLOAD, "n": n}) for n in (3.0, "3")]
+    + [(["schur", "phi"], {**THETA_PAYLOAD, "n": True, "lambda": [3], "mu": [3]})],
+    "schur r": [(["schur", "theta"], {**THETA_PAYLOAD, "r": r}) for r in (3.0, "3")],
+    "weight part": [(["schur", "phi"], {**THETA_PAYLOAD, "lambda": p}) for p in ([2.0, 1, 0], [True, 2, 0], ["2", 1, 0])],
+    "coset shift": [(["weyl", "coset"], _coset(shift=t)) for t in (1.0, True, "1")],
+    "coset member": [(["weyl", "coset"], _coset(members=(m,))) for m in (1.0, True, "1")],
+    "parabolic r": [(["hecke", "xlambda"], {"r": r, "members": [1]}) for r in (3.0, "3")],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [pytest.param(argv, payload, id=f"{kind}-{k}") for kind, cases in NOT_INTS.items() for k, (argv, payload) in enumerate(cases)],
+)
+def test_a_payload_number_that_is_not_an_int_exits_two(argv, payload, monkeypatch, capsys):
+    code, out, err = invoke(argv + ["--json"], stdin=json.dumps(payload), monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and ("expected an integer" in err or "malformed Laurent" in err)

@@ -1,5 +1,6 @@
 """The single-pass pure window and Hecke-generator kernels against the
-scanning bodies they replaced, the tensor letter kernels against the bodies
+scanning bodies they replaced, the left-descent kernel against the
+comparison of two win_apply values that it replaced, the tensor letter kernels against the bodies
 that added each term through a shifted copy (both in oracles.py), and the KL
 table's own Bruhat test and mu lists against the global bruhat_leq and the
 old lower-set loop.
@@ -57,6 +58,7 @@ def test_window_kernels_match_the_scanning_bodies(r):
         for i in range(1, r + 1):
             assert pure.win_mul_s_right(w, i) == oracles.win_mul_s_right(w, i)
             assert pure.win_is_right_descent(w, i) == oracles.win_is_right_descent(w, i)
+            assert pure.win_is_left_descent(w, i) == oracles.win_is_left_descent(w, i)
 
 
 def test_length_is_the_crossing_count_across_rho_powers():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affineschur.laurent import Laurent, quantum_integer
+from affineschur.laurent import Laurent, payload_int, quantum_integer
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -94,3 +94,23 @@ def test_json_roundtrip():
     assert Laurent.from_obj(a.to_obj()) == a
     with pytest.raises(ValueError):
         Laurent.from_obj({"x": 1})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1.5: 1}, {True: 1}, {"1_0": 1}, {"+1": 1}, {" 1": 1}, {"١": 1}, {"1": 1.0}, {"1": True}, {"1": "1"}],
+)
+def test_only_int_coefficients_and_decimal_exponents_are_read(obj):
+    with pytest.raises(ValueError, match="malformed Laurent"):
+        Laurent.from_obj(obj)
+
+
+def test_the_payload_reader_takes_ints_and_decimal_exponent_keys():
+    assert [payload_int(x) for x in (0, -7, 12)] == [0, -7, 12]
+    assert [payload_int(x, key=True) for x in ("0", "-7", "12", 3)] == [0, -7, 12, 3]
+    for x in (1.0, True, False, "1", None, [1]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            payload_int(x)
+    for x in ("", "-", "1.0", "1e2", "--1", "0x1", "²"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            payload_int(x, key=True)

@@ -126,7 +126,7 @@ def test_phi_normalization_and_strict():
 def test_identity_is_two_sided_unit():
     one = SchurElement.identity(N, R)
     rng = random.Random(31)
-    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    pool = enumerate_up_to_length(R, 3, extended=True, rho_bound=1)
     for _ in range(6):
         a = SchurElement.zero(N, R)
         for _ in range(3):
@@ -164,7 +164,7 @@ def test_conjugation_poincare_identity():
     # sandwiching T_d between the two projections scales by the Poincare
     # polynomial of the subgroup of W_mu that d conjugates into W_lam
     rng = random.Random(13)
-    pool = enumerate_up_to_length(R, 4, rho_bound=1)
+    pool = enumerate_up_to_length(R, 4, extended=True, rho_bound=1)
     for _ in range(30):
         lam, mu = rng.choice(LAMS), rng.choice(LAMS)
         pl, pm = young_parabolic(lam), young_parabolic(mu)
@@ -180,7 +180,7 @@ def test_conjugation_poincare_identity():
 
 def test_associativity_with_affine_support():
     rng = random.Random(99)
-    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    pool = enumerate_up_to_length(R, 3, extended=True, rho_bound=1)
 
     def rand_elt():
         out = SchurElement.zero(N, R)
@@ -196,7 +196,7 @@ def test_associativity_with_affine_support():
 
 def test_exact_phi_reexpansion():
     rng = random.Random(5)
-    pool = enumerate_up_to_length(R, 4, rho_bound=1)
+    pool = enumerate_up_to_length(R, 4, extended=True, rho_bound=1)
     for _ in range(15):
         lam, mu = rng.choice(LAMS), rng.choice(LAMS)
         pl, pm = young_parabolic(lam), young_parabolic(mu)
@@ -227,7 +227,7 @@ def test_right_unit_on_the_omega_column():
 
 def test_embed_hecke_is_a_homomorphism():
     rng = random.Random(17)
-    pool = enumerate_up_to_length(R, 4, rho_bound=2)
+    pool = enumerate_up_to_length(R, 4, extended=True, rho_bound=2)
     for _ in range(10):
         h1 = t_basis(rng.choice(pool)) + t_basis(rng.choice(pool)).scale(Laurent.v(-1))
         h2 = t_basis(rng.choice(pool)).scale(Laurent({2: 1, 0: -3}))
@@ -271,7 +271,7 @@ def test_theta_rank_two_interval():
 
 def test_theta_triangular_with_predictable_leading_term():
     tbl = KLTable(R)
-    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    pool = enumerate_up_to_length(R, 3, extended=True, rho_bound=1)
     for lam in LAMS[:6]:
         for mu in LAMS[:6]:
             pl, pm = young_parabolic(lam), young_parabolic(mu)
@@ -310,7 +310,7 @@ def test_weight_projection_on_tensors():
 
 def test_right_action_on_the_omega_row_is_regular():
     rng = random.Random(23)
-    pool = enumerate_up_to_length(R, 4, rho_bound=2)
+    pool = enumerate_up_to_length(R, 4, extended=True, rho_bound=2)
     for _ in range(10):
         w = rng.choice(pool)
         assert act_hecke_right(QTensorElement.basis(OM, E), t_basis(w)) == QTensorElement.basis(OM, w)
@@ -318,7 +318,7 @@ def test_right_action_on_the_omega_row_is_regular():
 
 def test_actions_commute():
     rng = random.Random(7)
-    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    pool = enumerate_up_to_length(R, 3, extended=True, rho_bound=1)
     for _ in range(10):
         s = phi(rng.choice(LAMS), rng.choice(LAMS), rng.choice(pool)).scale(
             Laurent({rng.randint(-1, 1): rng.randint(-2, 2)})
@@ -332,7 +332,7 @@ def test_actions_match_the_per_term_loops():
     """Both actions multiply once per weight (the terms of x grouped by
     lambda) and must agree key by key with one product per term."""
     rng = random.Random(31)
-    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    pool = enumerate_up_to_length(R, 3)
     # few weights on the right of s and in x, so that terms share a weight
     mids = LAMS[:3]
     nonzero = 0
@@ -355,7 +355,7 @@ def test_actions_match_the_per_term_loops():
 
 def test_left_action_composes_like_the_product():
     rng = random.Random(21)
-    pool = enumerate_up_to_length(R, 3, rho_bound=1)
+    pool = enumerate_up_to_length(R, 3, extended=True, rho_bound=1)
     for _ in range(8):
         a = phi(rng.choice(LAMS), rng.choice(LAMS), rng.choice(pool))
         b = phi(rng.choice(LAMS), rng.choice(LAMS), rng.choice(pool)).scale(Laurent.v(rng.randint(-1, 1)))

@@ -7,12 +7,16 @@ subsequence checks) rather than asserted from memory.
 
 import itertools
 import random
+import re
 
 import pytest
 
+from affineschur.hecke import HeckeElement, KLTable
+from affineschur.schur import QTensorElement, SchurElement
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
+    all_proper_parabolics,
     bruhat_leq,
     coset_decompose,
     double_coset,
@@ -26,6 +30,9 @@ from oracles import (
     brute_coset_factorizations,
     brute_double_coset_min,
     bruhat_by_subwords,
+    enumerate_up_to_length_first_form,
+    parabolic_elements_first_form,
+    parabolic_longest_element_first_form,
 )
 
 
@@ -36,6 +43,39 @@ def test_construction_and_validation():
     with pytest.raises(ValueError):
         WindowPerm((1, 1, 3))  # repeated residue
     assert WindowPerm((4, 2, 3)).rho_power() == 1
+
+
+# every constructor that takes a rank, each reaching weyl.check_rank
+RANKED = {
+    "WindowPerm": lambda r: WindowPerm(tuple(range(1, r + 1))),
+    "WindowPerm.identity": WindowPerm.identity,
+    "WindowPerm.s": lambda r: WindowPerm.s(r, 1),
+    "WindowPerm.rho": WindowPerm.rho,
+    "WindowPerm.from_word": lambda r: WindowPerm.from_word(r, ()),
+    "WindowPerm.from_obj": lambda r: WindowPerm.from_obj({"window": list(range(1, r + 1))}),
+    "enumerate_up_to_length": lambda r: enumerate_up_to_length(r, 2),
+    "ParabolicIndex": lambda r: ParabolicIndex(r, ()),
+    "ParabolicIndex.from_obj": lambda r: ParabolicIndex.from_obj({"r": r, "members": []}),
+    "HeckeElement": HeckeElement,
+    "HeckeElement.zero": HeckeElement.zero,
+    "HeckeElement.unit": HeckeElement.unit,
+    "HeckeElement.from_obj": lambda r: HeckeElement.from_obj({"r": r, "terms": []}),
+    "KLTable": KLTable,
+    "SchurElement": lambda r: SchurElement(3, r),
+    "SchurElement.zero": lambda r: SchurElement.zero(3, r),
+    "SchurElement.from_obj": lambda r: SchurElement.from_obj({"n": 3, "r": r, "terms": []}),
+    "QTensorElement": lambda r: QTensorElement(3, r),
+    "QTensorElement.zero": lambda r: QTensorElement.zero(3, r),
+    "QTensorElement.from_obj": lambda r: QTensorElement.from_obj({"n": 3, "r": r, "terms": []}),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name", sorted(RANKED))
+def test_every_ranked_constructor_refuses_a_rank_below_three(name, r):
+    with pytest.raises(ValueError, match=re.escape(f"rank r={r} not supported; need r >= 3")):
+        RANKED[name](r)
+    RANKED[name](3)
 
 
 def test_apply_periodicity():
@@ -201,6 +241,30 @@ def test_enumerate_counts():
     ext = enumerate_up_to_length(3, 1, extended=True, rho_bound=2)
     assert len(ext) == 4 * 5
     assert len(set(ext)) == len(ext)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_enumeration_matches_its_first_form(r):
+    for length in range(6):
+        assert enumerate_up_to_length(r, length) == enumerate_up_to_length_first_form(r, length)
+        for rho_bound in (0, 1, 2):
+            assert enumerate_up_to_length(r, length, extended=True, rho_bound=rho_bound) == (
+                enumerate_up_to_length_first_form(r, length, extended=True, rho_bound=rho_bound)
+            )
+
+
+def test_a_rho_bound_without_extension_is_refused():
+    with pytest.raises(ValueError, match="extended=True"):
+        enumerate_up_to_length(3, 2, rho_bound=1)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_parabolic_methods_match_their_first_forms(r):
+    for pi in all_proper_parabolics(r):
+        for shift in range(r):
+            p = pi.shifted(shift)
+            assert p.elements() == parabolic_elements_first_form(p)
+            assert p.longest_element() == parabolic_longest_element_first_form(p)
 
 
 def test_parabolic_elements():
