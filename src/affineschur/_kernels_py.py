@@ -7,10 +7,11 @@ through ``affineschur._backend``:
 * Window permutations are tuples ``(w(1), ..., w(r))`` of ints whose residues
   mod r form a complete residue system.  The tuple describes a bijection of
   the integers with ``(t + r)w = (t)w + r``, and composition is postfix:
-  ``(t)(uw) = ((t)u)w``.
-* Hecke algebra elements are dicts mapping window tuples to Laurent dicts,
-  or, inside a walk, to packed ints: a Laurent dict at v = 2^width
-  (lp_pack, lp_unpack and hecke_packed_mul_gen_right).
+  ``(t)(uw) = ((t)u)w``.  win_compose_offsets is the one composition loop;
+  it reads the table win_offsets(w), which a caller may keep for many u.
+* Hecke algebra elements are dicts mapping window tuples to Laurent dicts;
+  in a walk, int ids to packed ints, Laurent dicts at v = 2^width (lp_pack):
+  ids inside the walk (walk_table), windows at its edges (hecke_unpack).
 * Tensor-space vectors are dicts mapping int tuples (keys) to Laurent dicts.
 
 The Hecke and tensor kernels hard-code q = v**2.  The window kernels and the
@@ -20,7 +21,7 @@ win_is_left_descent compares two neighbouring entries, and every left-descent
 test of the package goes through it.  E_i and F_i share one body,
 _tensor_move, which moves a slot down (E) or up (F) by one.
 The right generator step has one body, hecke_packed_mul_gen_right, which
-the Hecke walks call.  hecke_mul_gen_right is that body between hecke_pack
+the Hecke walks call.  hecke_mul_gen_right is that body between interning
 and hecke_unpack; no module of the package calls it, and it stays only as
 the timing entry of perfbench/kernels_bench.py.
 """
@@ -173,14 +174,10 @@ def lp_unpack(p, offset, width):
     return out
 
 
-def hecke_pack(terms, offset, width):
-    """lp_pack on every coefficient of a {window: Laurent dict} element."""
-    return {w: lp_pack(c, offset, width) for w, c in terms.items()}
-
-
-def hecke_unpack(terms, offset, width):
-    """lp_unpack on every coefficient; keys whose value is 0 are dropped."""
-    return {w: lp_unpack(p, offset, width) for w, p in terms.items() if p}
+def hecke_unpack(terms, offset, width, wins):
+    """lp_unpack on every coefficient of a walk's {id: packed int} terms,
+    keyed back by window, wins[k]; keys whose value is 0 are dropped."""
+    return {wins[k]: lp_unpack(p, offset, width) for k, p in terms.items() if p}
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +190,28 @@ def win_apply(w, t):
     return w[s] + (t - 1 - s)
 
 
-def win_compose(u, w):
-    r = len(w)
+def win_offsets(w):
+    """The residue-offset table o of w: (t)w = o[t % r] + t for every t."""
+    o = [w[-1] - len(w)]
+    t = 1
+    for x in w[:-1]:
+        o.append(x - t)
+        t += 1
+    return tuple(o)
+
+
+def win_compose_offsets(u, o):
+    """The window of u w, given o = win_offsets(w)."""
+    r = len(o)
     out = []
-    for t in u:
-        s = (t - 1) % r
-        out.append(w[s] + t - 1 - s)
+    for x in u:
+        out.append(o[x % r] + x)
     return tuple(out)
+
+
+def win_compose(u, w):
+    """u w at once; the timing entry of perfbench/kernels_bench.py."""
+    return win_compose_offsets(u, win_offsets(w))
 
 
 def win_inverse(w):
@@ -295,33 +307,52 @@ def win_is_right_descent(w, i):
 # Hecke elements: dict[window tuple, Laurent dict]
 
 
+def walk_table():
+    """(wins, ids, steps) of one walk: wins[k] is the window of id k, ids
+    its inverse, steps the memo of hecke_packed_mul_gen_right."""
+    return [], {}, {}
+
+
+def win_id(table, w):
+    """The id of window w in a walk's table, interning w on first sight."""
+    wins, ids, _ = table
+    k = ids.get(w)
+    if k is None:
+        k = ids[w] = len(wins)
+        wins.append(w)
+    return k
+
+
 def hecke_mul_gen_right(terms, i):
-    """terms * T_{s_i} on Laurent coefficients: hecke_pack, the packed step,
-    hecke_unpack.  An output coefficient is at most 3 * sum_w |c_w|_1 (see
-    hecke_packed_mul_gen_right), which fixes the width."""
+    """terms * T_{s_i} on Laurent coefficients: lp_pack and intern, the
+    packed step, hecke_unpack.  An output coefficient is at most
+    3 * sum_w |c_w|_1 (see hecke_packed_mul_gen_right), which fixes the width."""
     lo = min((e for c in terms.values() for e in c), default=0)
     width = packed_width(3 * sum(abs(k) for c in terms.values() for k in c.values()))
-    packed = hecke_pack(terms, -lo, width)
-    return hecke_unpack(hecke_packed_mul_gen_right(packed, i, 2 * width, {}), -lo, width)
+    table = walk_table()
+    packed = {win_id(table, w): lp_pack(c, -lo, width) for w, c in terms.items()}
+    return hecke_unpack(hecke_packed_mul_gen_right(packed, i, 2 * width, table), -lo, width, table[0])
 
 
-def hecke_packed_mul_gen_right(terms, i, shift, steps):
+def hecke_packed_mul_gen_right(terms, i, shift, table):
     """T_w T_s = T_{ws} if ws > w, else q T_{ws} + (q - 1) T_w, on packed
-    coefficients: with v = 2^width and shift = 2 * width, q * p is p << shift.
-    steps[i][w] memoises the pair (ws, whether ws < w); on a miss one pass
-    over the window builds ws and finds a, b as in win_is_right_descent.  A
-    walk passes one steps dict to all of its steps, since most of its windows
-    recur.  A term's image has l1 norm at most 3 times its own, so the step
-    at most triples the l1 norm.  A cancelled key may stay with value 0;
-    hecke_unpack drops it."""
+    coefficients keyed by a walk's ids; q * p is p << shift (shift = 2 width
+    at v = 2^width).  steps[i][k] of the table memoises (id of ws, whether
+    ws < w); a miss makes one pass over w = wins[k], interning ws and finding
+    a, b as in win_is_right_descent.  A walk passes one table to all of its
+    steps, since most of its windows recur.  A term's image has l1 norm at
+    most 3 times its own, so the step at most triples the l1 norm.  A
+    cancelled key may stay with value 0; hecke_unpack drops it."""
+    wins, _, steps = table
     memo = steps.get(i)
     if memo is None:
         memo = steps[i] = {}
     out = {}
     get = out.get
-    for w, p in terms.items():
-        hit = memo.get(w)
+    for k, p in terms.items():
+        hit = memo.get(k)
         if hit is None:
+            w = wins[k]
             r = len(w)
             ws = list(w)
             a = b = None
@@ -339,14 +370,14 @@ def hecke_packed_mul_gen_right(terms, i, shift, steps):
                 j += 1
             if a is None or b is None:
                 raise ValueError("incomplete residue system in window")
-            hit = memo[w] = (tuple(ws), a > b + 1)
-        ws, down = hit
+            hit = memo[k] = (win_id(table, tuple(ws)), a > b + 1)
+        ks, down = hit
         if down:
             qp = p << shift
-            out[ws] = get(ws, 0) + qp
-            out[w] = get(w, 0) + qp - p
+            out[ks] = get(ks, 0) + qp
+            out[k] = get(k, 0) + qp - p
         else:
-            out[ws] = get(ws, 0) + p
+            out[ks] = get(ks, 0) + p
     return out
 
 

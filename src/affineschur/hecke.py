@@ -79,8 +79,10 @@ def _word_walk(wins: Iterable[tuple[int, ...]], start: Callable, step: Callable)
     subtree is done: only the current root-to-node path stays alive.
 
     The products, bar and the Schur actions walk with packed images
-    (_packed_products, _packed_bar_walk): {window: int}, each int a
-    Laurent coefficient times v^offset at v = 2^B (kernels.lp_pack).  The
+    (_packed_products, _packed_bar_walk): {id: int}, each id a window
+    interned in the walk's table (kernels.walk_table), windows only at the
+    walk's edges, and each int a Laurent coefficient times v^offset at
+    v = 2^B (kernels.lp_pack).  The
     width B comes from a bound on the l1 norm |.|_1, the sum of
     |coefficient| over every term:
 
@@ -148,9 +150,10 @@ def _walk_bound(terms: dict) -> int:
     return sum(sum(map(abs, c.values())) * 3 ** kernels.win_length(w) for w, c in terms.items())
 
 
-def _packed_products(xs: Mapping, b: dict) -> tuple[dict, int, int]:
-    """({key: x * b packed}, offset, width) for the raw terms x of xs and b,
-    from one packed walk over b's canonical words that carries every x.
+def _packed_products(xs: Mapping, b: dict) -> tuple[dict, list, int, int]:
+    """({key: x * b packed}, wins, offset, width) for the raw terms x of xs
+    and b, from one packed walk over b's canonical words that carries every
+    x; the products are keyed by ids, wins[k] the window of id k.
     The bound of _word_walk holds for the l1 norm of each whole product, so
     a packed product may also be regrouped, its values multiplied by powers
     of q and summed across keys, before kernels.hecke_unpack reads it."""
@@ -158,27 +161,27 @@ def _packed_products(xs: Mapping, b: dict) -> tuple[dict, int, int]:
     ox = -min(map(_low, xs.values()), default=0)
     ob = -_low(b)
     shift = 2 * width
-    packed = {key: kernels.hecke_pack(x, ox, width) for key, x in xs.items()}
+    packed = {key: {w: kernels.lp_pack(c, ox, width) for w, c in x.items()} for key, x in xs.items()}
     totals: dict = {key: {} for key in xs}
-    steps: dict = {}
+    table = kernels.walk_table()
     for wwin, imgs in _word_walk(
         b,
-        lambda z: {key: {kernels.win_add(w, z): p for w, p in px.items()} for key, px in packed.items()},
-        lambda imgs, i: {key: kernels.hecke_packed_mul_gen_right(img, i, shift, steps) for key, img in imgs.items()},
+        lambda z: {key: {kernels.win_id(table, kernels.win_add(w, z)): p for w, p in px.items()} for key, px in packed.items()},
+        lambda imgs, i: {key: kernels.hecke_packed_mul_gen_right(img, i, shift, table) for key, img in imgs.items()},
     ):
         cb = kernels.lp_pack(b[wwin], ob, width)
         for key, img in imgs.items():
             total = totals[key]
             get = total.get
-            for w, p in img.items():
-                total[w] = get(w, 0) + p * cb
-    return totals, ox + ob, width
+            for k, p in img.items():
+                total[k] = get(k, 0) + p * cb
+    return totals, table[0], ox + ob, width
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """a * b on raw terms."""
-    totals, offset, width = _packed_products({0: a}, b)
-    return kernels.hecke_unpack(totals[0], offset, width)
+    totals, wins, offset, width = _packed_products({0: a}, b)
+    return kernels.hecke_unpack(totals[0], offset, width, wins)
 
 
 class HeckeElement(LaurentCombination):
@@ -234,14 +237,15 @@ class HeckeElement(LaurentCombination):
         width = kernels.packed_width(_walk_bound(self._terms))
         barred = {w: kernels.lp_bar(c) for w, c in self._terms.items()}
         lo = -_low(barred)
-        total: dict[tuple[int, ...], int] = {}
+        total: dict[int, int] = {}
         get = total.get
-        for wwin, img in _packed_bar_walk(self.r, self._terms, width):
+        table = kernels.walk_table()
+        for wwin, img in _packed_bar_walk(self.r, self._terms, width, table):
             # img is v^(2 l) bar(T_w): raise every term to v^(2 top)
             c = kernels.lp_pack(barred[wwin], lo + 2 * (top - lengths[wwin]), width)
-            for w, p in img.items():
-                total[w] = get(w, 0) + p * c
-        return HeckeElement._raw(self.r, kernels.hecke_unpack(total, lo + 2 * top, width))
+            for k, p in img.items():
+                total[k] = get(k, 0) + p * c
+        return HeckeElement._raw(self.r, kernels.hecke_unpack(total, lo + 2 * top, width, table[0]))
 
     def specialize_group_algebra(self) -> dict[WindowPerm, int]:
         """The image under v -> 1, as a group-algebra element over Z."""
@@ -287,31 +291,30 @@ def t_basis(w: WindowPerm) -> HeckeElement:
     return HeckeElement._raw(w.r, {w.window: {0: 1}})
 
 
-def _packed_gen_inv(img: dict, i: int, shift: int, steps: dict) -> dict:
+def _packed_gen_inv(img: dict, i: int, shift: int, table: tuple) -> dict:
     """v^2 * img * T_{s_i}^-1 = img * T_{s_i} + (1 - q) * img on packed
     coefficients.  Per term it is v^2 T_{ws} if ws < w, else
     T_{ws} + (1 - v^2) T_w, so it too at most triples the l1 norm."""
-    out = kernels.hecke_packed_mul_gen_right(img, i, shift, steps)
-    for w, p in img.items():
-        s = out.get(w, 0) + p - (p << shift)
+    out = kernels.hecke_packed_mul_gen_right(img, i, shift, table)
+    for k, p in img.items():
+        s = out.get(k, 0) + p - (p << shift)
         if s:
-            out[w] = s
+            out[k] = s
         else:
-            out.pop(w, None)
+            out.pop(k, None)
     return out
 
 
-def _packed_bar_walk(r: int, wins: Iterable[tuple[int, ...]], width: int):
-    """(win, v^(2 l(win)) * bar(T_win)) for each window in wins, packed:
-    bar(T_rho^z) = T_rho^z and bar(T_w) = bar(T_{w s_i}) * T_{s_i}^-1 along
-    the canonical word, each step scaled by v^2 so that no division by v
-    arises."""
+def _packed_bar_walk(r: int, wins: Iterable[tuple[int, ...]], width: int, table: tuple):
+    """(win, v^(2 l(win)) * bar(T_win)) for each window in wins, packed and
+    keyed by the ids of table: bar(T_rho^z) = T_rho^z and
+    bar(T_w) = bar(T_{w s_i}) * T_{s_i}^-1 along the canonical word, each
+    step scaled by v^2 so that no division by v arises."""
     shift = 2 * width
-    steps: dict = {}
     return _word_walk(
         wins,
-        lambda z: {tuple(range(1 + z, r + 1 + z)): 1},
-        lambda img, i: _packed_gen_inv(img, i, shift, steps),
+        lambda z: {kernels.win_id(table, tuple(range(1 + z, r + 1 + z))): 1},
+        lambda img, i: _packed_gen_inv(img, i, shift, table),
     )
 
 
@@ -319,8 +322,9 @@ def _bar_walk(r: int, wins: Iterable[tuple[int, ...]]):
     """(win, bar(T_win)) for each window in wins, as raw terms."""
     lengths = {win: kernels.win_length(win) for win in wins}
     width = kernels.packed_width(3 ** max(lengths.values(), default=0))
-    for win, img in _packed_bar_walk(r, lengths, width):
-        yield win, kernels.hecke_unpack(img, 2 * lengths[win], width)
+    table = kernels.walk_table()
+    for win, img in _packed_bar_walk(r, lengths, width, table):
+        yield win, kernels.hecke_unpack(img, 2 * lengths[win], width, table[0])
 
 
 def t_basis_inverse(w: WindowPerm) -> HeckeElement:

@@ -199,7 +199,7 @@ def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, La
     return _read_cells(
         h,
         lambda w: not any(kernels.win_is_left_descent(w, i) for i in gens),
-        lambda d: (kernels.win_compose(u, d) for u in us),
+        lambda d: map(kernels.win_compose_offsets, us, itertools.repeat(kernels.win_offsets(d))),
         "a combination of x*T_d terms",
     )
 
@@ -460,14 +460,14 @@ def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
         raise ValueError("rank mismatch")
     n, r = x.n, x.r
     # one walk over h's words carries every weight's tail at once
-    prods, offset, width = _packed_products(_tails_by_weight(x), h._terms)
+    prods, wins, offset, width = _packed_products(_tails_by_weight(x), h._terms)
     out: dict[tuple, int] = {}
     for lp, prod in prods.items():
         gens = sorted(young_subgroup_of_key(lp, r).generators)
-        for wwin, p in prod.items():
+        for wid, p in prod.items():
             if not p:
                 continue  # a key whose terms cancelled
-            k, dwin = _coset_split(wwin, gens)
+            k, dwin = _coset_split(wins[wid], gens)
             key = (lp, dwin)
             out[key] = out.get(key, 0) + (p << (2 * k * width))
-    return QTensorElement._raw(n, r, kernels.hecke_unpack(out, offset, width))
+    return QTensorElement._raw(n, r, {key: kernels.lp_unpack(p, offset, width) for key, p in out.items() if p})

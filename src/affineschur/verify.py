@@ -145,7 +145,7 @@ def _finish(suite: str, parameters: dict, rec: _Recorder, t0: float) -> SuiteRep
 def run_weyl_core(r: int = 3, length: int = 8, coset_len: int = 6, **_) -> SuiteReport:
     t0 = time.time()
     rec = _Recorder()
-    gens = [WindowPerm.s(r, i) for i in range(1, r + 1)]
+    gens = [kernels.win_offsets(WindowPerm.s(r, i).window) for i in range(1, r + 1)]
 
     def bfs_lengths():
         dist = {WindowPerm.identity(r).window: 0}
@@ -154,7 +154,7 @@ def run_weyl_core(r: int = 3, length: int = 8, coset_len: int = 6, **_) -> Suite
             nxt = []
             for win in frontier:
                 for g in gens:
-                    p = kernels.win_compose(win, g.window)
+                    p = kernels.win_compose_offsets(win, g)
                     if p not in dist:
                         dist[p] = depth
                         nxt.append(p)

@@ -60,7 +60,8 @@ def check_rank(r: int) -> None:
 class WindowPerm:
     """One element of the extended affine symmetric group on r strands."""
 
-    __slots__ = ("window", "_len")
+    # _offs: win_offsets(window), filled the first time w is a right factor
+    __slots__ = ("window", "_len", "_offs")
 
     def __init__(self, window: Sequence[int]):
         window = tuple(int(t) for t in window)
@@ -69,13 +70,13 @@ class WindowPerm:
         if sorted(t % r for t in window) != list(range(r)):
             raise ValueError(f"window {window} is not a complete residue system mod {r}")
         self.window = window
-        self._len = None
+        self._len = self._offs = None
 
     @classmethod
     def _unsafe(cls, window: tuple[int, ...]) -> "WindowPerm":
         out = object.__new__(cls)
         out.window = window
-        out._len = None
+        out._len = out._offs = None
         return out
 
     # -- constructors ------------------------------------------------------
@@ -124,9 +125,15 @@ class WindowPerm:
         return kernels.win_apply(self.window, t)
 
     def __mul__(self, other: "WindowPerm") -> "WindowPerm":
-        if len(self.window) != len(other.window):
+        o = other._offs
+        if o is None:
+            o = other._offs = kernels.win_offsets(other.window)
+        if len(self.window) != len(o):
             raise ValueError("rank mismatch")
-        return WindowPerm._unsafe(kernels.win_compose(self.window, other.window))
+        out = object.__new__(WindowPerm)
+        out.window = kernels.win_compose_offsets(self.window, o)
+        out._len = out._offs = None
+        return out
 
     def inverse(self) -> "WindowPerm":
         return WindowPerm._unsafe(kernels.win_inverse(self.window))
@@ -254,7 +261,7 @@ def _closure(r: int, gens: Iterable[int], depth: int | None = None) -> list[tupl
     i in gens (any number for None), by breadth first search from the
     identity: each level multiplies the last one's windows on the right by
     each s_i in turn, and the windows come back in the order found."""
-    steps = [WindowPerm.s(r, i).window for i in gens]
+    steps = [kernels.win_offsets(WindowPerm.s(r, i).window) for i in gens]
     frontier = [tuple(range(1, r + 1))]
     out = list(frontier)
     seen = set(frontier)
@@ -263,7 +270,7 @@ def _closure(r: int, gens: Iterable[int], depth: int | None = None) -> list[tupl
         nxt = []
         for win in frontier:
             for g in steps:
-                prod = kernels.win_compose(win, g)
+                prod = kernels.win_compose_offsets(win, g)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -381,34 +388,46 @@ def coset_decompose(w: WindowPerm, pi: ParabolicIndex) -> tuple[WindowPerm, Wind
 def _coset_split(win: tuple[int, ...], gens: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """(k, d) with w = u * d for w of window win, u in the parabolic of gens
     (sorted) with length k and d distinguished, by stripping the smallest
-    left descent in gens until none is left."""
+    left descent in gens until none is left; more than L(gens) steps (see
+    _climb) raise ValueError."""
     k = 0
+    bound = len(gens) * (len(gens) + 1) // 2
     while True:
-        i = next((i for i in gens if kernels.win_is_left_descent(win, i)), None)
-        if i is None:
+        for i in gens:
+            if kernels.win_is_left_descent(win, i):
+                break
+        else:
             return k, win
+        if k == bound:
+            raise ValueError(f"coset split took more than {bound} steps: a descent test is wrong")
         k += 1
         win = kernels.win_mul_s_left(win, i)
 
 
-def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> WindowPerm:
-    """The unique minimal-length element of the (left, right) double coset of
-    w, by alternately stripping descents on both sides."""
+def _climb(win: tuple[int, ...], left: ParabolicIndex, right: ParabolicIndex, up: bool) -> tuple[int, ...]:
+    """Multiply win by the smallest generator of left on the left, else of
+    right on the right, that is an ascent (up) or a descent (not up), until
+    none is: one length step in the finite double coset each, so more than
+    L(lgens) + L(rgens), L(g) = |g|(|g|+1)/2 >= l(w_0), raise ValueError."""
     lgens = sorted(left.generators)
     rgens = sorted(right.generators)
-    win = w.window
-    changed = True
-    while changed:
-        changed = False
-        for i in lgens:
-            while kernels.win_is_left_descent(win, i):
-                win = kernels.win_mul_s_left(win, i)
-                changed = True
-        for i in rgens:
-            while kernels.win_is_right_descent(win, i):
-                win = kernels.win_mul_s_right(win, i)
-                changed = True
-    return WindowPerm._unsafe(win)
+    bound = (len(lgens) * (len(lgens) + 1) + len(rgens) * (len(rgens) + 1)) // 2
+    for _ in range(bound + 1):
+        i = next((i for i in lgens if kernels.win_is_left_descent(win, i) != up), None)
+        if i is not None:
+            win = kernels.win_mul_s_left(win, i)
+            continue
+        i = next((i for i in rgens if kernels.win_is_right_descent(win, i) != up), None)
+        if i is None:
+            return win
+        win = kernels.win_mul_s_right(win, i)
+    raise ValueError(f"double coset climb took more than {bound} steps: a descent test is wrong")
+
+
+def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> WindowPerm:
+    """The unique minimal-length element of the (left, right) double coset of
+    w, by stripping descents on both sides (_climb)."""
+    return WindowPerm._unsafe(_climb(w.window, left, right, False))
 
 
 def double_coset(d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> frozenset[WindowPerm]:
@@ -425,23 +444,9 @@ def longest_double_coset_elt(
     d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex
 ) -> WindowPerm:
     """The unique maximal-length element of the double coset of d, by greedy
-    ascent: while some generator of left is not a left descent, or some
-    generator of right not a right descent, multiply by it on that side.
-    Each step adds one to the length inside the finite coset, and it stops
-    at an element with no such ascent, which is the coset's top
-    (_is_double_coset_top)."""
-    lgens = sorted(left.generators)
-    rgens = sorted(right.generators)
-    win = d.window
-    while True:
-        i = next((i for i in lgens if not kernels.win_is_left_descent(win, i)), None)
-        if i is not None:
-            win = kernels.win_mul_s_left(win, i)
-            continue
-        i = next((i for i in rgens if not kernels.win_is_right_descent(win, i)), None)
-        if i is None:
-            return WindowPerm._unsafe(win)
-        win = kernels.win_mul_s_right(win, i)
+    ascent (_climb): it stops at an element with no ascent in left or
+    right, which is the coset's top (_is_double_coset_top)."""
+    return WindowPerm._unsafe(_climb(d.window, left, right, True))
 
 
 def _is_double_coset_top(win: tuple[int, ...], lgens: Sequence[int], rgens: Sequence[int]) -> bool:

@@ -1283,6 +1283,55 @@ def hecke_packed_mul_gen_right(terms, i, shift):
     return out
 
 
+def packed_products_by_windows(xs, b):
+    """hecke._packed_products as it was before each walk interned its windows
+    as int ids: ({key: x * b packed}, offset, width), every image keyed by
+    window, stepped by the window-keyed body above.  A first form: it shares
+    hecke's word walk and its l1 bounds."""
+    from affineschur import _kernels_py as kernels
+    from affineschur.hecke import _low, _norm, _walk_bound, _word_walk
+
+    width = kernels.packed_width(max(map(_norm, xs.values()), default=0) * _walk_bound(b))
+    ox = -min(map(_low, xs.values()), default=0)
+    ob = -_low(b)
+    shift = 2 * width
+    packed = {key: {w: kernels.lp_pack(c, ox, width) for w, c in x.items()} for key, x in xs.items()}
+    totals: dict = {key: {} for key in xs}
+    for wwin, imgs in _word_walk(
+        b,
+        lambda z: {key: {kernels.win_add(w, z): p for w, p in px.items()} for key, px in packed.items()},
+        lambda imgs, i: {key: hecke_packed_mul_gen_right(img, i, shift) for key, img in imgs.items()},
+    ):
+        cb = kernels.lp_pack(b[wwin], ob, width)
+        for key, img in imgs.items():
+            total = totals[key]
+            for w, p in img.items():
+                total[w] = total.get(w, 0) + p * cb
+    return totals, ox + ob, width
+
+
+def packed_bar_walk_by_windows(r, wins, width):
+    """hecke._packed_bar_walk as it was before the walk interned its windows:
+    (win, v^(2 l(win)) * bar(T_win)) packed and keyed by window, each step
+    v^2 times a T_s^-1 step, img * T_s + (1 - q) * img.  A first form: it
+    shares hecke's word walk."""
+    from affineschur.hecke import _word_walk
+
+    shift = 2 * width
+
+    def step(img, i):
+        out = hecke_packed_mul_gen_right(img, i, shift)
+        for w, p in img.items():
+            s = out.get(w, 0) + p - (p << shift)
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+        return out
+
+    return _word_walk(wins, lambda z: {tuple(range(1 + z, r + 1 + z)): 1}, step)
+
+
 def hecke_to_obj(h) -> dict:
     """HeckeElement.to_obj as it was: each term read through items(), that
     is wrapped in a WindowPerm and a Laurent, in the order of support()."""

@@ -75,9 +75,18 @@ def test_codec_round_trips_at_the_edge_of_the_width(width):
 def test_unpack_drops_cancelled_keys():
     width = 10
     a, b = {-2: 7, 1: -300}, {-2: -7, 1: 300}
-    packed = {(1, 2, 3): kernels.lp_pack(a, 2, width) + kernels.lp_pack(b, 2, width),
-              (2, 1, 3): kernels.lp_pack(a, 2, width)}
-    assert kernels.hecke_unpack(packed, 2, width) == {(2, 1, 3): a}
+    table = kernels.walk_table()
+    e, s1 = kernels.win_id(table, (1, 2, 3)), kernels.win_id(table, (2, 1, 3))
+    packed = {e: kernels.lp_pack(a, 2, width) + kernels.lp_pack(b, 2, width), s1: kernels.lp_pack(a, 2, width)}
+    assert kernels.hecke_unpack(packed, 2, width, table[0]) == {(2, 1, 3): a}
+
+
+def packed_step(terms, i, shift, table):
+    """The packed step on window-keyed terms: intern them in the walk's
+    table, step, and key the image back by window, zero values included."""
+    wins = table[0]
+    img = kernels.hecke_packed_mul_gen_right({kernels.win_id(table, w): p for w, p in terms.items()}, i, shift, table)
+    return {wins[k]: p for k, p in img.items()}
 
 
 def test_a_step_that_cancels_a_key_drops_it():
@@ -94,26 +103,33 @@ def test_a_step_memo_shared_across_letters_matches_the_first_form(r):
     # one memo for every call, as in a walk; windows recur under each letter
     rng = random.Random(f"packed-steps:{r}")
     pool = [reduced(rng, r, rng.randint(0, 9), rng.randint(-2, 2)).window for _ in range(30)]
-    steps: dict = {}
+    table = kernels.walk_table()
+    wins, ids, steps = table
     shift = 2 * 70
     for _ in range(60):
         terms = {w: rng.choice((1, -1)) * rng.getrandbits(200) for w in rng.sample(pool, rng.randint(1, 12))}
         i = rng.randint(1, r)
-        assert kernels.hecke_packed_mul_gen_right(terms, i, shift, steps) == hecke_packed_mul_gen_right(terms, i, shift)
+        assert packed_step(terms, i, shift, table) == hecke_packed_mul_gen_right(terms, i, shift)
     assert sorted(steps) == list(range(1, r + 1))
     assert sum(map(len, steps.values())) > 2 * len(pool)
+    # each window met has one id, and each memo entry names the id of w s_i
+    assert len(set(wins)) == len(wins) == len(ids) and all(wins[k] == w for w, k in ids.items())
+    for i, memo in steps.items():
+        for k, (ks, down) in memo.items():
+            assert wins[ks] == kernels.win_mul_s_right(wins[k], i)
+            assert down == kernels.win_is_right_descent(wins[k], i)
 
 
 def test_an_incomplete_residue_window_raises():
     # a raise, not an assert, so it holds under python -O; a memo filled by
     # other windows and letters does not hide it
-    steps: dict = {}
-    kernels.hecke_packed_mul_gen_right({(1, 2, 3): 1, (3, 1, 2): 5}, 1, 8, steps)
-    kernels.hecke_packed_mul_gen_right({(1, 2, 3): 1, (3, 1, 2): 5}, 2, 8, steps)
+    table = kernels.walk_table()
+    packed_step({(1, 2, 3): 1, (3, 1, 2): 5}, 1, 8, table)
+    packed_step({(1, 2, 3): 1, (3, 1, 2): 5}, 2, 8, table)
     # (1, 1, 3) has no entry of residue 2, which s_1 and s_2 both move
     for i in (1, 2):
         with pytest.raises(ValueError, match="incomplete residue system"):
-            kernels.hecke_packed_mul_gen_right({(1, 2, 3): 1, (1, 1, 3): 2}, i, 8, steps)
+            packed_step({(1, 2, 3): 1, (1, 1, 3): 2}, i, 8, table)
         with pytest.raises(ValueError, match="incomplete residue system"):
             HeckeElement._raw(3, {(1, 1, 3): {0: 1}}) * t_basis(WindowPerm.s(3, i))
 

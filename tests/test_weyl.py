@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from affineschur import _kernels_py as kernels
 from affineschur.hecke import HeckeElement, KLTable
 from affineschur.schur import QTensorElement, SchurElement
 from affineschur.weyl import (
@@ -33,6 +34,7 @@ from oracles import (
     enumerate_up_to_length_first_form,
     parabolic_elements_first_form,
     parabolic_longest_element_first_form,
+    win_compose,
 )
 
 
@@ -109,6 +111,58 @@ def test_group_law():
 
 def test_product_of_mismatched_ranks_is_refused():
     for u, w in [(WindowPerm.s(3, 1), WindowPerm.s(4, 1)), (WindowPerm.rho(4), WindowPerm.identity(3))]:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            u * w
+
+
+def seeded_perms(rng: random.Random, r: int, count: int = 12) -> list[WindowPerm]:
+    """rho^z times words of length up to 9, z in -3..3, with rho^-3 s_r and
+    rho^3 s_1 always in: entries run below 0 and above r."""
+    return [WindowPerm.rho(r, -3) * WindowPerm.s(r, r), WindowPerm.rho(r, 3) * WindowPerm.s(r, 1)] + [
+        WindowPerm.from_word(r, [rng.randint(1, r) for _ in range(rng.randint(0, 9))], z=rng.randint(-3, 3))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_window_product_matches_the_scanning_compose(r):
+    # the offset table against the composition by win_apply, one entry at a
+    # time; every right factor is fresh, then reused with its table cached
+    rng = random.Random(f"window-product:{r}")
+    perms = seeded_perms(rng, r)
+    assert min(min(w.window) for w in perms) < 0 and max(max(w.window) for w in perms) > r + 2
+    for _ in range(2):
+        for u in perms:
+            for w in perms:
+                want = win_compose(u.window, w.window)
+                assert (u * w).window == want
+                assert kernels.win_compose_offsets(u.window, kernels.win_offsets(w.window)) == want
+                assert kernels.win_compose(u.window, w.window) == want
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_a_factor_reused_on_both_sides_gives_the_same_products(r):
+    rng = random.Random(f"window-reuse:{r}")
+    perms = seeded_perms(rng, r)
+    for d in perms:
+        d = WindowPerm(d.window)  # no table yet
+        u1, u2, x = rng.choice(perms), rng.choice(perms), rng.choice(perms)
+        first, second = u1 * d, u2 * d  # d's table is made, then read
+        assert first.window == win_compose(u1.window, d.window)
+        assert second.window == win_compose(u2.window, d.window)
+        # on the left d is read by its window, whatever it has cached
+        assert (d * x).window == win_compose(d.window, x.window) == (WindowPerm(d.window) * x).window
+        assert (d * d).window == win_compose(d.window, d.window)
+        # a product starts with no table of its own
+        assert (first * first).window == win_compose(first.window, first.window)
+
+
+def test_a_rank_mismatch_is_refused_with_a_cached_table():
+    # a raise, not an assert, so it holds under python -O; a table that the
+    # right factor made in an earlier product does not skip the check
+    u3, u4 = WindowPerm.rho(3, -2) * WindowPerm.s(3, 3), WindowPerm.s(4, 4) * WindowPerm.rho(4, 3)
+    for u, w in [(u3, u4), (u4, u3), (u3, WindowPerm.identity(4))]:
+        w * w
         with pytest.raises(ValueError, match="rank mismatch"):
             u * w
 

@@ -1,6 +1,8 @@
 """The prefix-shared reduced-word walk behind Hecke products, bar and the
 Bernstein rewrite, checked key by key against the per-term loops it
-replaced (oracles.py), and its sweep count pinned."""
+replaced (oracles.py), and its sweep count pinned.  The packed walks, which
+key their images by int ids, are matched key by key against their
+window-keyed first forms."""
 
 import random
 
@@ -14,12 +16,15 @@ from affineschur.hecke import (
     to_bernstein_basis,
 )
 from affineschur.laurent import Laurent
+from affineschur.schur import QTensorElement, Weight, _tails_by_weight
 from affineschur.weyl import WindowPerm
 
 from oracles import (
     from_bernstein_by_words,
     hecke_bar_by_words,
     hecke_mul_by_words,
+    packed_bar_walk_by_windows,
+    packed_products_by_windows,
     t_basis_inverse_by_words,
     to_bernstein_basis_by_words,
 )
@@ -109,6 +114,56 @@ def test_bernstein_rewrite_matches_the_per_term_loop(r):
         assoc = to_bernstein_basis(h)
         assert assoc == to_bernstein_basis_by_words(h)
         assert from_bernstein_by_words(assoc, r) == h
+
+
+def by_window(terms: dict, wins: list) -> dict:
+    """Id-keyed packed terms keyed back by window, zero values included."""
+    return {wins[k]: p for k, p in terms.items()}
+
+
+def test_the_corpus_has_rho_powers_negative_exponents_and_zero():
+    for r in RANKS:
+        elems = corpus(r, 4)
+        assert {w.rho_power() for h in elems for w in h.support()} >= {-2, -1, 1, 2}
+        assert any(e < 0 for h in elems for c in h._terms.values() for e in c)
+        assert any(not h for h in elems)
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_id_keyed_products_match_the_window_keyed_first_form(r):
+    elems = corpus(r, 4)
+    for a in elems:
+        for b in elems:
+            totals, wins, offset, width = hecke._packed_products({0: a._terms}, b._terms)
+            want, want_offset, want_width = packed_products_by_windows({0: a._terms}, b._terms)
+            assert (offset, width) == (want_offset, want_width)
+            assert by_window(totals[0], wins) == want[0]
+    # several factors in one walk, as in act_hecke_right: one tail per weight
+    rng = random.Random(f"walk-weights:{r}")
+    lam, mu = Weight(r, r, (2,) + (1,) * (r - 2) + (0,)), Weight(r, r, (1,) * r)
+    x = QTensorElement.zero(r, r)
+    for weight in (lam, mu, lam):
+        x = x + QTensorElement.basis(weight, random_window(rng, r, 5)).scale(Laurent({-2: 3, 1: -1}))
+    xs = _tails_by_weight(x)
+    assert len(xs) == 2
+    for h in elems:
+        totals, wins, offset, width = hecke._packed_products(xs, h._terms)
+        want, want_offset, want_width = packed_products_by_windows(xs, h._terms)
+        assert (offset, width) == (want_offset, want_width)
+        assert {key: by_window(t, wins) for key, t in totals.items()} == want
+
+
+@pytest.mark.parametrize("r", RANKS)
+def test_id_keyed_bar_walk_matches_the_window_keyed_first_form(r):
+    elems = corpus(r, 5)
+    elems.append(elems[0] * elems[1])
+    for h in elems:
+        width = hecke.kernels.packed_width(hecke._walk_bound(h._terms))
+        table = hecke.kernels.walk_table()
+        got = [(win, img) for win, img in hecke._packed_bar_walk(r, h._terms, width, table)]
+        want = list(packed_bar_walk_by_windows(r, h._terms, width))
+        assert [(win, by_window(img, table[0])) for win, img in got] == want
+        assert len(table[0]) == len(table[1])
 
 
 def _prefix_closure(h: HeckeElement) -> set:
