@@ -59,14 +59,6 @@ _QM1 = {2: 1, 0: -1}       # v^2 - 1
 _INV_LO = {-2: 1, 0: -1}   # v^-2 - 1, the correction term of T_s^-1
 
 
-def _gen_inv(gen: dict, terms: dict) -> dict:
-    """v^-2 * gen + (v^-2 - 1) * terms: terms times T_{s_i}^-1, given gen,
-    terms times T_{s_i} (on the same side)."""
-    out = {key: kernels.lp_shift(c, -2) for key, c in gen.items()}
-    addmul_into(out, terms, _INV_LO)
-    return out
-
-
 def _word_walk(wins: Iterable[tuple[int, ...]], start: Callable, step: Callable):
     """Yield (win, image) for each window in wins, where start(z) is the
     image of rho^z and step(image, i) turns the image of w s_i into that of w.
@@ -512,8 +504,19 @@ def bernstein_y_inverse(r: int, i: int) -> HeckeElement:
 #
 # A rewritten element maps keys (c, u) -- translation exponent vector and
 # finite window -- to Laurent dicts, standing for y_1^c_1 ... y_r^c_r T_u.
-# Right multiplication by generators keeps that shape; the exchange steps
-# below are the only places a y passes a T.
+# Right multiplication by generators keeps that shape.  A y passes a T only
+# through Lusztig's relation, which under the convention
+# T_{s_i} y_i T_{s_i} = q y_{i+1} reads, for lam with entries a, b at
+# slots i, i+1 and s = s_i,
+#     T_s y^lam - y^(s lam) T_s = (q - 1) (y^lam - y^(s lam)) / (1 - y_i y_{i+1}^-1);
+# _exchange is its one statement, and both directions below read it.
+
+
+def _exchange(a: int, b: int) -> tuple[int, range]:
+    """(sign, ks) with sign * sum_{k in ks} y_i^k y_{i+1}^(a+b-k) equal to
+    the quotient (y_i^a y_{i+1}^b - y_i^b y_{i+1}^a) / (1 - y_i y_{i+1}^-1)
+    of Lusztig's relation: a finite geometric sum, empty when a == b."""
+    return (1, range(a, b)) if a < b else (-1, range(b, a))
 
 
 @lru_cache(maxsize=None)
@@ -522,43 +525,16 @@ def commute_gen_past_translations(a: int, b: int) -> tuple[tuple[bool, int, int,
     y-monomials.
 
     Returns terms (carries_gen, da, db, coeff) meaning
-    coeff * T_{s_i}^[carries_gen] * y_i^da * y_{i+1}^db; the exchange
-    relations are index-uniform, so i never appears.
+    coeff * T_{s_i}^[carries_gen] * y_i^da * y_{i+1}^db, sorted by
+    (carries_gen, da, db); the exchange relations are index-uniform, so i
+    never appears.  Lusztig's relation for the exponents (b, a), under the
+    convention T_{s_i} y_i T_{s_i} = q y_{i+1}, gives
+    y_i^a y_{i+1}^b T_{s_i} = T_{s_i} y_i^b y_{i+1}^a - (q - 1) * quotient,
+    the quotient read off _exchange(b, a).
     """
-    if a == 0 and b == 0:
-        return ((True, 0, 0, Laurent.one()),)
-    vv = Laurent(_QM1)
-    out: dict[tuple[bool, int, int], Laurent] = {}
-
-    def add(key, c):
-        cur = out.get(key)
-        cur = c if cur is None else cur + c
-        if cur:
-            out[key] = cur
-        else:
-            out.pop(key, None)
-
-    if b > 0:
-        # peel y_{i+1}: y_{i+1} T_{s_i} = T_{s_i} y_i + (v^2-1) y_{i+1}
-        for g, da, db, c in commute_gen_past_translations(a, b - 1):
-            add((g, da + 1, db), c)
-        add((False, a, b), vv)
-    elif b < 0:
-        # y_{i+1}^-1 T_{s_i} = T_{s_i} y_i^-1 - (v^2-1) y_i^-1
-        for g, da, db, c in commute_gen_past_translations(a, b + 1):
-            add((g, da - 1, db), c)
-        add((False, a - 1, b + 1), -vv)
-    elif a > 0:
-        # y_i T_{s_i} = T_{s_i} y_{i+1} - (v^2-1) y_{i+1}
-        for g, da, db, c in commute_gen_past_translations(a - 1, 0):
-            add((g, da, db + 1), c)
-        add((False, a - 1, 1), -vv)
-    else:
-        # y_i^-1 T_{s_i} = T_{s_i} y_{i+1}^-1 + (v^2-1) y_i^-1
-        for g, da, db, c in commute_gen_past_translations(a + 1, 0):
-            add((g, da, db - 1), c)
-        add((False, a, 0), vv)
-    return tuple((g, da, db, c) for (g, da, db), c in sorted(out.items(), key=lambda kv: kv[0]))
+    sign, ks = _exchange(b, a)
+    coeff = Laurent(kernels.lp_scale(_QM1, -sign))
+    return tuple((False, k, a + b - k, coeff) for k in ks) + ((True, b, a, Laurent.one()),)
 
 
 def _b_scale(bel: dict, raw: dict) -> dict:
@@ -580,55 +556,41 @@ def _b_mul_gen(bel: dict, i: int) -> dict:
 
 
 def _b_mul_gen_inv(bel: dict, i: int) -> dict:
-    return _gen_inv(_b_mul_gen(bel, i), bel)
+    """Right multiplication by T_{s_i}^-1 = v^-2 T_{s_i} + (v^-2 - 1)."""
+    out = {key: kernels.lp_shift(c, -2) for key, c in _b_mul_gen(bel, i).items()}
+    addmul_into(out, bel, _INV_LO)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _finite_term_mul_y(u: tuple[int, ...], j: int, e: int) -> tuple:
-    """T_u * y_j^e (u a finite window, e = +-1) in (c, u)-key form."""
-    r = len(u)
-    idwin = tuple(range(1, r + 1))
-    if u == idwin:
-        cvec = tuple(e if t == j else 0 for t in range(1, r + 1))
-        return (((cvec, idwin), _ONE),)
-    i = next(i for i in range(1, r) if kernels.win_is_right_descent(u, i))
-    u2 = kernels.win_mul_s_right(u, i)  # u = u2 * s_i, shorter
-    def as_dict(pairs):
-        return {key: dict(c) for key, c in pairs}
-    if j != i and j != i + 1:
-        res = _b_mul_gen(as_dict(_finite_term_mul_y(u2, j, e)), i)
-    elif e == 1 and j == i:
-        # T_{s_i} y_i = y_{i+1} T_{s_i} - (v^2-1) y_{i+1}
-        base = as_dict(_finite_term_mul_y(u2, i + 1, 1))
-        res = _b_mul_gen(base, i)
-        addmul_into(res, base, kernels.lp_neg(_QM1))
-    elif e == 1:
-        # T_{s_i} y_{i+1} = y_i T_{s_i} + (v^2-1) y_{i+1}
-        res = _b_mul_gen(as_dict(_finite_term_mul_y(u2, i, 1)), i)
-        addmul_into(res, as_dict(_finite_term_mul_y(u2, i + 1, 1)), _QM1)
-    elif j == i:
-        # T_{s_i} y_i^-1 = y_{i+1}^-1 T_{s_i} + (v^2-1) y_i^-1
-        res = _b_mul_gen(as_dict(_finite_term_mul_y(u2, i + 1, -1)), i)
-        addmul_into(res, as_dict(_finite_term_mul_y(u2, i, -1)), _QM1)
-    else:
-        # T_{s_i} y_{i+1}^-1 = y_i^-1 T_{s_i} - (v^2-1) y_i^-1
-        base = as_dict(_finite_term_mul_y(u2, i, -1))
-        res = _b_mul_gen(base, i)
-        addmul_into(res, base, kernels.lp_neg(_QM1))
-    return tuple((key, c) for key, c in res.items())
+def _finite_term_mul_y(u: tuple[int, ...], lam: tuple[int, ...]) -> tuple:
+    """T_u * y^lam (u a finite window, lam an exponent vector) in (c, u)-key
+    form.  With u = u2 s_i shorter, Lusztig's relation gives
+    T_u y^lam = (T_u2 y^(s_i lam)) T_{s_i} + (q - 1) * T_u2 * quotient."""
+    i = next((i for i in range(1, len(u)) if kernels.win_is_right_descent(u, i)), None)
+    if i is None:
+        return (((lam, u), _ONE),)
+    u2 = kernels.win_mul_s_right(u, i)
+    head, (a, b), tail = lam[: i - 1], lam[i - 1 : i + 1], lam[i + 1 :]
+    res = _b_mul_gen(dict(_finite_term_mul_y(u2, head + (b, a) + tail)), i)
+    sign, ks = _exchange(a, b)
+    coeff = kernels.lp_scale(_QM1, sign)
+    for k in ks:
+        addmul_into(res, dict(_finite_term_mul_y(u2, head + (k, a + b - k) + tail)), coeff)
+    return tuple(res.items())
 
 
-def _b_mul_y(bel: dict, j: int, e: int) -> dict:
+def _b_mul_y(bel: dict, lam: tuple[int, ...]) -> dict:
     out: dict = {}
     for (cvec, u), c in bel.items():
-        for (dvec, u2), c2 in _finite_term_mul_y(u, j, e):
+        for (dvec, u2), c2 in _finite_term_mul_y(u, lam):
             addmul_term(out, (tuple(x + y for x, y in zip(cvec, dvec)), u2), c, c2)
     return out
 
 
 def _b_mul_rho(bel: dict, r: int) -> dict:
     # T_rho = v^(r-1) * y_r * T_{s_(r-1)}^-1 ... T_{s_1}^-1
-    cur = _b_mul_y(bel, r, 1)
+    cur = _b_mul_y(bel, (0,) * (r - 1) + (1,))
     for i in range(r - 1, 0, -1):
         cur = _b_mul_gen_inv(cur, i)
     return _b_scale(cur, {r - 1: 1})
@@ -639,7 +601,7 @@ def _b_mul_rho_inv(bel: dict, r: int) -> dict:
     cur = bel
     for i in range(1, r):
         cur = _b_mul_gen(cur, i)
-    cur = _b_mul_y(cur, r, -1)
+    cur = _b_mul_y(cur, (0,) * (r - 1) + (-1,))
     return _b_scale(cur, {1 - r: 1})
 
 

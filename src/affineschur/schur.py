@@ -243,6 +243,7 @@ class SchurElement(LaurentCombination):
 
     @classmethod
     def identity(cls, n: int, r: int) -> "SchurElement":
+        cls._check_shape(n, r)
         terms = {}
         for lam in all_weights(n, r):
             key = (lam.parts, lam.parts, tuple(range(1, r + 1)))

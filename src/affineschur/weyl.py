@@ -221,8 +221,9 @@ class WindowPerm:
 def bruhat_leq(y: WindowPerm, w: WindowPerm) -> bool:
     """Bruhat order, extended so rho^a * y <= rho^b * w needs a == b.
 
-    On the Coxeter part this is the subword test against one stored reduced
-    expression of w, run as the standard lifting recursion and memoized.
+    On the Coxeter part this is the subword test against one reduced
+    expression of w, run as the standard lifting property: a loop of at
+    most l(w) steps.
     """
     if y.r != w.r:
         raise ValueError("rank mismatch")
@@ -233,23 +234,20 @@ def bruhat_leq(y: WindowPerm, w: WindowPerm) -> bool:
     return _bruhat_cox(cy.window, cw.window)
 
 
-@lru_cache(maxsize=1 << 18)
 def _bruhat_cox(ywin: tuple[int, ...], wwin: tuple[int, ...]) -> bool:
-    if ywin == wwin:
-        return True
+    # the lifting property: strip the first letter s of w's reduced word (a
+    # left descent), and s from y too when it is a left descent of y
     ly = kernels.win_length(ywin)
     lw = kernels.win_length(wwin)
-    if ly >= lw:
-        return False
-    if lw == 0:
-        return ly == 0
-    # first letter of a fixed reduced expression is a left descent of w
     r = len(wwin)
-    i = next(i for i in range(1, r + 1) if kernels.win_is_left_descent(wwin, i))
-    swwin = kernels.win_mul_s_left(wwin, i)
-    if kernels.win_is_left_descent(ywin, i):
-        return _bruhat_cox(kernels.win_mul_s_left(ywin, i), swwin)
-    return _bruhat_cox(ywin, swwin)
+    while ly < lw:
+        i = next(i for i in range(1, r + 1) if kernels.win_is_left_descent(wwin, i))
+        wwin = kernels.win_mul_s_left(wwin, i)
+        lw -= 1
+        if kernels.win_is_left_descent(ywin, i):
+            ywin = kernels.win_mul_s_left(ywin, i)
+            ly -= 1
+    return ywin == wwin
 
 
 # ---------------------------------------------------------------------------

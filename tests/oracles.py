@@ -818,6 +818,96 @@ def from_bernstein_by_words(assoc, r: int):
 
 
 # ---------------------------------------------------------------------------
+# The case-by-case exchange recursions that hecke._exchange replaced: each
+# moves one y^+-1 past one generator per call, one rule per sign and slot;
+# the library's old code, kept as the reference.
+
+_QM1 = {2: 1, 0: -1}  # v^2 - 1
+
+
+@lru_cache(maxsize=None)
+def commute_gen_past_translations_by_cases(a: int, b: int) -> tuple:
+    """y_i^a y_{i+1}^b T_{s_i} as sorted (carries_gen, da, db, coeff)
+    terms, peeling one y at a time."""
+    if a == 0 and b == 0:
+        return ((True, 0, 0, Laurent.one()),)
+    vv = Laurent(_QM1)
+    out: dict[tuple[bool, int, int], Laurent] = {}
+
+    def add(key, c):
+        cur = out.get(key)
+        cur = c if cur is None else cur + c
+        if cur:
+            out[key] = cur
+        else:
+            out.pop(key, None)
+
+    if b > 0:
+        # peel y_{i+1}: y_{i+1} T_{s_i} = T_{s_i} y_i + (v^2-1) y_{i+1}
+        for g, da, db, c in commute_gen_past_translations_by_cases(a, b - 1):
+            add((g, da + 1, db), c)
+        add((False, a, b), vv)
+    elif b < 0:
+        # y_{i+1}^-1 T_{s_i} = T_{s_i} y_i^-1 - (v^2-1) y_i^-1
+        for g, da, db, c in commute_gen_past_translations_by_cases(a, b + 1):
+            add((g, da - 1, db), c)
+        add((False, a - 1, b + 1), -vv)
+    elif a > 0:
+        # y_i T_{s_i} = T_{s_i} y_{i+1} - (v^2-1) y_{i+1}
+        for g, da, db, c in commute_gen_past_translations_by_cases(a - 1, 0):
+            add((g, da, db + 1), c)
+        add((False, a - 1, 1), -vv)
+    else:
+        # y_i^-1 T_{s_i} = T_{s_i} y_{i+1}^-1 + (v^2-1) y_i^-1
+        for g, da, db, c in commute_gen_past_translations_by_cases(a + 1, 0):
+            add((g, da, db - 1), c)
+        add((False, a, 0), vv)
+    return tuple((g, da, db, c) for (g, da, db), c in sorted(out.items(), key=lambda kv: kv[0]))
+
+
+@lru_cache(maxsize=None)
+def finite_term_mul_y_by_cases(u: tuple[int, ...], j: int, e: int) -> tuple:
+    """T_u * y_j^e (u a finite window, e = +-1) in (c, u)-key form, one
+    exchange rule per case."""
+    from affineschur._kernels_py import lp_neg, win_is_right_descent, win_mul_s_right
+    from affineschur.hecke import _b_mul_gen
+    from affineschur.laurent import addmul_into
+
+    r = len(u)
+    idwin = tuple(range(1, r + 1))
+    if u == idwin:
+        cvec = tuple(e if t == j else 0 for t in range(1, r + 1))
+        return (((cvec, idwin), {0: 1}),)
+    i = next(i for i in range(1, r) if win_is_right_descent(u, i))
+    u2 = win_mul_s_right(u, i)  # u = u2 * s_i, shorter
+
+    def as_dict(pairs):
+        return {key: dict(c) for key, c in pairs}
+
+    if j != i and j != i + 1:
+        res = _b_mul_gen(as_dict(finite_term_mul_y_by_cases(u2, j, e)), i)
+    elif e == 1 and j == i:
+        # T_{s_i} y_i = y_{i+1} T_{s_i} - (v^2-1) y_{i+1}
+        base = as_dict(finite_term_mul_y_by_cases(u2, i + 1, 1))
+        res = _b_mul_gen(base, i)
+        addmul_into(res, base, lp_neg(_QM1))
+    elif e == 1:
+        # T_{s_i} y_{i+1} = y_i T_{s_i} + (v^2-1) y_{i+1}
+        res = _b_mul_gen(as_dict(finite_term_mul_y_by_cases(u2, i, 1)), i)
+        addmul_into(res, as_dict(finite_term_mul_y_by_cases(u2, i + 1, 1)), _QM1)
+    elif j == i:
+        # T_{s_i} y_i^-1 = y_{i+1}^-1 T_{s_i} + (v^2-1) y_i^-1
+        res = _b_mul_gen(as_dict(finite_term_mul_y_by_cases(u2, i + 1, -1)), i)
+        addmul_into(res, as_dict(finite_term_mul_y_by_cases(u2, i, -1)), _QM1)
+    else:
+        # T_{s_i} y_{i+1}^-1 = y_i^-1 T_{s_i} - (v^2-1) y_i^-1
+        base = as_dict(finite_term_mul_y_by_cases(u2, i, -1))
+        res = _b_mul_gen(base, i)
+        addmul_into(res, base, lp_neg(_QM1))
+    return tuple((key, c) for key, c in res.items())
+
+
+# ---------------------------------------------------------------------------
 # The peel that schur replaced by reading coordinates off the distinguished
 # representatives.  It subtracts whole basis columns, shortest window first,
 # so it never relies on the cells partitioning the group.

@@ -3,7 +3,9 @@
 The family is pinned by one single-term anchor plus a conjugation descent;
 every presentation relation is then checked against plain T-basis products,
 and the rewriting into y-monomial-times-finite-permutation form is checked
-by multiplying back out.
+by multiplying back out.  The two directions of the y/T exchange, both read
+off Lusztig's relation in closed form, are checked key by key against the
+case-by-case recursions they replaced.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import pytest
 
 from affineschur.hecke import (
     HeckeElement,
+    _finite_term_mul_y,
     bernstein_y,
     bernstein_y_inverse,
     commute_gen_past_translations,
@@ -23,7 +26,11 @@ from affineschur.hecke import (
 from affineschur.laurent import Laurent
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
-from oracles import from_bernstein_by_words
+from oracles import (
+    commute_gen_past_translations_by_cases,
+    finite_term_mul_y_by_cases,
+    from_bernstein_by_words,
+)
 
 V2 = Laurent.v(2)
 
@@ -198,3 +205,45 @@ def test_exchange_rules_match_products():
                 term = (s[i] if carries else e) * ypow(i, da) * ypow(i + 1, db)
                 rhs = rhs + term.scale(coeff)
             assert lhs == rhs
+
+
+# -- the closed-form exchange against the case-by-case first forms ---------
+
+
+def test_commute_closed_form_matches_the_case_by_case_recursion():
+    for a, b in itertools.product(range(-6, 7), repeat=2):
+        got = commute_gen_past_translations(a, b)
+        assert got == commute_gen_past_translations_by_cases(a, b)
+        assert len(got) == 1 + abs(a - b)
+
+
+def _finite_windows(r, length):
+    ident = list(range(1, r + 1))
+    return [w.window for w in enumerate_up_to_length(r, length) if sorted(w.window) == ident]
+
+
+def test_finite_term_mul_y_matches_the_case_by_case_recursion():
+    cases = 0
+    for r in (3, 4, 5):
+        for u in _finite_windows(r, 6):
+            for j, e in itertools.product(range(1, r + 1), (1, -1)):
+                lam = tuple(e if t == j else 0 for t in range(1, r + 1))
+                got = dict(_finite_term_mul_y(u, lam))
+                assert got == dict(finite_term_mul_y_by_cases(u, j, e)), (u, j, e)
+                cases += 1
+    assert cases == 1138
+
+
+def test_finite_term_mul_y_on_whole_exponent_vectors_multiplies_back():
+    # exponents up to +-2 in every slot at once, which the one-letter
+    # recursion never produced: T_u y^lam, multiplied back out term by term
+    r = 3
+    for lam in itertools.product(range(-2, 3), repeat=r):
+        y = HeckeElement.unit(r)
+        for j, c in enumerate(lam, start=1):
+            factor = bernstein_y(r, j) if c > 0 else bernstein_y_inverse(r, j)
+            for _ in range(abs(c)):
+                y = y * factor
+        for u in _finite_windows(r, 3):
+            rows = {(c, WindowPerm(u2)): Laurent(x) for (c, u2), x in _finite_term_mul_y(u, lam)}
+            assert from_bernstein_by_words(rows, r) == t_basis(WindowPerm(u)) * y, (u, lam)

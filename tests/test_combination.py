@@ -3,6 +3,7 @@ element classes, and the one merge helper behind them."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -249,6 +250,14 @@ BAD_SHAPES = {
     UElement: [(0,), (-2,)],
     TensorVector: [(0, 2), (3, 0)],
 }
+
+
+def test_the_schur_identity_refuses_what_the_constructor_refuses():
+    for shape in BAD_SHAPES[SchurElement]:
+        with pytest.raises(ValueError) as want:
+            SchurElement(*shape)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            SchurElement.identity(*shape)
 
 
 def test_out_of_domain_shapes_are_refused(pair):

@@ -152,17 +152,23 @@ def test_lower_sets_are_bruhat_intervals(r, length):
         assert (y in table._lower_set(x)) == bruhat_leq(WindowPerm(y), WindowPerm(x))
 
 
-def test_kl_column_matches_the_bruhat_leq_table_and_leaves_the_cache_alone():
+def _no_bruhat_order(ywin, wwin):
+    raise AssertionError("KLTable consulted weyl's Bruhat order")
+
+
+def test_kl_column_matches_the_bruhat_leq_table_without_consulting_bruhat_order(monkeypatch):
     # the oracle runs the recursion's old loop over the whole lower set of v;
     # the table reads its mu-terms per (v, s) instead, and must fill exactly
-    # the same memo entries with the same polynomials
+    # the same memo entries with the same polynomials.  The table decides
+    # Bruhat order by its own lower sets, so weyl's test raises while the
+    # column is built; the oracle, which uses it, runs after
     for r, least in ((3, 100), (4, 300), (5, 300)):
         rng = random.Random(SEED)
         w = _long_element(rng, r, 12)
         table = KLTable(r)
-        size = weyl._bruhat_cox.cache_info().currsize
-        column = {y: table.polynomial(WindowPerm(y), w) for y in table._lower_set(w.window)}
-        assert weyl._bruhat_cox.cache_info().currsize == size
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "_bruhat_cox", _no_bruhat_order)
+            column = {y: table.polynomial(WindowPerm(y), w) for y in table._lower_set(w.window)}
         oracle = oracles.kl_table_by_bruhat(r)
         assert column == {y: oracle.polynomial(WindowPerm(y), w) for y in column}
         assert len(table._memo) == len(oracle._memo)

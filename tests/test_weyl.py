@@ -65,6 +65,7 @@ RANKED = {
     "KLTable": KLTable,
     "SchurElement": lambda r: SchurElement(3, r),
     "SchurElement.zero": lambda r: SchurElement.zero(3, r),
+    "SchurElement.identity": lambda r: SchurElement.identity(3, r),
     "SchurElement.from_obj": lambda r: SchurElement.from_obj({"n": 3, "r": r, "terms": []}),
     "QTensorElement": lambda r: QTensorElement(3, r),
     "QTensorElement.zero": lambda r: QTensorElement.zero(3, r),
