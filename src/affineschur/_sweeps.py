@@ -25,7 +25,7 @@ from affineschur.laurent import Laurent, addmul_term
 from affineschur.quantum import (
     _Q, _QM1, TensorVector, UElement, _act_terms, _act_word, _apply_letter, _assoc_terms,
     _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_letter_terms, _tau_terms,
-    _theta_system, _word_images, antipode, counit, kappa, theta_iso,
+    _theta_system, _word_images, _word_str, antipode, counit, kappa, theta_iso,
 )
 from affineschur.schur import QTensorElement, Weight, act_hecke_right, act_schur_left, all_weights, omega, phi
 from affineschur.verify import sweep_keys
@@ -196,10 +196,6 @@ def _hopf_letters(n: int) -> list[tuple]:
     )
 
 
-def _letter_name(letter: tuple) -> str:
-    return letter[0] if letter[0] in ("R", "Rinv") else f"{letter[0]}{letter[1]}"
-
-
 def _coassoc_rows(n: int, window: int) -> list[tuple]:
     """The coassoc-* rows: (Delta x 1) Delta == (1 x Delta) Delta for each
     letter on every three-slot key.  Each letter memoises its coproduct
@@ -219,7 +215,7 @@ def _coassoc_rows(n: int, window: int) -> list[tuple]:
         def pairs(key: tuple) -> list:
             return [(_split_action(comps, image, key, 2), _split_action(comps, image, key, 1))]
 
-        rows.append(_row(f"coassoc-{_letter_name(letter)}", _first_failure(sweep_keys(window, 3), pairs)))
+        rows.append(_row(f"coassoc-{_word_str((letter,))}", _first_failure(sweep_keys(window, 3), pairs)))
     return rows
 
 
@@ -237,7 +233,7 @@ def _counit_antipode_rows(n: int, window: int) -> list[tuple]:
             left = left + b.scale(counit(a)).scale(coeff)
             right = right + a.scale(counit(b)).scale(coeff)
             folded = folded + (antipode(a) * b).scale(coeff)
-        name = _letter_name(letter)
+        name = _word_str((letter,))
         for label, got, want in (
             ("counit-left", left, u),
             ("counit-right", right, u),

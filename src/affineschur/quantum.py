@@ -49,13 +49,9 @@ __all__ = [
     "UElement",
     "TensorVector",
     "TensorOperator",
-    "act_V",
     "act_tensor",
     "counit",
     "antipode",
-    "y_op",
-    "weight_of",
-    "project_weight",
     "e_omega",
     "tau",
     "hecke_right_action",
@@ -147,6 +143,7 @@ class UElement(LaurentCombination):
 
     @classmethod
     def one(cls, n: int) -> "UElement":
+        cls._check_shape(n)
         return cls._raw(n, {(): {0: 1}})
 
     @classmethod
@@ -230,6 +227,7 @@ class TensorVector(LaurentCombination):
     @classmethod
     def unit(cls, n: int, key: Sequence[int]) -> "TensorVector":
         key = tuple(int(t) for t in key)
+        cls._check_shape(n, len(key))
         return cls._raw(n, len(key), {key: {0: 1}})
 
     def coeff(self, key: Sequence[int]) -> Laurent:
@@ -333,12 +331,6 @@ def _word_images(suffixes: tuple, terms: dict, apply: Callable[[dict, object], d
     return images
 
 
-def act_V(n: int, letter: tuple[str, int], t: int) -> TensorVector:
-    """A single generator letter applied to e_t in the natural module."""
-    word = GeneratorWord(n, [letter])
-    return TensorVector._raw(n, 1, _act_word(word.letters, {(int(t),): {0: 1}}, n))
-
-
 def _combine(combo: dict, image: Callable[[tuple], dict]) -> dict:
     """sum(cw * image(index)) over a raw combination {index: cw}: the words
     of an algebra element, or the keys of a tensor vector."""
@@ -406,28 +398,6 @@ def _coproduct(letter: tuple[str, int], n: int) -> list[tuple[tuple, tuple, int]
         ]
     # grouplikes
     return [((letter,), (letter,), 1)]
-
-
-def y_op(n: int, r: int, t: int) -> TensorOperator:
-    """The commuting endomorphism shifting index t down by one period."""
-    if not 1 <= t <= r:
-        raise ValueError(f"slot {t} out of range 1..{r}")
-    return TensorOperator(
-        n, r, lambda key: TensorVector._raw(n, r, kernels.tensor_shift_slot({key: {0: 1}}, t - 1, -n))
-    )
-
-
-def weight_of(key: Sequence[int], n: int) -> Weight:
-    """Residue counts of the key mod n."""
-    return Weight.of_key(tuple(key), n)
-
-
-def project_weight(x: TensorVector, lam: Weight) -> TensorVector:
-    """Keep the keys whose residue counts equal lam."""
-    if lam.n != x.n or lam.r != x.r:
-        raise ValueError("shape mismatch")
-    out = {k: dict(c) for k, c in x._terms.items() if Weight.of_key(k, x.n).parts == lam.parts}
-    return TensorVector._raw(x.n, x.r, out)
 
 
 # ---------------------------------------------------------------------------

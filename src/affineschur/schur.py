@@ -26,7 +26,6 @@ from affineschur.weyl import (
     WindowPerm,
     _coset_split,
     _is_double_coset_top,
-    coset_decompose,
     double_coset,
     double_coset_rep,
     longest_double_coset_elt,
@@ -39,11 +38,9 @@ __all__ = [
     "all_weights",
     "young_parabolic",
     "phi",
-    "phi_value",
     "SchurElement",
     "schur_mul",
     "embed_hecke",
-    "is_finite_type",
     "theta",
     "QTensorElement",
     "act_schur_left",
@@ -143,25 +140,12 @@ def _phi_value_cached(r: int, lparts, mparts, dwin) -> HeckeElement:
     return HeckeElement._raw(r, {w.window: one for w in double_coset(d, left, right)})
 
 
-def phi_value(lam: Weight, mu: Weight, d: WindowPerm) -> HeckeElement:
-    """The image of x_mu: the sum of T_w over the double coset of d."""
-    if lam.r != mu.r or d.r != lam.r:
-        raise ValueError("rank mismatch")
-    dbar = double_coset_rep(d, young_parabolic(lam), young_parabolic(mu))
-    return _phi_value_cached(lam.r, lam.parts, mu.parts, dbar.window)
-
-
-def phi(lam: Weight, mu: Weight, d: WindowPerm, strict: bool = False) -> "SchurElement":
-    """The basis element phi^d_{lam,mu} as a one-term SchurElement.
-
-    d is normalized to its distinguished double-coset representative;
-    strict=True instead rejects non-distinguished input.
-    """
+def phi(lam: Weight, mu: Weight, d: WindowPerm) -> "SchurElement":
+    """The basis element phi^d_{lam,mu} as a one-term SchurElement; d is
+    normalized to its distinguished double-coset representative."""
     if lam.n != mu.n or lam.r != mu.r:
         raise ValueError("weight shape mismatch")
     dbar = double_coset_rep(d, young_parabolic(lam), young_parabolic(mu))
-    if strict and dbar != d:
-        raise ValueError(f"{d!r} is not distinguished for this weight pair")
     return SchurElement._raw(
         lam.n, lam.r, {(lam.parts, mu.parts, dbar.window): {0: 1}}
     )
@@ -326,11 +310,6 @@ def embed_hecke(h: HeckeElement, n: int) -> SchurElement:
     return SchurElement._raw(n, h.r, terms)
 
 
-def is_finite_type(e: SchurElement) -> bool:
-    """True when every key's d lies in the finite symmetric group."""
-    return all(all(1 <= t <= e.r for t in dwin) for (_, _, dwin) in e._terms)
-
-
 def theta(lam: Weight, mu: Weight, d: WindowPerm, table: KLTable) -> SchurElement:
     """The KL-type basis element: a triangular combination of phi^z over the
     double cosets whose longest element sits below the longest element of
@@ -386,10 +365,8 @@ class QTensorElement(LaurentCombination):
     @classmethod
     def basis(cls, lam: Weight, d: WindowPerm) -> "QTensorElement":
         """x_lambda T_d; a parabolic part of d is absorbed as a power of q."""
-        u, dd = coset_decompose(d, young_parabolic(lam))
-        return cls._raw(
-            lam.n, lam.r, {(lam.parts, dd.window): {2 * u.length(): 1}}
-        )
+        k, dwin = _coset_split(d.window, sorted(young_parabolic(lam).generators))
+        return cls._raw(lam.n, lam.r, {(lam.parts, dwin): {2 * k: 1}})
 
     def coeff(self, lam: Weight, d: WindowPerm) -> Laurent:
         return Laurent(self._terms.get((lam.parts, d.window), {}))

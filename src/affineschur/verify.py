@@ -55,6 +55,15 @@ __all__ = ["SuiteReport", "SUITES", "run_suite", "run_all"]
 
 DEFAULT_SEED = 20250825
 
+# the suites' fixed sizes, each written into its report's parameters: the
+# length bound of weyl-core's coset pool, hecke-core's seeded associativity
+# triples, the rank and parabolic block whose elements kl pairs up, and
+# schur-core's samples of the sandwich identity
+WEYL_COSET_LEN = 6
+HECKE_TRIPLES = 200
+KL_R, KL_BLOCK = 5, (1, 2, 3)
+SCHUR_SAMPLES = 50
+
 
 @dataclass
 class SuiteReport:
@@ -142,7 +151,7 @@ def _finish(suite: str, parameters: dict, rec: _Recorder, t0: float) -> SuiteRep
 # weyl-core
 
 
-def run_weyl_core(r: int = 3, length: int = 8, coset_len: int = 6, **_) -> SuiteReport:
+def run_weyl_core(r: int = 3, length: int = 8) -> SuiteReport:
     t0 = time.time()
     rec = _Recorder()
     gens = [kernels.win_offsets(WindowPerm.s(r, i).window) for i in range(1, r + 1)]
@@ -187,7 +196,7 @@ def run_weyl_core(r: int = 3, length: int = 8, coset_len: int = 6, **_) -> Suite
     rec.guard("descents-match-length-drop", check_descents)
 
     def check_cosets():
-        pool = enumerate_up_to_length(r, coset_len, extended=True, rho_bound=1)
+        pool = enumerate_up_to_length(r, WEYL_COSET_LEN, extended=True, rho_bound=1)
         for pi in all_proper_parabolics(r):
             members = {x.window for x in pi.elements()}
             for w in pool:
@@ -233,7 +242,7 @@ def run_weyl_core(r: int = 3, length: int = 8, coset_len: int = 6, **_) -> Suite
 
     rec.guard("rank-two-rejected", check_rank_two)
 
-    return _finish("weyl-core", {"r": r, "len": length, "coset_len": coset_len}, rec, t0)
+    return _finish("weyl-core", {"r": r, "len": length, "coset_len": WEYL_COSET_LEN}, rec, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +271,14 @@ def _convolve(a: dict, b: dict) -> dict:
     return out
 
 
-def run_hecke_core(r: int = 3, seed: int = DEFAULT_SEED, triples: int = 200, **_) -> SuiteReport:
+def run_hecke_core(r: int = 3, seed: int = DEFAULT_SEED) -> SuiteReport:
     t0 = time.time()
     rec = _Recorder()
     rng = random.Random(seed)
     pool = enumerate_up_to_length(r, 4, extended=True, rho_bound=2)
 
     def check_assoc():
-        for k in range(triples):
+        for k in range(HECKE_TRIPLES):
             a, b, c = (_random_hecke(rng, r, pool) for _ in range(3))
             if (a * b) * c != a * (b * c):
                 return False, {"triple": k}
@@ -344,7 +353,7 @@ def run_hecke_core(r: int = 3, seed: int = DEFAULT_SEED, triples: int = 200, **_
 
     rec.guard("translation-product-central", check_center)
 
-    return _finish("hecke-core", {"r": r, "seed": seed, "triples": triples}, rec, t0)
+    return _finish("hecke-core", {"r": r, "seed": seed, "triples": HECKE_TRIPLES}, rec, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +393,11 @@ def _kl_by_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
     return out
 
 
-def run_kl(r: int = 5, block: Iterable[int] = (1, 2, 3), **_) -> SuiteReport:
+def run_kl() -> SuiteReport:
     t0 = time.time()
     rec = _Recorder()
-    pi = ParabolicIndex(r, block)
+    r = KL_R
+    pi = ParabolicIndex(r, KL_BLOCK)
     elems = sorted(pi.elements(), key=lambda w: (w.length(), w.window))
     table = KLTable(r)
     one_plus_q = Laurent({0: 1, 2: 1})
@@ -430,14 +440,14 @@ def run_kl(r: int = 5, block: Iterable[int] = (1, 2, 3), **_) -> SuiteReport:
 
     rec.guard("exactly-two-singular-elements", check_singular)
 
-    return _finish("kl", {"r": r, "block": sorted(block)}, rec, t0)
+    return _finish("kl", {"r": r, "block": list(KL_BLOCK)}, rec, t0)
 
 
 # ---------------------------------------------------------------------------
 # schur-core
 
 
-def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED, samples: int = 50, **_) -> SuiteReport:
+def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED) -> SuiteReport:
     from affineschur.schur import (
         SchurElement,
         all_weights,
@@ -487,7 +497,7 @@ def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED, samples: in
 
     def check_poincare():
         pool = enumerate_up_to_length(r, 4, extended=True, rho_bound=1)
-        for k in range(samples):
+        for k in range(SCHUR_SAMPLES):
             lam, mu = rng.choice(lams), rng.choice(lams)
             pl, pm = young_parabolic(lam), young_parabolic(mu)
             d = double_coset_rep(rng.choice(pool), pl, pm)
@@ -574,7 +584,7 @@ def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED, samples: in
 
     rec.guard("narrow-column-rejected", check_narrow)
 
-    return _finish("schur-core", {"n": n, "r": r, "seed": seed, "samples": samples}, rec, t0)
+    return _finish("schur-core", {"n": n, "r": r, "seed": seed, "samples": SCHUR_SAMPLES}, rec, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +632,7 @@ def sweep_key_count(suite: str, n: int, r: int, window: int | None = None) -> in
     return total
 
 
-def run_hopf(n: int = 3, r: int = 3, window: int | None = None, **_) -> SuiteReport:
+def run_hopf(n: int = 3, r: int = 3, window: int | None = None) -> SuiteReport:
     from affineschur._sweeps import verify_hopf
 
     t0 = time.time()
@@ -633,7 +643,7 @@ def run_hopf(n: int = 3, r: int = 3, window: int | None = None, **_) -> SuiteRep
 
 
 def run_duality(
-    n: int = 3, r: int = 3, length: int = 3, window: int | None = None, seed: int = DEFAULT_SEED, **_
+    n: int = 3, r: int = 3, length: int = 3, window: int | None = None, seed: int = DEFAULT_SEED
 ) -> SuiteReport:
     from affineschur._sweeps import verify_affine_duality
 
@@ -659,6 +669,9 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 
 
 def run_suite(name: str, **params) -> SuiteReport:
+    """One suite in the calling process.  A suite takes only the parameters
+    it reads, the ones the command line can pass; any other raises
+    TypeError before the suite starts."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](**params)

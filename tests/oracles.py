@@ -605,7 +605,6 @@ def presentation_rows(n: int, r: int, keyset, sample_keys) -> list[tuple]:
         TensorVector,
         _bernstein_assoc,
         _RightMemo,
-        y_op,
     )
 
     right_of: dict[int, _RightMemo] = {}
@@ -1129,7 +1128,6 @@ def _term_operator(n: int, r: int, lparts: tuple, mparts: tuple, dwin: tuple):
         TensorOperator,
         TensorVector,
         _poincare_of_conjugated,
-        project_weight,
         tau,
     )
     from affineschur.schur import QTensorElement, Weight, act_schur_left, omega, phi, young_parabolic
@@ -1753,3 +1751,59 @@ def parabolic_longest_element_first_form(pi):
         if i is None:
             return w
         w = w * WindowPerm.s(pi.r, i)
+
+
+# ---------------------------------------------------------------------------
+# Helpers the library once exported though only the tests called them: the
+# natural module, the translation operators and the weight projection on
+# tensor space, the value of a phi basis element at x_mu, and the
+# finite-type predicate of a Schur element.
+
+
+def act_V(n: int, letter: tuple, t: int):
+    """A single generator letter applied to e_t in the natural module."""
+    from affineschur.quantum import GeneratorWord, TensorVector, UElement, act_tensor
+
+    return act_tensor(UElement.from_word(GeneratorWord(n, [letter])), TensorVector.unit(n, (t,)))
+
+
+def y_op(n: int, r: int, t: int):
+    """The commuting endomorphism shifting index t down by one period,
+    through the kernel the library's translations use, so a corrupted
+    kernel reaches both sides of a check."""
+    from affineschur._backend import kernels
+    from affineschur.quantum import TensorOperator, TensorVector
+
+    if not 1 <= t <= r:
+        raise ValueError(f"slot {t} out of range 1..{r}")
+    return TensorOperator(
+        n, r, lambda key: TensorVector._raw(n, r, kernels.tensor_shift_slot({key: {0: 1}}, t - 1, -n))
+    )
+
+
+def project_weight(x, lam):
+    """Keep the keys of a tensor vector whose residue counts equal lam."""
+    from affineschur.quantum import TensorVector
+    from affineschur.schur import Weight
+
+    if lam.n != x.n or lam.r != x.r:
+        raise ValueError("shape mismatch")
+    out = {k: dict(c) for k, c in x._terms.items() if Weight.of_key(k, x.n).parts == lam.parts}
+    return TensorVector._raw(x.n, x.r, out)
+
+
+def phi_value(lam, mu, d):
+    """The image of x_mu under phi^d_{lam,mu}: the sum of T_w over the
+    double coset of d, read from the library's table."""
+    from affineschur.schur import _phi_value_cached, young_parabolic
+    from affineschur.weyl import double_coset_rep
+
+    if lam.r != mu.r or d.r != lam.r:
+        raise ValueError("rank mismatch")
+    dbar = double_coset_rep(d, young_parabolic(lam), young_parabolic(mu))
+    return _phi_value_cached(lam.r, lam.parts, mu.parts, dbar.window)
+
+
+def is_finite_type(e) -> bool:
+    """True when every key's d lies in the finite symmetric group."""
+    return all(all(1 <= t <= e.r for t in dwin) for (_, _, dwin) in e._terms)

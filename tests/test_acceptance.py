@@ -37,7 +37,7 @@ def test_criterion_1_weyl_core_both_ranks():
 
 
 def test_criterion_2_hecke_core():
-    rep = run_hecke_core(r=3, triples=200)
+    rep = run_hecke_core(r=3)
     names = {name for name, _, _ in rep.checks}
     # the whole presentation family must actually be exercised
     for family in (
@@ -60,7 +60,7 @@ def test_criterion_3_kl_oracle():
 
 
 def test_criterion_4_schur_core():
-    _record("criterion 4: schur-core n=r=3", [run_schur_core(samples=50)])
+    _record("criterion 4: schur-core n=r=3", [run_schur_core()])
 
 
 def test_criterion_5_hopf_both_sizes(monkeypatch):

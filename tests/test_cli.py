@@ -425,6 +425,49 @@ def test_default_and_given_seed_reach_the_suite(suite, monkeypatch, capsys):
     assert seen == [cli.DEFAULT_SEED, 7]
 
 
+@pytest.mark.parametrize(
+    "suite, unread",
+    [
+        ("weyl-core", {"coset_len": 6}),
+        ("hecke-core", {"triples": 200}),
+        ("kl", {"block": (1, 2, 3)}),
+        ("schur-core", {"samples": 50}),
+        ("hopf", {"seed": 7}),
+        ("duality", {"samples": 2}),
+    ],
+)
+def test_run_suite_refuses_a_parameter_its_suite_does_not_read(suite, unread, monkeypatch):
+    from affineschur import verify
+
+    def refuse(*args, **kw):
+        raise AssertionError("the suite must not start")
+
+    # every suite builds its recorder before its first check
+    monkeypatch.setattr(verify, "_Recorder", refuse)
+    with pytest.raises(TypeError, match=next(iter(unread))):
+        verify.run_suite(suite, **unread)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", suite] for suite in ("weyl-core", "hecke-core", "kl", "schur-core", "hopf", "duality")]
+    + [["schur", "verify"], ["quantum", "verify-hopf"], ["quantum", "verify-duality"]],
+)
+def test_every_parameter_the_command_line_passes_is_read_by_its_suite(argv, monkeypatch, capsys):
+    import inspect
+
+    import affineschur.cli as cli
+    from affineschur.verify import SUITES, SuiteReport
+
+    def bind(name, **kw):
+        inspect.signature(SUITES[name]).bind(**kw)
+        return SuiteReport(name, kw, [], 0.0)
+
+    monkeypatch.setattr(cli, "run_suite", bind)
+    code, _, err = invoke(argv + ["--json"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0, err
+
+
 PAYLOAD_VERBS = (
     [("weyl", verb) for verb in ("length", "word", "compose", "coset")]
     + [("hecke", verb) for verb in ("mul", "xlambda", "kl")]

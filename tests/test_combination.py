@@ -253,11 +253,19 @@ BAD_SHAPES = {
 
 
 def test_the_schur_identity_refuses_what_the_constructor_refuses():
-    for shape in BAD_SHAPES[SchurElement]:
-        with pytest.raises(ValueError) as want:
-            SchurElement(*shape)
-        with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            SchurElement.identity(*shape)
+    # so do the algebra's one and the tensor unit vectors, whose key's
+    # length is the rank r
+    ones = [
+        (SchurElement, SchurElement.identity),
+        (UElement, UElement.one),
+        (TensorVector, lambda n, r: TensorVector.unit(n, range(1, r + 1))),
+    ]
+    for cls, one in ones:
+        for shape in BAD_SHAPES[cls]:
+            with pytest.raises(ValueError) as want:
+                cls(*shape)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                one(*shape)
 
 
 def test_out_of_domain_shapes_are_refused(pair):

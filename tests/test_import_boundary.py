@@ -7,7 +7,8 @@ mathematics must not depend on the checks that verify it; and the package
 runs on its one kernel module, the one the benchmark stamps.  Every name a
 module exports in __all__ exists, so `from ... import *` survives a
 deletion, and every name a module imports is read, so a deletion leaves no
-stale import behind.
+stale import behind.  Every exported name also has a caller outside the
+tests, so the package exports no API that only its tests use.
 """
 
 import ast
@@ -106,13 +107,18 @@ def _imports(node, scope, out: list) -> list:
     return out
 
 
+def _exports(tree) -> list:
+    """The names a module lists in __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def _unused_imports(tree) -> list:
     """(line, name) for each name an import binds and its scope never reads.
     Names in __all__ count as read at module level."""
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
+    exported = set(_exports(tree))
     unused = []
     for scope, node in _imports(tree, tree, []):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -131,3 +137,26 @@ SOURCES = sorted(pathlib.Path(affineschur.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     assert not _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _references(tree) -> set:
+    """The names a module reads, as a Name, an Attribute or an import; a
+    def, a class and a string in __all__ are none of these."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            refs.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return refs
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # the callers: the package itself, the benchmark harness and the tools
+    root = pathlib.Path(SRC).parent
+    callers = [p for d in ("src", "perfbench", "tools") for p in sorted((root / d).rglob("*.py"))]
+    refs = set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for p in callers))
+    unused = [f"{p.stem}.{name}" for p in SOURCES for name in _exports(ast.parse(p.read_text())) if name not in refs]
+    assert not unused, unused

@@ -12,16 +12,13 @@ from affineschur.quantum import (
     TensorVector,
     UElement,
     act_tensor,
-    act_V,
     antipode,
     counit,
     e_omega,
-    project_weight,
-    weight_of,
-    y_op,
 )
 from affineschur.schur import Weight
 
+from oracles import act_V, project_weight, y_op
 from sweep_cache import cached_verify_hopf
 
 N = 3
@@ -118,11 +115,11 @@ def test_weight_bookkeeping():
     rng = random.Random(3)
     for _ in range(25):
         key = tuple(rng.randrange(-4, 9) for _ in range(3))
-        lam = weight_of(key, N)
+        lam = Weight.of_key(key, N)
         for i in (1, 2, 3):
             moved = act_tensor(UElement.E(N, i), TensorVector.unit(N, key))
             for k2, _ in moved.items():
-                mu = weight_of(k2, N)
+                mu = Weight.of_key(k2, N)
                 before, after = list(lam.parts), list(mu.parts)
                 before[i - 1] += 1
                 before[i % N] -= 1

@@ -27,7 +27,6 @@ from affineschur.schur import (
     act_schur_left,
     all_weights,
     phi,
-    phi_value,
     schur_mul,
     young_parabolic,
 )
@@ -37,6 +36,7 @@ from oracles import (
     act_schur_left_by_terms,
     expand_phi_by_peel,
     extract_right_factor_by_peel,
+    phi_value,
     schur_mul_by_peel,
 )
 

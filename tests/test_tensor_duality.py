@@ -36,7 +36,6 @@ from affineschur.quantum import (
     theta_iso,
     theta_iso_basis,
     theta_iso_inverse,
-    y_op,
 )
 from affineschur.schur import (
     QTensorElement,
@@ -50,7 +49,7 @@ from affineschur.schur import (
     young_parabolic,
 )
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
-from oracles import kappa_by_operators, theta_iso_by_kappa
+from oracles import kappa_by_operators, theta_iso_by_kappa, y_op
 
 N = R = 3
 OM = omega(N, R)
