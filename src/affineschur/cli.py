@@ -16,8 +16,8 @@ import sys
 
 from affineschur.hecke import HeckeElement, KLTable, x_lambda
 from affineschur.laurent import payload_int
-from affineschur.verify import DEFAULT_SEED, SUITES, SWEEP_KEY_BUDGET, SuiteReport, sweep_key_count
-from affineschur.verify import run_all, run_suite
+from affineschur.verify import DEFAULT_SEED, SUITES, SWEEP_KEY_BUDGET, SuiteReport
+from affineschur.verify import run_all, run_suite, suite_params
 from affineschur.weyl import ParabolicIndex, WindowPerm, coset_decompose
 
 __all__ = ["main", "run"]
@@ -31,10 +31,6 @@ THETA_NOTE = (
     "u's coset."
 )
 
-
-# the Hopf relation rows visit (2 * window + 1)^k keys for every k <= r
-HOPF_MAX_R = 3
-
 BUDGET_NOTE = (
     f"hopf and duality refuse a sweep of more than {SWEEP_KEY_BUDGET} tensor keys: "
     "for hopf the sum over k <= r of (2W+1)^k, plus (2W+1)^3 when r < 3, since "
@@ -42,15 +38,9 @@ BUDGET_NOTE = (
     "W = --window (default 2n)"
 )
 
-# the suites that read each flag; the other suites and every payload verb
-# (which reads none) refuse it when it is given
-_FLAG_READERS = {
-    "n": ("schur-core", "hopf", "duality"),
-    "r": ("weyl-core", "hecke-core", "schur-core", "hopf", "duality"),
-    "len": ("weyl-core", "duality"),
-    "window": ("hopf", "duality"),
-    "seed": ("all", "hecke-core", "schur-core", "duality"),
-}
+# the suite parameter each flag sets; a suite reads the parameters of its
+# runner (verify.suite_params), and a payload verb reads none
+_FLAG_PARAMS = {"n": "n", "r": "r", "len": "length", "window": "window", "seed": "seed"}
 
 
 class InputError(ValueError):
@@ -71,14 +61,20 @@ def _require(ok: bool, why: str) -> None:
         raise InputError(why)
 
 
-def _refuse_unread(name: str, args) -> None:
-    for flag, readers in _FLAG_READERS.items():
-        if getattr(args, flag) is not None and name not in readers:
-            raise InputError(f"--{flag} is not read by {name}")
+def _given(args, reads, who: str) -> dict:
+    """The suite parameters the given flags set; a flag that sets a
+    parameter outside reads is refused."""
+    given = {}
+    for flag, param in _FLAG_PARAMS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            _require(param in reads, f"--{flag} is not read by {who}")
+            given[param] = value
+    return given
 
 
 def _read_payload(args) -> object:
-    _refuse_unread(f"{args.command} {args.verb}", args)
+    _given(args, (), f"{args.command} {args.verb}")
     text = sys.stdin.read()
     if not text.strip():
         raise InputError("expected a JSON payload on stdin")
@@ -166,7 +162,7 @@ def _cmd_schur(args) -> int:
     from affineschur.schur import SchurElement, Weight, phi, theta
 
     if args.verb == "verify":
-        return _run_reports([run_suite("schur-core", **_suite_params("schur-core", args))], args)
+        return _verify("schur-core", args)
     payload = _read_payload(args)
     if args.verb == "mul":
         out = _product(payload, "schur mul", SchurElement.from_obj, lambda s: (s.n, s.r))
@@ -192,8 +188,7 @@ def _cmd_quantum(args) -> int:
     from affineschur.schur import SchurElement, Weight
 
     if args.verb in ("verify-hopf", "verify-duality"):
-        suite = args.verb[len("verify-"):]
-        return _run_reports([run_suite(suite, **_suite_params(suite, args))], args)
+        return _verify(args.verb[len("verify-"):], args)
     payload = _read_payload(args)
     if args.verb == "act":
         if not isinstance(payload, dict) or "element" not in payload or "vector" not in payload:
@@ -237,54 +232,6 @@ def _cmd_quantum(args) -> int:
 # verification verbs
 
 
-def _suite_params(name: str, args) -> dict:
-    _refuse_unread(name, args)
-    if args.len is not None and args.len < 1:
-        raise InputError(f"--len is a length bound >= 1, got --len {args.len}")
-    n = args.n if args.n is not None else 3
-    r = args.r if args.r is not None else 3
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    if name == "all":
-        return {"seed": seed}
-    if name == "weyl-core":
-        return {"r": r, "length": args.len if args.len is not None else 8}
-    if name == "hecke-core":
-        return {"r": r, "seed": seed}
-    if name == "kl":
-        return {}
-    if name == "schur-core":
-        return {"n": n, "r": r, "seed": seed}
-    if n < 1:
-        raise InputError(f"{name} needs --n >= 1, got --n {n}")
-    if args.window is not None and args.window < 0:
-        raise InputError(f"--window is a half-width >= 0, got --window {args.window}")
-    if name == "hopf":
-        # the relation table is that of type A_{n-1}^(1) with n >= 3: the
-        # Serre rows are cubic, and only |i - j| = 1 mod n pairs fail to commute
-        if n < 3:
-            raise InputError(f"hopf checks the relations that hold for --n >= 3, got --n {n}")
-        if not 1 <= r <= HOPF_MAX_R:
-            raise InputError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
-        params = {"n": n, "r": r, "window": args.window}
-    else:
-        if not 3 <= r <= n:
-            raise InputError(f"duality needs 3 <= r <= n, got --n {n} --r {r}")
-        length = args.len if args.len is not None else 3
-        params = {"n": n, "r": r, "length": length, "window": args.window, "seed": seed}
-    if sweep_key_count(name, n, r, args.window) > SWEEP_KEY_BUDGET:
-        raise InputError(
-            f"the {name} sweep would visit more than {SWEEP_KEY_BUDGET} keys; lower --window, --n or --r"
-        )
-    # the duality rows are taken on the keys of weight omega, which need
-    # every residue 1..r mod n among -W..W (the default W = 2n has them all)
-    w = args.window
-    if name == "duality" and w is not None and {i % n for i in range(1, r + 1)} - {t % n for t in range(-w, w + 1)}:
-        raise InputError(
-            f"duality needs a key of weight omega, residues 1..r mod n in -W..W; got --n {n} --r {r} --window {w}"
-        )
-    return params
-
-
 def _run_reports(reports: list[SuiteReport], args) -> int:
     for rep in reports:
         sys.stderr.write(f"[{rep.suite}] {rep.wall_time:.2f}s\n")
@@ -301,16 +248,18 @@ def _run_reports(reports: list[SuiteReport], args) -> int:
     return 0 if all(rep.ok() for rep in reports) else 1
 
 
-def _cmd_verify(args) -> int:
-    params = _suite_params(args.suite, args)
-    if args.suite == "all":
+def _verify(name: str, args) -> int:
+    """Suite name, or the gate for 'all', on the parameters the flags set."""
+    given = _given(args, suite_params(name), name)
+    params = _decode(lambda: suite_params(name, **given))
+    if name == "all":
         try:
             reports = run_all(**params)
         except RuntimeError as exc:  # a suite worker died (BrokenProcessPool): a crashed check
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
             return 1
         return _run_reports(reports, args)
-    return _run_reports([run_suite(args.suite, **params)], args)
+    return _run_reports([run_suite(name, **params)], args)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named verification suite", epilog=BUDGET_NOTE)
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     _add_common(verify)
-    verify.set_defaults(fn=_cmd_verify)
+    verify.set_defaults(fn=lambda args: _verify(args.suite, args))
 
     return top
 

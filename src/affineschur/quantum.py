@@ -281,10 +281,7 @@ class TensorOperator:
     def __call__(self, x: TensorVector) -> TensorVector:
         if (x.n, x.r) != (self.n, self.r):
             raise ValueError("shape mismatch")
-        total: dict[tuple, dict[int, int]] = {}
-        for key, c in x._terms.items():
-            addmul_into(total, self._fn(key)._terms, c)
-        return TensorVector._raw(self.n, self.r, total)
+        return TensorVector._raw(self.n, self.r, _combine(x._terms, lambda key: self._fn(key)._terms))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def phi(lam: Weight, mu: Weight, d: WindowPerm) -> "SchurElement":
     normalized to its distinguished double-coset representative."""
     if lam.n != mu.n or lam.r != mu.r:
         raise ValueError("weight shape mismatch")
+    if d.r != lam.r:
+        raise ValueError("rank mismatch")
     dbar = double_coset_rep(d, young_parabolic(lam), young_parabolic(mu))
     return SchurElement._raw(
         lam.n, lam.r, {(lam.parts, mu.parts, dbar.window): {0: 1}}
@@ -365,6 +367,8 @@ class QTensorElement(LaurentCombination):
     @classmethod
     def basis(cls, lam: Weight, d: WindowPerm) -> "QTensorElement":
         """x_lambda T_d; a parabolic part of d is absorbed as a power of q."""
+        if d.r != lam.r:
+            raise ValueError("rank mismatch")
         k, dwin = _coset_split(d.window, sorted(young_parabolic(lam).generators))
         return cls._raw(lam.n, lam.r, {(lam.parts, dwin): {2 * k: 1}})
 

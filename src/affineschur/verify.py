@@ -17,11 +17,13 @@ over the same ranks.
 
 run_all runs its eight suites side by side in worker processes, one per
 available CPU, longest first, and returns the reports in report order;
-run_suite runs one suite in the calling process.
+run_suite runs one suite in the calling process.  It, like the command
+line, takes the parameters suite_params binds over the runner's defaults.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import os
 import random
@@ -595,6 +597,9 @@ def run_schur_core(n: int = 3, r: int = 3, seed: int = DEFAULT_SEED) -> SuiteRep
 # sweeps visit 5,219 (hopf, n = 4) and 2,197 (duality)
 SWEEP_KEY_BUDGET = 20_000
 
+# the Hopf relation rows visit (2 * window + 1)^k keys for every k <= r
+HOPF_MAX_R = 3
+
 
 def _window_bound(n: int, window: int | None) -> int:
     return 2 * n if window is None else window
@@ -630,6 +635,47 @@ def sweep_key_count(suite: str, n: int, r: int, window: int | None = None) -> in
         if total > SWEEP_KEY_BUDGET:
             break
     return total
+
+
+def suite_params(name: str, **given) -> dict:
+    """The given parameters bound over the defaults of suite name's runner
+    (run_all for 'all'), whose signature alone states what a suite reads:
+    suite_params(name) is every parameter it reads, at its default.  One
+    the runner does not take raises TypeError, and one outside the suite's
+    domain or key budget ValueError."""
+    bound = inspect.signature(run_all if name == "all" else SUITES[name]).bind(**given)
+    bound.apply_defaults()
+    params = bound.arguments
+    length = params.get("length")
+    if length is not None and length < 1:
+        raise ValueError(f"--len is a length bound >= 1, got --len {length}")
+    if name not in ("hopf", "duality"):
+        return params
+    n, r, window = params["n"], params["r"], params["window"]
+    if n < 1:
+        raise ValueError(f"{name} needs --n >= 1, got --n {n}")
+    if window is not None and window < 0:
+        raise ValueError(f"--window is a half-width >= 0, got --window {window}")
+    if name == "hopf":
+        # the relation table is that of type A_{n-1}^(1) with n >= 3: the
+        # Serre rows are cubic, and only |i - j| = 1 mod n pairs fail to commute
+        if n < 3:
+            raise ValueError(f"hopf checks the relations that hold for --n >= 3, got --n {n}")
+        if not 1 <= r <= HOPF_MAX_R:
+            raise ValueError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
+    elif not 3 <= r <= n:
+        raise ValueError(f"duality needs 3 <= r <= n, got --n {n} --r {r}")
+    if sweep_key_count(name, n, r, window) > SWEEP_KEY_BUDGET:
+        raise ValueError(f"the {name} sweep would visit more than {SWEEP_KEY_BUDGET} keys; lower --window, --n or --r")
+    # the duality rows are taken on the keys of weight omega, which need
+    # every residue 1..r mod n among -W..W; when 2W + 1 < n, -W..W misses
+    # just W + 1..n - W - 1, and the default W = 2n misses none
+    w = _window_bound(n, window)
+    if name == "duality" and 2 * w + 1 < n and r > w:
+        raise ValueError(
+            f"duality needs a key of weight omega, residues 1..r mod n in -W..W; got --n {n} --r {r} --window {w}"
+        )
+    return params
 
 
 def run_hopf(n: int = 3, r: int = 3, window: int | None = None) -> SuiteReport:
@@ -669,12 +715,12 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
 
 
 def run_suite(name: str, **params) -> SuiteReport:
-    """One suite in the calling process.  A suite takes only the parameters
-    it reads, the ones the command line can pass; any other raises
-    TypeError before the suite starts."""
+    """One suite in the calling process, on suite_params(name, **params): a
+    parameter the suite does not read raises TypeError, and one outside its
+    domain or budget ValueError, before the suite starts."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](**params)
+    return SUITES[name](**suite_params(name, **params))
 
 
 def _all_jobs(seed: int) -> list[tuple[str, dict]]:

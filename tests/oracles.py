@@ -154,7 +154,8 @@ def kl_by_bar_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
         if y == w:
             continue
         ly = y.length()
-        assert bar_t[y].coeff(y) == Laurent.v(-2 * ly), "bar is not unitriangular"
+        if bar_t[y].coeff(y) != Laurent.v(-2 * ly):
+            raise ArithmeticError("bar is not unitriangular")
         m = lw - ly
         big = Laurent.zero()
         for z in lower:
@@ -162,16 +163,21 @@ def kl_by_bar_involution(w: WindowPerm) -> dict[WindowPerm, Laurent]:
                 continue
             coeff = bar_t[z].coeff(y)
             if z.length() <= ly:
-                assert coeff.is_zero(), "bar is not triangular"
+                if not coeff.is_zero():
+                    raise ArithmeticError("bar is not triangular")
                 continue
             if coeff:
                 big = big + coeff * out[z].bar()
         big = big.shift(2 * lw)
         low = Laurent({e: c for e, c in big.items() if e < m})
-        assert big.coeff(m) == 0, "bar equation has a middle term"
-        assert big - low == -low.bar().shift(2 * m), "bar equation inconsistent"
-        assert all(e % 2 == 0 and 0 <= e < m for e, _ in low.items()), "not a bounded q-polynomial"
-        assert low.coeff(0) == 1, "constant term of a KL polynomial must be 1"
+        if big.coeff(m) != 0:
+            raise ArithmeticError("bar equation has a middle term")
+        if big - low != -low.bar().shift(2 * m):
+            raise ArithmeticError("bar equation inconsistent")
+        if not all(e % 2 == 0 and 0 <= e < m for e, _ in low.items()):
+            raise ArithmeticError("not a bounded q-polynomial")
+        if low.coeff(0) != 1:
+            raise ArithmeticError("constant term of a KL polynomial must be 1")
         out[y] = low
     return out
 

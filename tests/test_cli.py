@@ -299,6 +299,49 @@ def test_out_of_domain_sweep_exits_two_before_any_work(argv, reason, monkeypatch
     assert reason in err
 
 
+# the argument lists of the two command line tests above and of the hopf
+# rank test, as run_suite's parameters: the library entry refuses them too
+@pytest.mark.parametrize(
+    "suite, params, reason",
+    [
+        ("duality", {"n": 8, "r": 8}, "more than 20000 keys"),
+        ("duality", {"n": 4, "r": 4}, "more than 20000 keys"),
+        ("duality", {"n": 10**9, "r": 10**9}, "more than 20000 keys"),
+        ("hopf", {"window": 30}, "more than 20000 keys"),
+        ("hopf", {"n": 4, "window": 13}, "more than 20000 keys"),
+        ("hopf", {"r": 1, "window": 60}, "more than 20000 keys"),
+        ("hopf", {"n": 0, "r": 1, "window": 1}, "--n >= 1"),
+        ("hopf", {"n": -2}, "--n >= 1"),
+        ("duality", {"n": 2, "r": 3}, "3 <= r <= n"),
+        ("duality", {"r": 0, "window": 1}, "3 <= r <= n"),
+        ("duality", {"n": 4, "r": 2}, "3 <= r <= n"),
+        ("duality", {"window": -1}, "half-width >= 0"),
+        ("hopf", {"r": 1, "window": -3}, "half-width >= 0"),
+        ("duality", {"length": -1, "window": 1}, "length bound >= 1"),
+        ("duality", {"length": 0}, "length bound >= 1"),
+        ("duality", {"length": 0, "window": 1}, "length bound >= 1"),
+        ("weyl-core", {"length": -3}, "length bound >= 1"),
+        ("weyl-core", {"length": 0}, "length bound >= 1"),
+        ("hopf", {"n": 2, "r": 1, "window": 1}, "--n >= 3"),
+        ("hopf", {"n": 1, "r": 2, "window": 1}, "--n >= 3"),
+        ("hopf", {"n": 2}, "--n >= 3"),
+        ("hopf", {"r": 4}, "r <= 3"),
+        ("hopf", {"r": 0}, "r <= 3"),
+        ("duality", {"window": 0}, "key of weight omega"),
+        ("duality", {"n": 4, "r": 3, "window": 1}, "key of weight omega"),
+        ("duality", {"n": 5, "r": 4, "window": 1}, "key of weight omega"),
+        # one key, but a huge n: the residue test must not list the residues
+        ("duality", {"n": 10**9, "r": 10**9, "window": 0}, "key of weight omega"),
+    ],
+)
+def test_run_suite_refuses_an_out_of_domain_or_oversized_suite_before_any_work(suite, params, reason, monkeypatch):
+    from affineschur import verify
+
+    _refuse_sweeps(monkeypatch)
+    with pytest.raises(ValueError, match=reason):
+        verify.run_suite(suite, **params)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

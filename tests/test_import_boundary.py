@@ -8,7 +8,10 @@ runs on its one kernel module, the one the benchmark stamps.  Every name a
 module exports in __all__ exists, so `from ... import *` survives a
 deletion, and every name a module imports is read, so a deletion leaves no
 stale import behind.  Every exported name also has a caller outside the
-tests, so the package exports no API that only its tests use.
+tests, so the package exports no API that only its tests use.  No module
+of the package, and neither the oracles nor the sweep cache the tests
+check it against, holds an assert statement or reads __debug__, since
+python -O drops both and a check must hold under it.
 """
 
 import ast
@@ -160,3 +163,21 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     refs = set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for p in callers))
     unused = [f"{p.stem}.{name}" for p in SOURCES for name in _exports(ast.parse(p.read_text())) if name not in refs]
     assert not unused, unused
+
+
+TESTS = pathlib.Path(__file__).parent
+CHECKED_UNDER_O = sorted(pathlib.Path(SRC).rglob("*.py")) + [TESTS / "oracles.py", TESTS / "sweep_cache.py"]
+
+
+def _dropped_under_o(tree) -> list:
+    """(line, what) for each assert statement and each read of __debug__."""
+    return [
+        (node.lineno, "assert" if isinstance(node, ast.Assert) else node.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
+
+
+@pytest.mark.parametrize("path", CHECKED_UNDER_O, ids=lambda p: p.name)
+def test_no_check_is_dropped_under_o(path):
+    assert not _dropped_under_o(ast.parse(path.read_text(), filename=str(path)))

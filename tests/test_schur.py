@@ -477,6 +477,12 @@ def test_shape_mismatch_rejected():
         act_schur_left(SchurElement.identity(4, 3), QTensorElement.zero(3, 3))
 
 
+@pytest.mark.parametrize("make", [lambda lam, d: phi(lam, lam, d), QTensorElement.basis], ids=["phi", "basis"])
+def test_a_d_of_another_rank_is_refused(make):
+    with pytest.raises(ValueError, match="rank mismatch"):
+        make(Weight(3, 3, (1, 1, 1)), WindowPerm.s(4, 1))
+
+
 def test_schur_json_roundtrip():
     tbl = KLTable(R)
     a = theta(Weight(3, 3, (2, 1, 0)), OM, word(2, 1), tbl) + phi(OM, OM, WindowPerm.rho(R)).scale(
