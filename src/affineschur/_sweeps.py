@@ -17,11 +17,12 @@ differ.
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from affineschur._backend import kernels
 from affineschur.hecke import bernstein_y, bernstein_y_inverse, t_basis
-from affineschur.laurent import Laurent, addmul_term
+from affineschur.laurent import Laurent, addmul_term, quantum_integer
 from affineschur.quantum import (
     _Q, _QM1, TensorVector, UElement, _act_terms, _act_word, _apply_letter, _assoc_terms,
     _bernstein_assoc, _combine, _coproduct, _next, _RightMemo, _suffixes, _tau_letter_terms, _tau_terms,
@@ -30,9 +31,6 @@ from affineschur.quantum import (
 from affineschur.schur import QTensorElement, Weight, act_hecke_right, act_schur_left, all_weights, omega, phi
 from affineschur.verify import sweep_keys
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
-
-# v - v^-1, the denominator of the E-F commutator
-_VV = {1: 1, -1: -1}
 
 
 def _vec_obj(terms: dict) -> list:
@@ -70,56 +68,60 @@ def _rank_row(name: str, rank: int, expected: int) -> tuple:
 # hopf
 
 
+def _pairing(i: int, j: int, n: int) -> int:
+    """<eps_i, alpha_j> = delta_ij - delta_{i,j+1}: the weight eps_i against
+    the simple root alpha_j = eps_j - eps_{j+1} of type A_{n-1}^(1), indices
+    mod n.  K_i E_j = v^<eps_i, alpha_j> E_j K_i, and the Cartan matrix is
+    a_ij = <eps_i, alpha_j> - <eps_{i+1}, alpha_j>."""
+    return (i == j) - (i == _next(j, n))
+
+
+def _q_binomial(m: int, k: int) -> Laurent:
+    """[m choose k]_v = [m][m-1]...[m-k+1] / [k]!, 0 <= k <= m."""
+    top = prod((quantum_integer(m - t) for t in range(k)), start=Laurent.one())
+    return top.divexact(prod((quantum_integer(t + 1) for t in range(k)), start=Laurent.one()))
+
+
 def _relation_sides(n: int) -> list[tuple]:
-    """(name, lhs, rhs, divide) for every defining relation and E-F
-    commutator, both sides as raw {letters: coeff}; with divide set the rhs
-    image is divided by v - v^-1 (relation (5), the quantum Cartan term)."""
-    U, idx, one = UElement, range(1, n + 1), UElement.one(n)
+    """(name, lhs, rhs) for every defining relation, both sides raw
+    {letters: coeff}.  The K-twists, the E-E and F-F relations and the E-F
+    commutator come from the root datum (_pairing).  For i != j and
+    m = 1 - a_ij, x_i and x_j satisfy the quantum Serre relation
+    sum_k (-1)^k [m choose k] x_i^(m-k) x_j x_i^k = 0, its even k on the
+    left: at a_ij = 0 it says that they commute.  The E-F commutator is
+    stated times v - v^-1, which is no zero divisor on tensor space.  The
+    K- and R-inverse and R-rotation rows lie outside the datum."""
+    U, idx, one, vv = UElement, range(1, n + 1), UElement.one(n), Laurent({1: 1, -1: -1})
     E, F = (lambda i: U.E(n, i)), (lambda i: U.F(n, i))
     K, Kinv = (lambda i: U.K(n, i)), (lambda i: U.K_inv(n, i))
-    pairs = [(f"kk-commute-{i}-{j}", K(i) * K(j), K(j) * K(i)) for i in idx for j in idx]
+    pairs = [("r-inverse", U.R(n) * U.R_inv(n), one), ("r-inverse-rev", U.R_inv(n) * U.R(n), one)]
     for i in idx:
         pairs.append((f"k-inverse-{i}", K(i) * Kinv(i), one))
         pairs.append((f"k-inverse-rev-{i}", Kinv(i) * K(i), one))
-    for i in idx:
-        for j in idx:
-            eps = (1 if i == j else 0) - (1 if i == _next(j, n) else 0)
-            pairs.append((f"ke-twist-{i}-{j}", K(i) * E(j), (E(j) * K(i)).scale(Laurent.v(eps))))
-            pairs.append((f"kf-twist-{i}-{j}", K(i) * F(j), (F(j) * K(i)).scale(Laurent.v(-eps))))
-    for i in idx:
-        for j in idx:
-            if i == j or j == _next(i, n) or i == _next(j, n):
-                continue
-            pairs.append((f"ee-commute-{i}-{j}", E(i) * E(j), E(j) * E(i)))
-            pairs.append((f"ff-commute-{i}-{j}", F(i) * F(j), F(j) * F(i)))
-    vpv = Laurent({1: 1, -1: 1})
-    for i in idx:
-        for j in idx:
-            if i == j or not (j == _next(i, n) or i == _next(j, n)):
-                continue
-            for tag, X in (("e", E), ("f", F)):
-                x_i, x_j = X(i), X(j)
-                lhs = x_i * x_i * x_j + x_j * x_i * x_i
-                pairs.append((f"{tag}-serre-{i}-{j}", lhs, (x_i * x_j * x_i).scale(vpv)))
-    pairs.append(("r-inverse", U.R(n) * U.R_inv(n), one))
-    pairs.append(("r-inverse-rev", U.R_inv(n) * U.R(n), one))
-    for i in idx:
         for tag, X in (("e", E), ("f", F), ("k", K), ("kinv", Kinv)):
             pairs.append((f"r-rotate-{tag}-{i}", U.R_inv(n) * X(_next(i, n)) * U.R(n), X(i)))
-    sides = [(name, lhs._terms, rhs._terms, False) for name, lhs, rhs in pairs]
     for i in idx:
         for j in idx:
-            ip = _next(i, n)
-            cartan = K(i) * Kinv(ip) - Kinv(i) * K(ip) if i == j else U.zero(n)
-            sides.append((f"ef-commutator-{i}-{j}", (E(i) * F(j) - F(j) * E(i))._terms, cartan._terms, i == j))
-    return sides
+            e = _pairing(i, j, n)
+            m = 1 - e + _pairing(_next(i, n), j, n)  # 1 - a_ij
+            pairs.append((f"kk-commute-{i}-{j}", K(i) * K(j), K(j) * K(i)))
+            pairs.append((f"ke-twist-{i}-{j}", K(i) * E(j), (E(j) * K(i)).scale(Laurent.v(e))))
+            pairs.append((f"kf-twist-{i}-{j}", K(i) * F(j), (F(j) * K(i)).scale(Laurent.v(-e))))
+            cartan = K(i) * Kinv(_next(i, n)) - Kinv(i) * K(_next(i, n)) if i == j else U.zero(n)
+            pairs.append((f"ef-commutator-{i}-{j}", (E(i) * F(j) - F(j) * E(i)).scale(vv), cartan))
+            for kind in ("E", "F") if i != j else ():
+                x, y, tag = (kind, i), (kind, j), kind.lower()
+                name = f"{tag}{tag}-commute-{i}-{j}" if m == 1 else f"{tag}-serre-{i}-{j}"
+                terms = [((x,) * (m - k) + (y,) + (x,) * k, _q_binomial(m, k).raw()) for k in range(m + 1)]
+                pairs.append((name, U._raw(n, dict(terms[::2])), U._raw(n, dict(terms[1::2]))))
+    return [(name, lhs._terms, rhs._terms) for name, lhs, rhs in pairs]
 
 
-def _direct_pair(lhs: dict, rhs: dict, divide: bool) -> tuple | None:
+def _direct_pair(lhs: dict, rhs: dict) -> tuple | None:
     """(a, b, d) when the sides are c v^e1 a and c v^e2 b, single words a
     and b with one integer c: they agree on a key exactly when a's image
     there equals v^d times b's, d = e2 - e1.  None for any other relation."""
-    if divide or len(lhs) != 1 or len(rhs) != 1:
+    if len(lhs) != 1 or len(rhs) != 1:
         return None
     ((a, ca),), ((b, cb),) = lhs.items(), rhs.items()
     if len(ca) != 1 or len(cb) != 1:
@@ -136,13 +138,10 @@ def _relation_rows(n: int, r_max: int, window: int) -> list[tuple]:
     single words times c v^e, one c for both, compares the two word images
     directly (_direct_pair) and builds its sides through _combine only where
     they differ; the other relations always build them.  A check's witness
-    is its first failing key.  Where v - v^-1 does not divide an E-F
-    commutator's Cartan term, that key fails with the undivided term as the
-    rhs."""
+    is its first failing key."""
     sides = _relation_sides(n)
-    checks = [(name, lhs, rhs, divide, _direct_pair(lhs, rhs, divide)) for name, lhs, rhs, divide in sides]
-    suffixes = _suffixes(w for _, lhs, rhs, _ in sides for w in (*lhs, *rhs))
-    _vv = Laurent(_VV)
+    checks = [(name, lhs, rhs, _direct_pair(lhs, rhs)) for name, lhs, rhs in sides]
+    suffixes = _suffixes(w for _, lhs, rhs in sides for w in (*lhs, *rhs))
 
     def apply(terms: dict, letter: tuple) -> dict:
         return _apply_letter(terms, letter, n)
@@ -152,7 +151,7 @@ def _relation_rows(n: int, r_max: int, window: int) -> list[tuple]:
         witness: dict[str, dict] = {}
         for key in sweep_keys(window, k):
             image = _word_images(suffixes, {key: {0: 1}}, apply).__getitem__
-            for name, lhs, rhs, divide, direct in checks:
+            for name, lhs, rhs, direct in checks:
                 if name in witness:
                     continue
                 if direct is not None:
@@ -163,12 +162,6 @@ def _relation_rows(n: int, r_max: int, window: int) -> list[tuple]:
                     if image(a) == want:
                         continue
                 got, want = _combine(lhs, image), _combine(rhs, image)
-                if divide:
-                    try:
-                        want = {kk: Laurent(cc).divexact(_vv).raw() for kk, cc in want.items()}
-                    except ValueError:
-                        witness[name] = _witness(key, got, want)
-                        continue
                 if got != want:
                     witness[name] = _witness(key, got, want)
         rows.extend(_row(f"def-rel-{name}-r{k}", witness.get(name)) for name, *_ in sides)

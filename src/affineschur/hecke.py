@@ -251,6 +251,8 @@ class HeckeElement(LaurentCombination):
     # -- structure ---------------------------------------------------------
 
     def coeff(self, w: WindowPerm) -> Laurent:
+        if w.r != self.r:
+            raise ValueError("rank mismatch")
         return Laurent(self._terms.get(w.window, {}))
 
     def support(self) -> list[WindowPerm]:

@@ -179,10 +179,8 @@ class UElement(LaurentCombination):
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("alphabet mismatch")
-        out: dict[tuple, dict[int, int]] = {}
-        for w1, c1 in self._terms.items():
-            addmul_into(out, {w1 + w2: c2 for w2, c2 in other._terms.items()}, c1)
-        return UElement._raw(self.n, out)
+        right = other._terms.items()
+        return UElement._raw(self.n, _combine(self._terms, lambda w1: {w1 + w2: c2 for w2, c2 in right}))
 
     def items(self) -> list[tuple[GeneratorWord, Laurent]]:
         return [(GeneratorWord(self.n, letters), Laurent(self._terms[letters])) for letters in self._keys()]
@@ -371,13 +369,14 @@ _ANTIPODE_TABLE = {
 def antipode(u: UElement) -> UElement:
     """The antihomomorphism S; reverses words and maps letters by the
     standard table."""
-    total: dict[tuple, dict[int, int]] = {}
-    for letters, c in u._terms.items():
+
+    def image(letters: tuple) -> dict:
         part = UElement.one(u.n)
         for kind, i in reversed(letters):
             part = part * _ANTIPODE_TABLE[kind](u.n, i)
-        addmul_into(total, part._terms, c)
-    return UElement._raw(u.n, total)
+        return part._terms
+
+    return UElement._raw(u.n, _combine(u._terms, image))
 
 
 def _coproduct(letter: tuple[str, int], n: int) -> list[tuple[tuple, tuple, int]]:
@@ -765,10 +764,7 @@ def theta_iso(x: QTensorElement) -> TensorVector:
     n, r = x.n, x.r
     if n < r:
         raise ValueError(f"theta_iso needs n >= r, got n={n}, r={r}")
-    total: dict[tuple, dict[int, int]] = {}
-    for (lp, dw), c in x._terms.items():
-        addmul_into(total, _theta_image(n, r, lp, dw), c)
-    return TensorVector._raw(n, r, total)
+    return TensorVector._raw(n, r, _combine(x._terms, lambda key: _theta_image(n, r, *key)))
 
 
 def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tuple[Weight, WindowPerm]]:

@@ -242,6 +242,8 @@ class SchurElement(LaurentCombination):
         return schur_mul(self, other)
 
     def coeff(self, lam: Weight, mu: Weight, d: WindowPerm) -> Laurent:
+        if not lam.n == mu.n == self.n or not lam.r == mu.r == d.r == self.r:
+            raise ValueError("shape mismatch")
         return Laurent(self._terms.get((lam.parts, mu.parts, d.window), {}))
 
     def items(self) -> list[tuple[Weight, Weight, WindowPerm, Laurent]]:
@@ -317,8 +319,8 @@ def theta(lam: Weight, mu: Weight, d: WindowPerm, table: KLTable) -> SchurElemen
     double cosets whose longest element sits below the longest element of
     d's coset, weighted by Kazhdan-Lusztig polynomials.
     """
-    if table.r != lam.r:
-        raise ValueError("table rank mismatch")
+    if lam.n != mu.n or not lam.r == mu.r == d.r == table.r:
+        raise ValueError("shape mismatch: lam and mu need one n, and d and the table their rank")
     left, right = young_parabolic(lam), young_parabolic(mu)
     dbar = double_coset_rep(d, left, right)
     dplus = longest_double_coset_elt(dbar, left, right)
@@ -373,6 +375,8 @@ class QTensorElement(LaurentCombination):
         return cls._raw(lam.n, lam.r, {(lam.parts, dwin): {2 * k: 1}})
 
     def coeff(self, lam: Weight, d: WindowPerm) -> Laurent:
+        if (lam.n, lam.r, d.r) != (self.n, self.r, self.r):
+            raise ValueError("shape mismatch")
         return Laurent(self._terms.get((lam.parts, d.window), {}))
 
     def items(self) -> list[tuple[Weight, WindowPerm, Laurent]]:

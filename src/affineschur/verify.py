@@ -657,10 +657,10 @@ def suite_params(name: str, **given) -> dict:
     if window is not None and window < 0:
         raise ValueError(f"--window is a half-width >= 0, got --window {window}")
     if name == "hopf":
-        # the relation table is that of type A_{n-1}^(1) with n >= 3: the
-        # Serre rows are cubic, and only |i - j| = 1 mod n pairs fail to commute
+        # the relation rows hold from n = 2 on (degree-4 Serre rows), but type
+        # A_1^(1) waits on rank two as a whole; at n = 1 coassociativity fails
         if n < 3:
-            raise ValueError(f"hopf checks the relations that hold for --n >= 3, got --n {n}")
+            raise ValueError(f"hopf needs --n >= 3 until type A_1^(1) is taken up, got --n {n}")
         if not 1 <= r <= HOPF_MAX_R:
             raise ValueError(f"hopf sweeps tensor powers 1..r with r <= {HOPF_MAX_R}, got --r {r}")
     elif not 3 <= r <= n:

@@ -125,11 +125,11 @@ class WindowPerm:
         return kernels.win_apply(self.window, t)
 
     def __mul__(self, other: "WindowPerm") -> "WindowPerm":
+        if len(self.window) != len(other.window):
+            raise ValueError("rank mismatch")
         o = other._offs
         if o is None:
             o = other._offs = kernels.win_offsets(other.window)
-        if len(self.window) != len(o):
-            raise ValueError("rank mismatch")
         out = object.__new__(WindowPerm)
         out.window = kernels.win_compose_offsets(self.window, o)
         out._len = out._offs = None

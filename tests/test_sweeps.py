@@ -5,9 +5,11 @@ commuting-actions, presentation and tau rank rows are rebuilt by the oracles
 in tests/oracles.py, which act on a fresh unit vector for every (operator,
 key) pair, and must come out identical: names, verdicts and witnesses.  A kernel
 corrupted on one key must make both versions fail the same checks with the
-same first witness, and a Cartan term that v - v^-1 does not divide must
-fail its own row without ending the report.  The right T_{s_i} step is
-checked key by key against its first form.
+same first witness, and a corrupted Cartan term must fail its own row
+without ending the report.  The relation table generated from the Cartan
+datum is checked term by term against the hand-written one in
+tests/oracles.py, and at n = 2, where the Serre relations have degree 4.
+The right T_{s_i} step is checked key by key against its first form.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from oracles import (
     commuting_action_rows,
     hopf_counit_antipode_rows,
     hopf_relation_rows,
+    hopf_relation_table,
     presentation_rows,
     tau_rows,
 )
@@ -151,20 +154,53 @@ def test_corrupted_R_fails_the_same_relations(monkeypatch):
     assert all(name.startswith("def-rel-r-") and name.endswith("-r2") for name in fails)
 
 
-def test_an_undivided_cartan_term_fails_its_row_not_the_report(monkeypatch):
+def test_a_corrupted_cartan_term_fails_its_row_not_the_report(monkeypatch):
     """With the corrupted K_1, K_1 K_2^-1 - K_1^-1 K_2 sends e_(1,) to
-    (v + 1 - v^-1) e_(1,), which v - v^-1 does not divide.  That relation
-    fails at (1,) with the undivided term as its rhs, and every other row of
+    (v + 1 - v^-1) e_(1,), while (v - v^-1)(E_1 F_1 - F_1 E_1) sends it to
+    (v - v^-1) e_(1,).  That relation fails at (1,), and every other row of
     the report keeps the oracle's verdict and witness."""
     _corrupt_K(monkeypatch, (1,))
     rep = run_hopf(n=N, r=2, window=W)
     rows = {name: (ok, witness) for name, ok, witness in rep.checks}
     assert rows["def-rel-ef-commutator-1-1-r1"] == (
         False,
-        {"key": [1], "lhs": [[[1], {"0": 1}]], "rhs": [[[1], {"-1": -1, "0": 1, "1": 1}]]},
+        {"key": [1], "lhs": [[[1], {"-1": -1, "1": 1}]], "rhs": [[[1], {"-1": -1, "0": 1, "1": 1}]]},
     )
     want = hopf_relation_rows(N, 2, WINDOW) + coassoc_rows(N, WINDOW) + hopf_counit_antipode_rows(N, WINDOW)
     assert rep.checks == sorted(want, key=lambda c: c[0])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_generated_relations_match_the_hand_table(n):
+    """The relation table from the Cartan datum against the one written out
+    by hand, term by term, the E-F commutator times v - v^-1 in both."""
+    got = sorted(_sweeps._relation_sides(n), key=lambda t: t[0])
+    want = sorted(hopf_relation_table(n), key=lambda t: t[0])
+    assert [name for name, _, _ in got] == [name for name, _, _ in want]
+    for (name, lhs, rhs), (_, lhs_hand, rhs_hand) in zip(got, want):
+        assert (lhs, rhs) == (lhs_hand, rhs_hand), name
+
+
+def test_relations_hold_at_n2():
+    """At n = 2, a_12 = -2: the Serre relations have degree 4, the one place
+    where the q-binomial sum runs to k = 3, and no E's or F's commute."""
+    rows = _relation_rows(2, 2, 2)
+    assert len(rows) == 2 * 34 and all(ok for _, ok, _ in rows)
+    sides = {name: (lhs, rhs) for name, lhs, rhs in _sweeps._relation_sides(2)}
+    x, y, three = ("E", 1), ("E", 2), {2: 1, 0: 1, -2: 1}
+    assert sides["e-serre-1-2"] == ({(x, x, x, y): {0: 1}, (x, y, x, x): three}, {(x, x, y, x): three, (y, x, x, x): {0: 1}})
+    assert not any("commute" in name and name[0] in "ef" for name in sides)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_q_binomials_follow_the_q_pascal_rule(m):
+    """[m choose k] = v^(m-k) [m-1 choose k-1] + v^-k [m-1 choose k], with
+    [m choose 0] = [m choose m] = 1: the q-binomials by recursion, not from
+    quantum_integer."""
+    q = _sweeps._q_binomial
+    assert q(m, 0) == q(m, m) == Laurent.one()
+    for k in range(1, m):
+        assert q(m, k) == q(m - 1, k - 1) * Laurent.v(m - k) + q(m - 1, k) * Laurent.v(-k), k
 
 
 def test_corrupted_kernel_fails_the_same_coassociativity(monkeypatch):
