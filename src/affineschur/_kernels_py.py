@@ -117,16 +117,6 @@ def lp_eval_one(a):
     return sum(a.values())
 
 
-def lp_eval_mod(a, x, p):
-    """Evaluate at v = x over Z/p; x must be invertible mod p."""
-    total = 0
-    xinv = pow(x, -1, p)
-    for e, c in a.items():
-        base = pow(x if e >= 0 else xinv, abs(e), p)
-        total = (total + c * base) % p
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Packed coefficients: the Kronecker substitution v -> 2^width
 #

@@ -177,10 +177,6 @@ class Laurent:
         """The image under v -> 1 (so q -> 1)."""
         return kernels.lp_eval_one(self._terms)
 
-    def eval_mod(self, x: int, p: int) -> int:
-        """Evaluate at v = x over Z/p (x invertible mod p)."""
-        return kernels.lp_eval_mod(self._terms, x, p)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

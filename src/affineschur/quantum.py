@@ -570,11 +570,14 @@ def _peel_order(columns: Sequence[dict]) -> tuple:
     """An order that peels the columns (raw term dicts) one at a time: each
     step takes a remaining column that owns a key no other remaining column
     has, with coefficient +-v^e there.  Returns (column, key, inverse of that
-    coefficient) triples; raises ValueError if the columns do not peel
-    completely.  Peeling only makes more keys private, so the choice made at
-    each step cannot block a later one.  The one exact solve of the module,
-    used by theta_iso_inverse alone: finite keys need none, since
-    _finite_term_image reads them off the transported block."""
+    coefficient) triples for the columns that peel, all of them or fewer.
+    Peeling only makes more keys private, so the choice made at each step
+    cannot block a later one.  In peel order the peeled columns against their
+    keys are triangular with +-v^e on the diagonal, hence independent over
+    Z[v, v^-1]: their count bounds the rank from below.  The package's one
+    exact solve, behind theta_iso_inverse and the duality sweep's
+    injectivity rows; finite keys need none, since _finite_term_image reads
+    them off the transported block."""
     holders: dict[tuple, set[int]] = {}
     for j, col in enumerate(columns):
         for key in col:
@@ -599,8 +602,6 @@ def _peel_order(columns: Sequence[dict]) -> tuple:
             others.discard(j)
             if len(others) == 1:
                 private.append(k2)
-    if len(order) != len(columns):
-        raise ValueError("columns are not unit-triangular")
     return tuple(order)
 
 
@@ -785,8 +786,8 @@ def theta_iso_basis(n: int, r: int, len_bound: int, rho_bound: int) -> list[tupl
 
 @lru_cache(maxsize=None)
 def _theta_system(n: int, r: int, len_bound: int, rho_bound: int) -> tuple:
-    """(q-tensor term keys, raw theta_iso images, peel order) of the basis
-    inside the truncation window, shared by theta_iso_inverse and the
+    """(q-tensor term keys, raw theta_iso images, their peel order) of the
+    basis inside the truncation window, shared by theta_iso_inverse and the
     duality sweep; a key is (lambda.parts, d.window).  The images are the
     very dicts of the _theta_image table, so a key in several truncations
     is stored once; they are read only, never mutated."""
@@ -804,12 +805,15 @@ def theta_iso_inverse(
     The images of those keys are unit-triangular: they peel one at a time,
     each step taking an image that owns a tensor key no other remaining image
     has, with coefficient +-v^e, so its coordinate is the residual there over
-    that unit.  This is the module's only solve (kappa's finite terms are
-    read off the keys).  The images and the peel order are built once per
+    that unit.  This is the package's only solve (kappa's finite terms are
+    read off the keys); the duality sweep's injectivity rows count the same
+    peel.  The images and the peel order are built once per
     (n, r, len_bound, rho_bound) and cached.  Raises ValueError if the images
-    do not peel ("columns are not unit-triangular") or if y leaves a residual
-    ("target is not in the span")."""
+    do not all peel ("columns are not unit-triangular") or if y leaves a
+    residual ("target is not in the span")."""
     n, r = y.n, y.r
     keys, columns, order = _theta_system(n, r, len_bound, rho_bound)
+    if len(order) != len(columns):
+        raise ValueError("columns are not unit-triangular")
     coords = _peel(columns, order, y._terms)
     return QTensorElement._raw(n, r, {k: c for k, c in zip(keys, coords) if c})

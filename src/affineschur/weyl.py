@@ -368,9 +368,16 @@ class ParabolicIndex:
 # Cosets
 
 
+def _same_rank(w: WindowPerm, *parabolics: ParabolicIndex) -> None:
+    """Refuse parabolics of another rank than w, before any work."""
+    if any(pi.r != w.r for pi in parabolics):
+        raise ValueError("rank mismatch")
+
+
 def is_distinguished(w: WindowPerm, pi: ParabolicIndex) -> bool:
     """True iff w is the shortest element of its coset (parabolic on the
     left), equivalently (i)w < (i+1)w for every generator index i of pi."""
+    _same_rank(w, pi)
     win = w.window
     return not any(kernels.win_is_left_descent(win, i) for i in pi.generators)
 
@@ -378,6 +385,7 @@ def is_distinguished(w: WindowPerm, pi: ParabolicIndex) -> bool:
 def coset_decompose(w: WindowPerm, pi: ParabolicIndex) -> tuple[WindowPerm, WindowPerm]:
     """The unique (u, d) with w = u * d, u in the parabolic, d distinguished;
     lengths add.  Runs by stripping left descents lying in pi."""
+    _same_rank(w, pi)
     _, dwin = _coset_split(w.window, sorted(pi.generators))
     d = WindowPerm._unsafe(dwin)
     return w * d.inverse(), d
@@ -425,11 +433,13 @@ def _climb(win: tuple[int, ...], left: ParabolicIndex, right: ParabolicIndex, up
 def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> WindowPerm:
     """The unique minimal-length element of the (left, right) double coset of
     w, by stripping descents on both sides (_climb)."""
+    _same_rank(w, left, right)
     return WindowPerm._unsafe(_climb(w.window, left, right, False))
 
 
 def double_coset(d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> frozenset[WindowPerm]:
     """The full double coset of d (a finite set: both parabolics are)."""
+    _same_rank(d, left, right)
     out = set()
     for u in left.elements():
         ud = u * d
@@ -444,6 +454,7 @@ def longest_double_coset_elt(
     """The unique maximal-length element of the double coset of d, by greedy
     ascent (_climb): it stops at an element with no ascent in left or
     right, which is the coset's top (_is_double_coset_top)."""
+    _same_rank(d, left, right)
     return WindowPerm._unsafe(_climb(d.window, left, right, True))
 
 

@@ -248,6 +248,11 @@ def bareiss_solve(columns, target) -> list[Laurent]:
 # Mod-p linear algebra (numpy int64; p**2 * dim must stay below 2**63)
 
 
+def eval_mod(c: Laurent, x: int, p: int) -> int:
+    """c at v = x over Z/p; x must be invertible mod p."""
+    return sum(k * pow(x, e, p) for e, k in c.raw().items()) % p
+
+
 def modp_rref(a, p: int):
     """Row-reduce over Z/p; returns (reduced copy, pivot column list)."""
     a = np.array(a, dtype=np.int64) % p
@@ -448,20 +453,15 @@ def commuting_action_rows(n: int, r: int, window) -> list[tuple]:
     return sorted(checks, key=lambda c: c[0])
 
 
-def tau_rows(n: int, r: int, basis, keys, p: int) -> list[dict]:
+def tau_rows(n: int, r: int, basis, keys) -> list[dict]:
     """One sparse row per w in basis, tau(w) replayed letter by letter on
-    every key: columns (key, image key), coefficients at v = 3 mod p."""
-    from affineschur._sweeps import _eval_row
+    every key: columns (key, image key), raw Laurent coefficients."""
     from affineschur.quantum import tau
 
     rows = []
     for w in basis:
         op = tau(n, r, w)
-        row = {}
-        for key in keys:
-            for k2, val in _eval_row(op.on_key(key)._terms, p).items():
-                row[(key, k2)] = val
-        rows.append(row)
+        rows.append({(key, k2): c for key in keys for k2, c in op.on_key(key)._terms.items()})
     return rows
 
 

@@ -1,12 +1,13 @@
 """The exact linear algebra behind the bridge maps: the unit-triangular peel
-that inverts theta_iso, the closed form that reads finite keys off the
-transported block x_lambda T_d with no solve, and the sparse mod-p rank
-behind the injectivity checks.
+that inverts theta_iso and proves the duality sweep's two injectivity rows,
+and the closed form that reads finite keys off the transported block
+x_lambda T_d with no solve.
 
 The peel is checked key by key against the fraction-free Bareiss solve it
 replaced (tests/oracles.bareiss_solve); the closed form against the Bareiss
-solve over the walked finite block (tests/oracles.finite_block_by_walk); the
-rank against the numpy oracle.
+solve over the walked finite block (tests/oracles.finite_block_by_walk).  A
+complete peel proves full rank over Z[v, v^-1]; on the duality matrices the
+numpy mod-p rank (tests/oracles.modp_rank) certifies the same ranks apart.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
 from oracles import (
     bareiss_solve,
+    eval_mod,
     finite_block_by_walk,
     finite_distinguished_by_enumeration,
     finite_image_by_walk,
@@ -104,16 +106,25 @@ def test_walked_finite_transport_is_one_term(n, r):
 
 def test_peel_rejects_columns_without_a_private_key():
     a, b = (1,), (2,)
-    with pytest.raises(ValueError, match="not unit-triangular"):
-        quantum._peel_order([{a: {0: 1}, b: {0: 1}}, {a: {0: 1}, b: {1: 1}}])
+    assert quantum._peel_order([{a: {0: 1}, b: {0: 1}}, {a: {0: 1}, b: {1: 1}}]) == ()
 
 
 def test_peel_rejects_a_private_key_with_a_non_unit_coefficient():
     a, b = (1,), (2,)
+    assert quantum._peel_order([{a: {0: 1, 1: 1}}]) == ()
+    assert quantum._peel_order([{a: {0: 1}}, {a: {0: 1}, b: {0: 2}}]) == ()
+    # a column with a private unit peels, one without is left out
+    assert quantum._peel_order([{a: {0: 2}}, {b: {2: -1}}]) == ((1, b, {-2: -1}),)
+
+
+def test_inverse_refuses_columns_that_do_not_all_peel(monkeypatch):
+    """theta_iso_inverse solves only along a complete peel."""
+    a, b = (1, 2, 3), (2, 1, 3)
+    columns = ({a: {0: 1}, b: {0: 1}}, {a: {0: 1}, b: {1: 1}})
+    system = (("x", "y"), columns, quantum._peel_order(columns))
+    monkeypatch.setattr(quantum, "_theta_system", lambda *args: system)
     with pytest.raises(ValueError, match="not unit-triangular"):
-        quantum._peel_order([{a: {0: 1, 1: 1}}])
-    with pytest.raises(ValueError, match="not unit-triangular"):
-        quantum._peel_order([{a: {0: 1}}, {a: {0: 1}, b: {0: 2}}])
+        quantum.theta_iso_inverse(TensorVector.unit(3, a), 1)
 
 
 def test_peel_rejects_a_target_outside_the_span():
@@ -125,53 +136,39 @@ def test_peel_rejects_a_target_outside_the_span():
         quantum._peel(columns, order, {a: {0: 1}, c: {0: 1}})
 
 
-# -- sparse rank against the numpy oracle ---------------------------------------
+# -- the injectivity peels, certified by the numpy mod-p rank ------------------
 
 
-def _dense(rows):
+def _dense(rows, p):
+    """Rows of raw Laurent coefficients as a dense matrix at v = 3 mod p."""
     cols = sorted({c for row in rows for c in row})
     idx = {c: i for i, c in enumerate(cols)}
     a = np.zeros((len(rows), max(1, len(cols))), dtype=np.int64)
     for i, row in enumerate(rows):
         for c, x in row.items():
-            a[i, idx[c]] = x
+            a[i, idx[c]] = eval_mod(Laurent(x), 3, p)
     return a
 
 
-def test_modp_rank_on_the_duality_matrices():
-    """The tau and theta injectivity matrices of the default duality suite
-    (n = r = 3, L = 3, window -6..6).  The tau matrix is 95 x 45,600; the
-    oracle certifies its full row rank from the 95 columns of one key, since
-    a column subset of full row rank already gives rank 95."""
+def test_the_duality_matrices_peel():
+    """The tau rows and theta columns of the default duality suite
+    (n = r = 3, L = 3, window -6..6): the 95 tau rows and the 327 theta
+    columns peel completely, so each set is independent over Z[v, v^-1].
+    The tau matrix is 95 x 45,600; the oracle certifies its full row rank
+    at v = 3 mod p from the 95 columns of one key, since a column subset of
+    full row rank already gives rank 95, and the theta rank from all of its
+    columns."""
     n = r = 3
     keyset = itertools.product(range(-6, 7), repeat=r)
     omega_keys = [k for k in keyset if Weight.of_key(k, n).parts == omega(n, r).parts]
     basis = enumerate_up_to_length(r, 3, extended=True, rho_bound=2)
-    rows = _sweeps._tau_rows(n, r, basis, omega_keys, P)
-    assert _sweeps._modp_rank(rows, P) == 95
+    rows = _sweeps._tau_rows(n, r, basis, omega_keys)
+    assert len(rows) == len(quantum._peel_order(rows)) == 95
+    # the sweep's shortcut: the rows on the first key alone already peel
+    assert len(quantum._peel_order(_sweeps._tau_rows(n, r, basis, omega_keys[:1]))) == 95
     one_key = [{c: x for c, x in row.items() if c[0] == omega_keys[0]} for row in rows]
-    assert modp_rank(_dense(one_key), P) == _sweeps._modp_rank(one_key, P) == 95
+    assert modp_rank(_dense(one_key, P), P) == 95
 
-    _, images, _ = quantum._theta_system(n, r, 3, 1)
-    rows = [_sweeps._eval_row(img, P) for img in images]
-    assert modp_rank(_dense(rows), P) == _sweeps._modp_rank(rows, P) == 327
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_modp_rank_on_planted_deficiency(seed):
-    rng = random.Random(seed)
-    ncols = rng.randint(8, 30)
-    rank = rng.randint(1, 8)
-    free = [{c: rng.randrange(1, P) for c in rng.sample(range(ncols), rng.randint(1, 5))} for _ in range(rank)]
-    rows = list(free)
-    for _ in range(rng.randint(1, 6)):
-        combo: dict = {}
-        for row in rng.sample(free, rng.randint(1, rank)):
-            f = rng.randrange(1, P)
-            for c, x in row.items():
-                combo[c] = (combo.get(c, 0) + f * x) % P
-        rows.append(combo)
-    rng.shuffle(rows)
-    expected = modp_rank(_dense(rows), P)
-    assert expected <= rank < len(rows)
-    assert _sweeps._modp_rank(rows, P) == expected
+    _, images, order = quantum._theta_system(n, r, 3, 1)
+    assert len(images) == len(order) == 327
+    assert modp_rank(_dense(images, P), P) == 327

@@ -18,7 +18,7 @@ from affineschur.hecke import (
 from affineschur.laurent import Laurent
 from affineschur.weyl import ParabolicIndex, WindowPerm, enumerate_up_to_length
 
-from oracles import group_algebra_convolve, hecke_mul_left_expansion
+from oracles import eval_mod, group_algebra_convolve, hecke_mul_left_expansion
 
 R = 3
 Q = Laurent.q()
@@ -227,7 +227,7 @@ def test_left_regular_representation_injective():
         entries: dict = {}
         for k, x in enumerate(span):
             for w, c in (tu * x).items():
-                entries[(k, w.window)] = c.eval_mod(point, p)
+                entries[(k, w.window)] = eval_mod(c, point, p)
         images.append(entries)
         columns.update(dict.fromkeys(entries))
     order = sorted(columns)

@@ -35,6 +35,7 @@ from affineschur.weyl import (
 from oracles import (
     act_hecke_right_by_terms,
     act_schur_left_by_terms,
+    eval_mod,
     is_finite_type,
     modp_in_span,
     modp_nullspace,
@@ -420,7 +421,7 @@ def test_double_centralizer_on_the_finite_block():
         for i, row in enumerate(sym):
             for j, c in enumerate(row):
                 if c is not None:
-                    out[i, j] = c.eval_mod(vp, p)
+                    out[i, j] = eval_mod(c, vp, p)
         return out
 
     rng = random.Random(20250825)

@@ -3,12 +3,12 @@ mismatch of their shapes, before any work.
 
 The census takes each callable named in a module's __all__, and each method
 of an exported class, whose parameter annotations name two or more ranked
-types: Weight, WindowPerm, the element classes and KLTable.  A method's
-self counts as an object of its class.  Each is called once on objects of
-one shape, n = 4 and r = 3, and must succeed.  Then, for each argument and
-each of n and r that it shares with another argument, it is called with that
-one value raised by 1.  Every such call must raise ValueError, and no
-kernel of the pure-Python backend may run before it does.
+types: Weight, WindowPerm, ParabolicIndex, the element classes and KLTable.
+A method's self counts as an object of its class.  Each is called once on
+objects of one shape, n = 4 and r = 3, and must succeed.  Then, for each
+argument and each of n and r that it shares with another argument, it is
+called with that one value raised by 1.  Every such call must raise
+ValueError, and no kernel of the pure-Python backend may run before it does.
 """
 
 import importlib
@@ -23,7 +23,7 @@ from affineschur import _kernels_py
 from affineschur.hecke import HeckeElement, KLTable, t_basis
 from affineschur.quantum import TensorOperator, TensorVector, UElement
 from affineschur.schur import QTensorElement, SchurElement, Weight, omega, phi
-from affineschur.weyl import WindowPerm
+from affineschur.weyl import ParabolicIndex, WindowPerm
 
 N, R = 4, 3
 
@@ -31,6 +31,7 @@ N, R = 4, 3
 SAMPLES = {
     Weight: lambda n, r: omega(n, r),
     WindowPerm: lambda n, r: WindowPerm.s(r, 1),
+    ParabolicIndex: lambda n, r: ParabolicIndex(r, (1,)),
     HeckeElement: lambda n, r: t_basis(WindowPerm.s(r, 1)),
     SchurElement: lambda n, r: phi(omega(n, r), omega(n, r), WindowPerm.s(r, 1)),
     QTensorElement: lambda n, r: QTensorElement.basis(omega(n, r), WindowPerm.s(r, 1)),

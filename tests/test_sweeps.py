@@ -22,7 +22,7 @@ from affineschur.hecke import t_basis
 from affineschur.laurent import Laurent
 from affineschur.quantum import TensorVector, hecke_right_action
 from affineschur.schur import Weight, omega
-from affineschur.verify import DEFAULT_SEED, run_hopf, sweep_key_count, sweep_keys
+from affineschur.verify import DEFAULT_SEED, run_duality, run_hopf, sweep_key_count, sweep_keys
 from affineschur.weyl import WindowPerm, enumerate_up_to_length
 
 from oracles import (
@@ -39,7 +39,6 @@ from oracles import (
 N = R = 3
 W = 2
 WINDOW = range(-W, W + 1)
-P = 46337
 
 
 def _relation_rows(n, r_max, window):
@@ -73,11 +72,59 @@ def test_tau_rows_match_the_oracle():
     keyset = sweep_keys(W, R)
     keys = [k for k in keyset if Weight.of_key(k, N).parts == omega(N, R).parts]
     basis = enumerate_up_to_length(R, 3, extended=True, rho_bound=2)
-    got = _sweeps._tau_rows(N, R, basis, keys, P)
-    want = tau_rows(N, R, basis, keys, P)
+    got = _sweeps._tau_rows(N, R, basis, keys)
+    want = tau_rows(N, R, basis, keys)
     assert got == want
-    # same column order too, so the rank elimination picks the same pivots
+    # same column order too, so the peel meets the keys in the same order
     assert [list(row) for row in got] == [list(row) for row in want]
+
+
+def _duality_rows():
+    return _sweeps.verify_affine_duality(N, R, 3, 1, samples=2)
+
+
+def test_an_identity_affine_letter_fails_tau_injectivity(monkeypatch):
+    """With T_{s_r} acting as the identity, tau(s_r) = tau(1): the rows no
+    longer all peel, and the witness counts those that did on every key of
+    weight omega, where a clean sweep builds the rows on the first key
+    alone.  Every other row keeps its verdict and witness."""
+    built = []
+    tau_rows_on = _sweeps._tau_rows
+
+    def recording(n, r, basis, keys):
+        built.append(len(keys))
+        return tau_rows_on(n, r, basis, keys)
+
+    monkeypatch.setattr(_sweeps, "_tau_rows", recording)
+    clean = _duality_rows()
+    assert built == [1]
+    letter = _sweeps._tau_letter_terms
+
+    def mutant(terms, n, r, i):
+        return terms if i == r else letter(terms, n, r, i)
+
+    monkeypatch.setattr(_sweeps, "_tau_letter_terms", mutant)
+    got = _duality_rows()
+    assert built == [1, 1, 6]
+    assert _failures(got) == [("tau-injective", {"peeled": 5, "expected": 95})]
+    assert [row for row in got if row[0] != "tau-injective"] == [row for row in clean if row[0] != "tau-injective"]
+    assert all(ok for _, ok, _ in clean)
+
+
+def test_theta_columns_that_do_not_peel_fail_their_row_not_the_report(monkeypatch):
+    """A theta system whose last column does not peel fails theta-injective
+    alone; the report keeps every other row instead of one duality-sweep
+    failure."""
+    system = quantum._theta_system
+
+    def short_of_one(*args):
+        keys, columns, order = system(*args)
+        return keys, columns, order[:-1]
+
+    monkeypatch.setattr(_sweeps, "_theta_system", short_of_one)
+    rep = run_duality(n=N, r=R, window=1)
+    assert _failures(rep.checks) == [("theta-injective", {"peeled": 326, "expected": 327})]
+    assert len(rep.checks) == 70
 
 
 def _corrupt(monkeypatch, kernel, bad_key, applies):
@@ -297,10 +344,13 @@ def test_right_memo_extends_by_linearity(key):
     assert memo(x._terms) == memo(x._terms)
 
 
-@pytest.mark.parametrize("suite, r", [("hopf", 1), ("hopf", 2), ("hopf", 3), ("duality", 3)])
-def test_key_count_is_the_keys_the_sweep_visits(suite, r, monkeypatch):
+@pytest.mark.parametrize(
+    "suite, n, r, window",
+    [("hopf", 3, r, w) for r in (1, 2, 3) for w in (0, 1)] + [("duality", 3, 3, 1), ("duality", 4, 3, 2)],
+)
+def test_key_count_is_the_keys_the_sweep_visits(suite, n, r, window, monkeypatch):
     """The budget's estimate against the distinct keys the builder hands a
-    whole sweep at W = 1."""
+    whole sweep; duality at n = 4 needs W = 2 for a key of weight omega."""
     seen = set()
     clean = _sweeps.sweep_keys
 
@@ -311,8 +361,8 @@ def test_key_count_is_the_keys_the_sweep_visits(suite, r, monkeypatch):
 
     monkeypatch.setattr(_sweeps, "sweep_keys", recording)
     if suite == "hopf":
-        rows = _sweeps.verify_hopf(N, r, 1)
+        rows = _sweeps.verify_hopf(n, r, window)
     else:
-        rows = _sweeps.verify_affine_duality(N, r, 1, 1, samples=2)
+        rows = _sweeps.verify_affine_duality(n, r, 1, window, samples=2)
     assert rows and all(ok for _, ok, _ in rows)
-    assert len(seen) == sweep_key_count(suite, N, r, 1)
+    assert len(seen) == sweep_key_count(suite, n, r, window)
