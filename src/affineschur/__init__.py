@@ -9,7 +9,6 @@ from affineschur.weyl import (
     WindowPerm,
     bruhat_leq,
     coset_decompose,
-    double_coset,
     double_coset_rep,
     enumerate_up_to_length,
     is_distinguished,
@@ -26,7 +25,6 @@ __all__ = [
     "ParabolicIndex",
     "bruhat_leq",
     "coset_decompose",
-    "double_coset",
     "double_coset_rep",
     "enumerate_up_to_length",
     "is_distinguished",

@@ -148,7 +148,8 @@ def _packed_products(xs: Mapping, b: dict) -> tuple[dict, list, int, int]:
     x; the products are keyed by ids, wins[k] the window of id k.
     The bound of _word_walk holds for the l1 norm of each whole product, so
     a packed product may also be regrouped, its values multiplied by powers
-    of q and summed across keys, before kernels.hecke_unpack reads it."""
+    of q and summed across keys, before it is unpacked: that is how
+    schur._in_ideals reads x_lambda-coordinates for all three Schur actions."""
     width = kernels.packed_width(max(map(_norm, xs.values()), default=0) * _walk_bound(b))
     ox = -min(map(_low, xs.values()), default=0)
     ob = -_low(b)
@@ -168,12 +169,6 @@ def _packed_products(xs: Mapping, b: dict) -> tuple[dict, list, int, int]:
             for k, p in img.items():
                 total[k] = get(k, 0) + p * cb
     return totals, table[0], ox + ob, width
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """a * b on raw terms."""
-    totals, wins, offset, width = _packed_products({0: a}, b)
-    return kernels.hecke_unpack(totals[0], offset, width, wins)
 
 
 class HeckeElement(LaurentCombination):
@@ -218,7 +213,8 @@ class HeckeElement(LaurentCombination):
             return self.scale(other)
         if self.r != other.r:
             raise ValueError("period mismatch")
-        return HeckeElement._raw(self.r, _mul_terms(self._terms, other._terms))
+        totals, wins, offset, width = _packed_products({0: self._terms}, other._terms)
+        return HeckeElement._raw(self.r, kernels.hecke_unpack(totals[0], offset, width, wins))
 
     # -- involutions and specializations -----------------------------------
 

@@ -3,10 +3,13 @@
 Weights are compositions of r into n nonnegative parts.  The algebra acts
 on the direct sum of the right ideals x_lambda * H, and its basis elements
 phi^d_{lambda,mu} send x_mu to the double-coset sum over W_lambda d W_mu.
-Products are genuine composites of module homomorphisms, re-expanded in the
-basis by reading coefficients off the distinguished double-coset
-representatives; nothing here depends on structure constants being known in
-closed form.
+Every element of x_lambda * H is x_lambda times a sum of c T_d over
+distinguished d, and values are kept as these x_lambda-coordinates: a phi
+value is x_lambda times its tail, the distinguished windows of the double
+coset, and no x_lambda is ever formed.  Products are genuine composites of
+module homomorphisms, re-expanded in the basis by reading coordinates off
+the distinguished double-coset representatives; nothing here depends on
+structure constants being known in closed form.
 
 q-tensor space is the column of the algebra at the weight omega = (1^r, 0*),
 a left Schur / right Hecke bimodule with basis x_lambda T_d.
@@ -16,17 +19,16 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from affineschur._backend import kernels
-from affineschur.hecke import HeckeElement, KLTable, _mul_terms, _packed_products
+from affineschur.hecke import HeckeElement, KLTable, _packed_products
 from affineschur.laurent import Laurent, LaurentCombination, addmul_into, payload_int
 from affineschur.weyl import (
     ParabolicIndex,
     WindowPerm,
     _coset_split,
     _is_double_coset_top,
-    double_coset,
     double_coset_rep,
     longest_double_coset_elt,
     young_subgroup_of_key,
@@ -130,14 +132,17 @@ def young_parabolic(lam: Weight) -> ParabolicIndex:
 
 
 @lru_cache(maxsize=None)
-def _phi_value_cached(r: int, lparts, mparts, dwin) -> HeckeElement:
-    left = young_subgroup_of_key(lparts, r)
-    right = young_subgroup_of_key(mparts, r)
+def _phi_tail(r: int, lparts, mparts, dwin) -> dict:
+    """{d': 1} over the windows d' of d's double coset that are shortest in
+    their coset W_lam d': phi^d_{lam,mu}(x_mu), the sum of T_w over
+    W_lam d W_mu, is x_lam times the sum of these T_d'.  The cosets W_lam d x,
+    x in W_mu, cover the double coset, and each meets the tail in the coset
+    split of d x."""
+    gens = sorted(young_subgroup_of_key(lparts, r).generators)
     d = WindowPerm._unsafe(dwin)
-    # every coefficient is 1, so the terms share one dict: a cached value
-    # costs a key per window, not a key and a dict (callers only read it)
+    # every coefficient is 1, so the terms share one dict (callers only read it)
     one = {0: 1}
-    return HeckeElement._raw(r, {w.window: one for w in double_coset(d, left, right)})
+    return {_coset_split((d * x).window, gens)[1]: one for x in young_subgroup_of_key(mparts, r).elements()}
 
 
 def phi(lam: Weight, mu: Weight, d: WindowPerm) -> "SchurElement":
@@ -153,54 +158,29 @@ def phi(lam: Weight, mu: Weight, d: WindowPerm) -> "SchurElement":
     )
 
 
-def _read_cells(
-    h: HeckeElement, is_lead: Callable[[tuple], bool], cell: Callable[[tuple], Iterable[tuple]], span: str
-) -> dict[tuple, Laurent]:
-    """Coordinates of h over the sums of T_w, w in cell(d), one per lead
-    window d; the cells are disjoint.  An element of their span carries its
-    coordinate at d on all of d's cell: it is read off at d and checked on
-    the cell, and the cells must cover h, else ValueError (no assert, so the
-    check survives python -O)."""
-    terms = h._terms
-    coords: dict[tuple, Laurent] = {}
-    covered = 0
-    for d, c in terms.items():
-        if not is_lead(d):
-            continue
-        for w in cell(d):
-            if terms.get(w) != c:
-                raise ValueError(f"element is not {span}: {w} differs from its lead {d}")
-            covered += 1
-        coords[d] = Laurent(c)
-    if covered != len(terms):
-        raise ValueError(f"element is not {span}: {len(terms) - covered} windows lie in no cell")
-    return coords
-
-
-def _extract_right_factor(h: HeckeElement, pi: ParabolicIndex) -> dict[tuple, Laurent]:
-    """Coordinates of h in the basis {x_pi T_d : d distinguished}; x_pi T_d
-    is the sum of T_ud over u in the parabolic."""
-    gens = sorted(pi.generators)
-    us = [u.window for u in pi.elements()]
-    return _read_cells(
-        h,
-        lambda w: not any(kernels.win_is_left_descent(w, i) for i in gens),
-        lambda d: map(kernels.win_compose_offsets, us, itertools.repeat(kernels.win_offsets(d))),
-        "a combination of x*T_d terms",
-    )
-
-
-def _expand_phi(h: HeckeElement, lam: Weight, mu: Weight) -> dict[tuple, Laurent]:
-    """Coordinates of h in the phi-basis column (lam, mu); the lead windows
-    are the minimal double-coset representatives."""
+def _expand_phi(coords: dict, lam: Weight, mu: Weight) -> dict[tuple, dict]:
+    """phi-coordinates of x_lam * sum_d coords[d] T_d in the column (lam,
+    mu), for raw x_lam-coordinates coords.  The lead windows are the minimal
+    double-coset representatives z, and the coordinate at z is coords[z]:
+    every window of z's tail must carry exactly coords[z], and the tails
+    must cover coords, else ValueError (no assert, so the check survives
+    python -O)."""
     lgens, rgens = sorted(young_parabolic(lam).generators), sorted(young_parabolic(mu).generators)
-    return _read_cells(
-        h,
-        lambda w: not any(kernels.win_is_left_descent(w, i) for i in lgens)
-        and not any(kernels.win_is_right_descent(w, i) for i in rgens),
-        lambda d: _phi_value_cached(lam.r, lam.parts, mu.parts, d)._terms,
-        "in the double-coset span",
-    )
+    out: dict[tuple, dict] = {}
+    covered = 0
+    for z, c in coords.items():
+        if any(kernels.win_is_left_descent(z, i) for i in lgens):
+            continue
+        if any(kernels.win_is_right_descent(z, i) for i in rgens):
+            continue
+        for w in _phi_tail(lam.r, lam.parts, mu.parts, z):
+            if coords.get(w) != c:
+                raise ValueError(f"element is not in the double-coset span: {w} differs from its lead {z}")
+            covered += 1
+        out[z] = c
+    if covered != len(coords):
+        raise ValueError(f"element is not in the double-coset span: {len(coords) - covered} windows lie in no tail")
+    return out
 
 
 class SchurElement(LaurentCombination):
@@ -270,40 +250,59 @@ class SchurElement(LaurentCombination):
         return phi(Weight.from_obj(n, r, entry["lambda"]), Weight.from_obj(n, r, entry["mu"]), d)._terms
 
 
+def _in_ideals(xs: Mapping, b: dict, r: int) -> dict[tuple, dict]:
+    """{lambda parts: raw x_lambda-coordinates of x_lambda * x * b} for the
+    raw terms x of xs, keyed by lambda parts, and b: one packed walk over
+    b's words carries every x, and a window u d of x * b, u in W_lambda and
+    d distinguished, adds q^l(u) times its coefficient at d, since
+    x_lambda T_u = q^l(u) x_lambda."""
+    prods, wins, offset, width = _packed_products(xs, b)
+    out: dict[tuple, dict] = {}
+    for lp, prod in prods.items():
+        gens = sorted(young_subgroup_of_key(lp, r).generators)
+        acc: dict[tuple, int] = {}
+        for wid, p in prod.items():
+            if not p:
+                continue  # a key whose terms cancelled
+            k, dwin = _coset_split(wins[wid], gens)
+            acc[dwin] = acc.get(dwin, 0) + (p << (2 * k * width))
+        out[lp] = {dwin: kernels.lp_unpack(p, offset, width) for dwin, p in acc.items() if p}
+    return out
+
+
+def _by_column(s: SchurElement) -> dict[tuple, dict]:
+    """{mu parts: {lambda parts: raw right factor}}: s sends x_mu to the sum
+    over lambda of x_lambda times the right factor, the sum of c times the
+    tail of each term c phi^d_{lambda,mu}."""
+    cols: dict[tuple, dict] = {}
+    for (lp, mp, dwin), c in s._terms.items():
+        addmul_into(cols.setdefault(mp, {}).setdefault(lp, {}), _phi_tail(s.r, lp, mp, dwin), c)
+    return cols
+
+
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     """The composite homomorphism a after b, re-expanded in the phi basis.
 
-    A term of a with row/column pair (lam1, mu1) composes with a term of b
-    at (lam2, mu2) only when mu1 == lam2.  Each b-column is evaluated on
-    x_mu2, written as x_lam2 times a right factor, pushed through a, and the
-    basis coordinates of the resulting Hecke value are read off its
-    distinguished double-coset representatives.
+    b sends x_mu2 to the sum of x_lam2 * R over its rows lam2, and a sends
+    x_lam2 to the sum of x_lam1 * A over its rows lam1, so a after b sends
+    x_mu2 to the sum of x_lam1 * A * R.  Each R is walked once with every A
+    of a's column lam2, and the phi coordinates are read off the
+    x_lam1-coordinates at the distinguished double-coset representatives.
     """
     if (a.n, a.r) != (b.n, b.r):
         raise ValueError("shape mismatch")
     n, r = a.n, a.r
-    blocks: dict[tuple, dict] = {}
-    for (l2, m2, d2), c2 in b._terms.items():
-        addmul_into(blocks.setdefault((l2, m2), {}), _phi_value_cached(r, l2, m2, d2)._terms, c2)
+    cols = _by_column(a)
     values: dict[tuple, dict] = {}
-    for (l2, m2), raw in blocks.items():
-        if not raw:
-            continue
-        lam2 = Weight(n, r, l2)
-        factor = _extract_right_factor(
-            HeckeElement._raw(r, raw), young_parabolic(lam2)
-        )
-        right = HeckeElement._raw(r, {dwin: c.raw() for dwin, c in factor.items()})
-        for (l1, m1, d1), c1 in a._terms.items():
-            if m1 != l2:
-                continue
-            base = _phi_value_cached(r, l1, m1, d1)
-            addmul_into(values.setdefault((l1, m2), {}), (base * right)._terms, c1)
+    for m2, rows in _by_column(b).items():
+        for l2, right in rows.items():
+            if l2 in cols:
+                for l1, coords in _in_ideals(cols[l2], right, r).items():
+                    addmul_into(values.setdefault((l1, m2), {}), coords)
     out: dict[tuple, dict] = {}
-    for (l1, m2), h in values.items():
-        coords = _expand_phi(HeckeElement._raw(r, h), Weight(n, r, l1), Weight(n, r, m2))
-        for dwin, c in coords.items():
-            out[(l1, m2, dwin)] = c.raw()
+    for (l1, m2), coords in values.items():
+        for dwin, c in _expand_phi(coords, Weight(n, r, l1), Weight(n, r, m2)).items():
+            out[(l1, m2, dwin)] = c
     return SchurElement._raw(n, r, out)
 
 
@@ -400,16 +399,6 @@ class QTensorElement(LaurentCombination):
         return cls.basis(Weight.from_obj(n, r, entry["lambda"]), d)._terms
 
 
-def _right_factor_terms(values: dict[tuple, dict], r: int) -> dict[tuple, dict]:
-    """{(lambda parts, d window): coefficient} of Hecke values {lambda parts:
-    raw terms}, each value re-expanded over x_lambda T_d."""
-    out: dict[tuple, dict] = {}
-    for lp, terms in values.items():
-        for dwin, c in _extract_right_factor(HeckeElement._raw(r, terms), young_subgroup_of_key(lp, r)).items():
-            out[(lp, dwin)] = c.raw()
-    return out
-
-
 def _tails_by_weight(x: QTensorElement) -> dict[tuple, dict]:
     """{lambda parts: raw sum of c T_d} over x's terms c x_lambda T_d."""
     tails: dict[tuple, dict] = {}
@@ -419,41 +408,25 @@ def _tails_by_weight(x: QTensorElement) -> dict[tuple, dict]:
 
 
 def act_schur_left(s: SchurElement, x: QTensorElement) -> QTensorElement:
-    """Left action through the identification x_lambda T_d = phi^d_{lam,omega}."""
+    """Left action through the identification x_lambda T_d = phi^d_{lam,omega}:
+    s sends x_mu * tail to the sum of x_lambda * R * tail over the right
+    factors R of s's column mu, one walk per weight mu of x."""
     if (s.n, s.r) != (x.n, x.r):
         raise ValueError("shape mismatch")
     n, r = x.n, x.r
     tails = _tails_by_weight(x)
-    values: dict[tuple, dict] = {}
-    for (l1, m1, d1), c1 in s._terms.items():
-        tail = tails.get(m1)
-        if tail is None:
-            continue
-        # one walk per s-term: phi value * (c1 * tail)
-        scaled = {dwin: kernels.lp_mul(c1, c) for dwin, c in tail.items()}
-        part = _mul_terms(_phi_value_cached(r, l1, m1, d1)._terms, scaled)
-        if l1 in values:
-            addmul_into(values[l1], part)
-        else:
-            values[l1] = part
-    return QTensorElement._raw(n, r, _right_factor_terms(values, r))
+    out: dict[tuple, dict] = {}
+    for mp, rows in _by_column(s).items():
+        if mp in tails:
+            for lp, coords in _in_ideals(rows, tails[mp], r).items():
+                addmul_into(out, {(lp, dwin): c for dwin, c in coords.items()})
+    return QTensorElement._raw(n, r, out)
 
 
 def act_hecke_right(x: QTensorElement, h: HeckeElement) -> QTensorElement:
-    """Right action: x_lambda T_d h = x_lambda (T_d h), and a window u d' of
-    T_d h, u in the parabolic, d' distinguished, gives q^l(u) x_lambda T_d'."""
+    """Right action: x_lambda T_d h = x_lambda (T_d h), one walk over h's
+    words carrying every weight's tail at once."""
     if x.r != h.r:
         raise ValueError("rank mismatch")
-    n, r = x.n, x.r
-    # one walk over h's words carries every weight's tail at once
-    prods, wins, offset, width = _packed_products(_tails_by_weight(x), h._terms)
-    out: dict[tuple, int] = {}
-    for lp, prod in prods.items():
-        gens = sorted(young_subgroup_of_key(lp, r).generators)
-        for wid, p in prod.items():
-            if not p:
-                continue  # a key whose terms cancelled
-            k, dwin = _coset_split(wins[wid], gens)
-            key = (lp, dwin)
-            out[key] = out.get(key, 0) + (p << (2 * k * width))
-    return QTensorElement._raw(n, r, {key: kernels.lp_unpack(p, offset, width) for key, p in out.items() if p})
+    out = _in_ideals(_tails_by_weight(x), h._terms, x.r)
+    return QTensorElement._raw(x.n, x.r, {(lp, dwin): c for lp, coords in out.items() for dwin, c in coords.items()})

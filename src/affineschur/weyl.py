@@ -44,7 +44,6 @@ __all__ = [
     "coset_decompose",
     "is_distinguished",
     "double_coset_rep",
-    "double_coset",
     "longest_double_coset_elt",
 ]
 
@@ -435,17 +434,6 @@ def double_coset_rep(w: WindowPerm, left: ParabolicIndex, right: ParabolicIndex)
     w, by stripping descents on both sides (_climb)."""
     _same_rank(w, left, right)
     return WindowPerm._unsafe(_climb(w.window, left, right, False))
-
-
-def double_coset(d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> frozenset[WindowPerm]:
-    """The full double coset of d (a finite set: both parabolics are)."""
-    _same_rank(d, left, right)
-    out = set()
-    for u in left.elements():
-        ud = u * d
-        for x in right.elements():
-            out.add(ud * x)
-    return frozenset(out)
 
 
 def longest_double_coset_elt(

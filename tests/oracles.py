@@ -2,11 +2,12 @@
 
 Independent statements share no code path with the library routine they
 check: the breadth-first and brute-force enumerations (bfs_min_word_lengths,
-bruhat_by_subwords, brute_double_coset_min, brute_coset_factorizations,
-group_algebra_convolve), the Kazhdan-Lusztig polynomials from the bar
-involution (kl_by_bar_involution), the fraction-free solve (bareiss_solve),
-the mod-p linear algebra, and the Hopf relation table written out by hand
-(hopf_relation_table), which the library generates from the Cartan datum.
+bruhat_by_subwords, brute_double_coset_min, double_coset,
+brute_coset_factorizations, group_algebra_convolve), the Kazhdan-Lusztig
+polynomials from the bar involution (kl_by_bar_involution), the
+fraction-free solve (bareiss_solve), the mod-p linear algebra, and the Hopf
+relation table written out by hand (hopf_relation_table), which the library
+generates from the Cartan datum.
 
 First forms are the earlier, more direct versions of library routines, kept
 as references for the code that replaced them: the pair-outer operator
@@ -93,6 +94,16 @@ def brute_double_coset_min(
             if best is None or cand.length() < best.length():
                 best = cand
     return best
+
+
+def double_coset(d: WindowPerm, left: ParabolicIndex, right: ParabolicIndex) -> frozenset[WindowPerm]:
+    """The full double coset of d, every u * d * x listed."""
+    out = set()
+    for u in left.elements():
+        ud = u * d
+        for x in right.elements():
+            out.add(ud * x)
+    return frozenset(out)
 
 
 def brute_coset_factorizations(
@@ -942,8 +953,10 @@ def finite_term_mul_y_by_cases(u: tuple[int, ...], j: int, e: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # The peel that schur replaced by reading coordinates off the distinguished
-# representatives.  It subtracts whole basis columns, shortest window first,
-# so it never relies on the cells partitioning the group.
+# representatives, over the full double-coset sums that schur no longer
+# forms (it keeps each phi value as x_lambda times its tail).  It subtracts
+# whole basis columns, shortest window first, so it never relies on the
+# cells partitioning the group.
 
 # peeling must strictly shrink a finite stratum poset; hitting this cap
 # means the input was not in the claimed span
@@ -986,17 +999,28 @@ def extract_right_factor_by_peel(h, pi) -> dict:
     )
 
 
+@lru_cache(maxsize=None)
+def _phi_value(r: int, lparts, mparts, dwin):
+    """phi^d_{lam,mu}(x_mu): the sum of T_w over the listed double coset of
+    d, which schur stores as x_lam times its tail instead."""
+    from affineschur.hecke import HeckeElement
+    from affineschur.weyl import young_subgroup_of_key
+
+    left, right = young_subgroup_of_key(lparts, r), young_subgroup_of_key(mparts, r)
+    return HeckeElement._raw(r, {w.window: {0: 1} for w in double_coset(WindowPerm._unsafe(dwin), left, right)})
+
+
 def expand_phi_by_peel(h, lam, mu) -> dict:
     """Coordinates of h in the phi-basis column (lam, mu); the lead windows
     are the minimal double-coset representatives."""
-    from affineschur.schur import _phi_value_cached, young_parabolic
+    from affineschur.schur import young_parabolic
     from affineschur.weyl import double_coset_rep
 
     left, right = young_parabolic(lam), young_parabolic(mu)
     return peel_strata(
         h,
         lambda w: double_coset_rep(WindowPerm._unsafe(w), left, right).window == w,
-        lambda w: _phi_value_cached(lam.r, lam.parts, mu.parts, w)._terms,
+        lambda w: _phi_value(lam.r, lam.parts, mu.parts, w)._terms,
         "in the double-coset span",
     )
 
@@ -1019,14 +1043,14 @@ def schur_mul_by_peel(a, b):
     """a after b as schur_mul computes it, with both re-expansions peeled."""
     from affineschur.hecke import HeckeElement
     from affineschur.laurent import addmul_into
-    from affineschur.schur import SchurElement, Weight, _phi_value_cached, young_parabolic
+    from affineschur.schur import SchurElement, Weight, young_parabolic
 
     if (a.n, a.r) != (b.n, b.r):
         raise ValueError("shape mismatch")
     n, r = a.n, a.r
     blocks: dict = {}
     for (l2, m2, d2), c2 in b._terms.items():
-        addmul_into(blocks.setdefault((l2, m2), {}), _phi_value_cached(r, l2, m2, d2)._terms, c2)
+        addmul_into(blocks.setdefault((l2, m2), {}), _phi_value(r, l2, m2, d2)._terms, c2)
     values: dict = {}
     for (l2, m2), raw in blocks.items():
         if not raw:
@@ -1035,7 +1059,7 @@ def schur_mul_by_peel(a, b):
         right = HeckeElement._raw(r, {dwin: c.raw() for dwin, c in factor.items()})
         for (l1, m1, d1), c1 in a._terms.items():
             if m1 == l2:
-                base = _phi_value_cached(r, l1, m1, d1)
+                base = _phi_value(r, l1, m1, d1)
                 addmul_into(values.setdefault((l1, m2), {}), hecke_mul_by_words(base, right)._terms, c1)
     out: dict = {}
     for (l1, m2), h in values.items():
@@ -1050,7 +1074,7 @@ def act_schur_left_by_terms(s, x):
     from affineschur._backend import kernels
     from affineschur.hecke import t_basis
     from affineschur.laurent import addmul_into
-    from affineschur.schur import QTensorElement, _phi_value_cached
+    from affineschur.schur import QTensorElement
 
     if (s.n, s.r) != (x.n, x.r):
         raise ValueError("shape mismatch")
@@ -1061,7 +1085,7 @@ def act_schur_left_by_terms(s, x):
         for (l1, m1, d1), c1 in s._terms.items():
             if m1 != l2:
                 continue
-            part = hecke_mul_by_words(_phi_value_cached(r, l1, m1, d1), t_basis(d2))
+            part = hecke_mul_by_words(_phi_value(r, l1, m1, d1), t_basis(d2))
             addmul_into(values.setdefault(l1, {}), part._terms, kernels.lp_mul(c1, c2))
     return QTensorElement._raw(n, r, right_factor_terms_by_peel(values, r))
 
@@ -1690,8 +1714,6 @@ def kl_table_by_bruhat(r: int):
 def longest_double_coset_elt_by_enumeration(d, left, right):
     """The unique maximal-length element of the double coset of d, found by
     listing the coset; raises if the maximum is not unique."""
-    from affineschur.weyl import double_coset
-
     best: list = []
     best_len = -1
     for w in double_coset(d, left, right):
@@ -1828,14 +1850,14 @@ def project_weight(x, lam):
 
 def phi_value(lam, mu, d):
     """The image of x_mu under phi^d_{lam,mu}: the sum of T_w over the
-    double coset of d, read from the library's table."""
-    from affineschur.schur import _phi_value_cached, young_parabolic
+    listed double coset of d."""
+    from affineschur.schur import young_parabolic
     from affineschur.weyl import double_coset_rep
 
     if lam.r != mu.r or d.r != lam.r:
         raise ValueError("rank mismatch")
     dbar = double_coset_rep(d, young_parabolic(lam), young_parabolic(mu))
-    return _phi_value_cached(lam.r, lam.parts, mu.parts, dbar.window)
+    return _phi_value(lam.r, lam.parts, mu.parts, dbar.window)
 
 
 def is_finite_type(e) -> bool:

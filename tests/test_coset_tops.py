@@ -16,13 +16,12 @@ from affineschur.weyl import (
     WindowPerm,
     _coset_split,
     _is_double_coset_top,
-    double_coset,
     double_coset_rep,
     enumerate_up_to_length,
     longest_double_coset_elt,
 )
 
-from oracles import longest_double_coset_elt_by_enumeration, theta_by_enumeration
+from oracles import double_coset, longest_double_coset_elt_by_enumeration, theta_by_enumeration
 
 
 def young_parabolics(r: int) -> list[ParabolicIndex]:

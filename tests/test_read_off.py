@@ -1,11 +1,15 @@
 """Schur coordinates read off the distinguished coset representatives.
 
 x_lambda T_d is the sum of T_ud over u in W_lambda, and the phi value at
-(lambda, mu, d) is the sum of T_w over the double coset of d, so the
-coordinates of an element of either span are its coefficients at the
-distinguished representatives.  Every re-expansion is pinned key by key to
-the peel of tests/oracles.py, which subtracts whole basis columns instead;
-elements outside the span must raise ValueError, also under python -O.
+(lambda, mu, d), the sum of T_w over the double coset of d, is x_lambda
+times the sum of T_d' over its tail: the windows d' of the coset that are
+shortest in W_lambda d'.  schur keeps every value as x_lambda-coordinates,
+so the phi coordinates of an element are its x_lambda-coordinates at the
+minimal double-coset representatives.  The tail identity is checked against
+the listed double coset, and every re-expansion and product key by key
+against the peels of tests/oracles.py, which subtract whole basis columns
+instead; coordinates outside the span must raise ValueError, also under
+python -O.
 """
 
 import os
@@ -22,7 +26,8 @@ from affineschur.schur import (
     SchurElement,
     Weight,
     _expand_phi,
-    _extract_right_factor,
+    _in_ideals,
+    _phi_tail,
     act_hecke_right,
     act_schur_left,
     all_weights,
@@ -36,6 +41,7 @@ from oracles import (
     act_schur_left_by_terms,
     expand_phi_by_peel,
     extract_right_factor_by_peel,
+    hecke_mul_by_words,
     phi_value,
     schur_mul_by_peel,
 )
@@ -86,22 +92,85 @@ def _hecke(r, pool, rng) -> HeckeElement:
     return h
 
 
+def _coordinates(h: HeckeElement, lam: Weight) -> dict:
+    """Raw x_lam-coordinates of h, peeled over the columns x_lam T_d."""
+    return {w: c.raw() for w, c in extract_right_factor_by_peel(h, young_parabolic(lam)).items()}
+
+
+def _tails_checked(lam, mu, pool) -> int:
+    """x_lam times the sum of T_d' over each tail is the sum of T_w over the
+    listed double coset, for every representative of the pool; returns the
+    number of tails checked."""
+    xl = x_lambda(young_parabolic(lam))
+    reps = _reps(lam, mu, pool)
+    for dw in reps:
+        tail = HeckeElement._raw(lam.r, _phi_tail(lam.r, lam.parts, mu.parts, dw))
+        assert hecke_mul_by_words(xl, tail) == phi_value(lam, mu, WindowPerm._unsafe(dw))
+    return len(reps)
+
+
+def test_every_tail_at_n3_r3_gives_its_double_coset_sum():
+    weights = all_weights(3, 3)
+    pool = enumerate_up_to_length(3, 2, extended=True, rho_bound=1)
+    assert sum(_tails_checked(lam, mu, pool) for lam in weights for mu in weights) == 1272
+
+
+def test_seeded_tails_at_n4_r4_give_their_double_coset_sums():
+    rng = random.Random(4)
+    weights = all_weights(4, 4)
+    pool = enumerate_up_to_length(4, 2, extended=True, rho_bound=1)
+    # the block weight, whose parabolic is the largest, and seeded pairs
+    pairs = [(Weight(4, 4, (4, 0, 0, 0)), Weight(4, 4, (0, 2, 2, 0)))]
+    pairs += [(rng.choice(weights), rng.choice(weights)) for _ in range(12)]
+    assert sum(_tails_checked(lam, mu, pool) for lam, mu in pairs) == 187
+
+
+# the right factors b that the three actions walk: a T_w of the pool, a
+# Bernstein generator and its inverse
+_RIGHT_FACTORS = {
+    "T_w": lambda r, pool, rng: t_basis(rng.choice(pool)),
+    "Y_j": lambda r, pool, rng: bernstein_y(r, rng.randint(1, r)),
+    "Y_j^-1": lambda r, pool, rng: bernstein_y_inverse(r, rng.randint(1, r)),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", sorted(_RIGHT_FACTORS))
+def test_in_ideals_reads_the_formed_product(kind, n):
+    """One walk gives, for every weight at once, the x_lam-coordinates of
+    x_lam * x * b that the peel reads off the product formed by words; the
+    left factors x are seeded combinations of any windows, not only
+    distinguished ones, and the block weight's parabolic is the whole S_n."""
+    rng = random.Random(10 * n + len(kind))
+    pool = enumerate_up_to_length(n, 2, extended=True, rho_bound=1)
+    block = Weight(n, n, (n,) + (0,) * (n - 1))
+    weights = [block] + rng.sample([w for w in all_weights(n, n) if w != block], 3)
+    xs = {lam.parts: {rng.choice(pool).window: _coeff(rng).raw() for _ in range(3)} for lam in weights}
+    b = _RIGHT_FACTORS[kind](n, pool, rng) * t_basis(rng.choice(pool))
+    got = _in_ideals(xs, b._terms, n)
+    assert set(got) == set(xs)
+    for lam in weights:
+        x = HeckeElement._raw(n, xs[lam.parts])
+        formed = hecke_mul_by_words(hecke_mul_by_words(x_lambda(young_parabolic(lam)), x), b)
+        assert got[lam.parts] == _coordinates(formed, lam)
+
+
 def _check_pair(lam, mu, nu, pool, rng) -> int:
-    """Every re-expansion at (lam, mu), and a product through (mu, nu),
-    against the peel; returns the number of coordinates compared."""
+    """The phi read-off at (lam, mu), a product through (mu, nu) and both
+    actions, against the peels; returns the number of coordinates read,
+    x_lam and phi."""
     h, s = _column(lam, mu, _reps(lam, mu, pool), rng)
-    coords = _expand_phi(h, lam, mu)
-    assert coords == expand_phi_by_peel(h, lam, mu)
-    assert coords == {k: Laurent(c) for (_, _, k), c in s._terms.items()}
-    factor = _extract_right_factor(h, young_parabolic(lam))
-    assert factor == extract_right_factor_by_peel(h, young_parabolic(lam))
+    xcoords = _coordinates(h, lam)
+    coords = _expand_phi(xcoords, lam, mu)
+    assert coords == {w: c.raw() for w, c in expand_phi_by_peel(h, lam, mu).items()}
+    assert coords == {k: c for (_, _, k), c in s._terms.items()}
     _, b = _column(mu, nu, _reps(mu, nu, pool), rng)
     assert schur_mul(s, b)._terms == schur_mul_by_peel(s, b)._terms
     x = _tensor([lam, mu], pool, rng)
     assert act_schur_left(s, x)._terms == act_schur_left_by_terms(s, x)._terms
     hh = _hecke(lam.r, pool, rng)
     assert act_hecke_right(x, hh)._terms == act_hecke_right_by_terms(x, hh)._terms
-    return len(coords) + len(factor)
+    return len(coords) + len(xcoords)
 
 
 def test_every_weight_pair_at_n3_r3_matches_the_peel():
@@ -139,51 +208,58 @@ def _two_reps() -> tuple[WindowPerm, WindowPerm]:
     return double_coset_rep(WindowPerm((3, 1, 5)), pl, pm), double_coset_rep(WindowPerm((2, 4, 3)), pl, pm)
 
 
-def _bad_inputs() -> list[tuple[str, object, HeckeElement]]:
-    """(label, read-off, element) for each read-off and three elements that
-    leave its span: a cell missing one window, a non-lead window whose
-    coefficient differs, and a window that lies in no cell (s_1 times the
-    lead of a cell that is absent)."""
-    pi = young_parabolic(_LAM)
-    d, other = _two_reps()
-    stray = (WindowPerm.s(3, 1) * other).window
-    out = []
-    for name, read, good in (
-        ("right factor", lambda h: _extract_right_factor(h, pi), x_lambda(pi) * t_basis(d)),
-        ("phi", lambda h: _expand_phi(h, _LAM, _MU), phi_value(_LAM, _MU, d)),
-    ):
-        tail = next(w for w in good._terms if w != d.window)
-        missing = dict(good._terms)
-        del missing[tail]
-        differs = dict(good._terms)
-        differs[tail] = {0: 1, 2: 1}
-        outside = dict(good._terms)
-        outside[stray] = {0: 1}
-        for label, terms in (("missing", missing), ("differs", differs), ("outside", outside)):
-            out.append((f"{name}: {label}", read, HeckeElement._raw(3, terms)))
-    return out
+def _tail(d: WindowPerm) -> dict:
+    """The raw x_lam-coordinates of phi^d_{lam,mu}(x_mu), peeled off the
+    listed double coset: 1 at every window of d's tail."""
+    return _coordinates(phi_value(_LAM, _MU, d), _LAM)
+
+
+def _stray() -> tuple:
+    """A window of the other coset's tail that is not its lead."""
+    _, other = _two_reps()
+    return next(w for w in _tail(other) if w != other.window)
+
+
+def _bad_inputs() -> list[tuple[str, dict]]:
+    """(label, x_lam-coordinates) for three elements that leave the span of
+    the phi values: a tail missing one window, a tail window whose
+    coefficient differs, and a stray distinguished window whose lead is
+    absent."""
+    d, _ = _two_reps()
+    good = _tail(d)
+    tail = next(w for w in good if w != d.window)
+    missing = dict(good)
+    del missing[tail]
+    differs = dict(good)
+    differs[tail] = {0: 1, 2: 1}
+    outside = dict(good)
+    outside[_stray()] = {0: 1}
+    return [("phi: missing", missing), ("phi: differs", differs), ("phi: outside", outside)]
 
 
 def test_bad_inputs_are_well_formed():
-    """The cells hold more than their lead, the stray window is no lead and
-    lies in neither cell, and the unbroken elements read off cleanly."""
+    """The tails hold more than their lead and are the library's, the stray
+    window is distinguished, no lead and outside d's tail, and the unbroken
+    coordinates read off cleanly."""
     pi, pm = young_parabolic(_LAM), young_parabolic(_MU)
     d, other = _two_reps()
     assert d.rho_power() != 0 and d != other
-    stray = WindowPerm.s(3, 1) * other
-    assert not is_distinguished(stray, pi)
-    assert double_coset_rep(stray, pi, pm) == other
-    assert _extract_right_factor(x_lambda(pi) * t_basis(d), pi) == {d.window: Laurent.one()}
-    assert _expand_phi(phi_value(_LAM, _MU, d), _LAM, _MU) == {d.window: Laurent.one()}
-    assert len(x_lambda(pi) * t_basis(d)) == 2 and len(phi_value(_LAM, _MU, d)) > 2
-    assert len(_bad_inputs()) == 6
+    stray = WindowPerm._unsafe(_stray())
+    assert is_distinguished(stray, pi)
+    assert double_coset_rep(stray, pi, pm) == other != stray
+    assert stray.window not in _tail(d)
+    for rep in (d, other):
+        assert len(_tail(rep)) > 1
+        assert _tail(rep) == _phi_tail(3, _LAM.parts, _MU.parts, rep.window)
+    assert _expand_phi(_tail(d), _LAM, _MU) == {d.window: {0: 1}}
+    assert len(_bad_inputs()) == 3
 
 
-@pytest.mark.parametrize("label", [label for label, _, _ in _bad_inputs()])
+@pytest.mark.parametrize("label", [label for label, _ in _bad_inputs()])
 def test_out_of_span_elements_raise(label):
-    ((read, h),) = [(read, h) for lab, read, h in _bad_inputs() if lab == label]
+    (coords,) = [c for lab, c in _bad_inputs() if lab == label]
     with pytest.raises(ValueError, match="element is not"):
-        read(h)
+        _expand_phi(coords, _LAM, _MU)
 
 
 def test_out_of_span_elements_raise_under_python_O():
@@ -192,11 +268,11 @@ def test_out_of_span_elements_raise_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, tests] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = (
-        "from test_read_off import _bad_inputs\n"
+        "from test_read_off import _LAM, _MU, _bad_inputs, _expand_phi\n"
         "raised = 0\n"
-        "for label, read, h in _bad_inputs():\n"
+        "for label, coords in _bad_inputs():\n"
         "    try:\n"
-        "        read(h)\n"
+        "        _expand_phi(coords, _LAM, _MU)\n"
         "    except ValueError:\n"
         "        raised += 1\n"
         "    else:\n"
@@ -205,4 +281,4 @@ def test_out_of_span_elements_raise_under_python_O():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "6"]
+    assert proc.stdout.split() == ["False", "3"]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from affineschur.hecke import HeckeElement, KLTable, t_basis, x_lambda
-from affineschur.laurent import Laurent
+from affineschur.hecke import KLTable, t_basis, x_lambda
+from affineschur.laurent import Laurent, addmul_into
 from affineschur.schur import (
     QTensorElement,
     SchurElement,
@@ -23,7 +23,7 @@ from affineschur.schur import (
     theta,
     young_parabolic,
 )
-from affineschur.schur import _expand_phi
+from affineschur.schur import _expand_phi, _phi_tail
 from affineschur.weyl import (
     WindowPerm,
     bruhat_leq,
@@ -193,13 +193,14 @@ def test_associativity_with_affine_support():
 
 
 def test_exact_phi_reexpansion():
+    # _expand_phi reads x_lam-coordinates: phi^d contributes its tail
     rng = random.Random(5)
     pool = enumerate_up_to_length(R, 4, extended=True, rho_bound=1)
     for _ in range(15):
         lam, mu = rng.choice(LAMS), rng.choice(LAMS)
         pl, pm = young_parabolic(lam), young_parabolic(mu)
         coords = {}
-        h = HeckeElement.zero(R)
+        xcoords = {}
         for _ in range(3):
             dbar = double_coset_rep(rng.choice(pool), pl, pm)
             c = Laurent({rng.randint(-1, 2): rng.randint(-3, 3)})
@@ -208,10 +209,10 @@ def test_exact_phi_reexpansion():
                 coords[dbar.window] = cur
             else:
                 coords.pop(dbar.window, None)
-            h = h + phi_value(lam, mu, dbar).scale(c)
-        assert _expand_phi(h, lam, mu) == coords
+            addmul_into(xcoords, _phi_tail(R, lam.parts, mu.parts, dbar.window), c.raw())
+        assert _expand_phi(xcoords, lam, mu) == {w: c.raw() for w, c in coords.items()}
     with pytest.raises(ValueError):
-        _expand_phi(t_basis(word(1)), Weight(3, 3, (3, 0, 0)), Weight(3, 3, (3, 0, 0)))
+        _expand_phi({word(1).window: {0: 1}}, Weight(3, 3, (3, 0, 0)), Weight(3, 3, (3, 0, 0)))
 
 
 def test_right_unit_on_the_omega_column():

@@ -20,7 +20,6 @@ from affineschur.weyl import (
     all_proper_parabolics,
     bruhat_leq,
     coset_decompose,
-    double_coset,
     double_coset_rep,
     enumerate_up_to_length,
     is_distinguished,
@@ -31,6 +30,7 @@ from oracles import (
     brute_coset_factorizations,
     brute_double_coset_min,
     bruhat_by_subwords,
+    double_coset,
     enumerate_up_to_length_first_form,
     parabolic_elements_first_form,
     parabolic_longest_element_first_form,
